@@ -12,7 +12,6 @@ from .fields import GF, QQ, FieldMismatch, Mod, is_probable_prime, random_prime
 from .linalg import (
     LinearForm,
     Matrix,
-    complete_invertible,
     congruence_diagonalize,
     rank_and_row_basis,
 )
@@ -26,7 +25,6 @@ from .circuits import (
     Input,
     Linear,
     Mul,
-    eval_mod_random_prime,
     expand,
     homogeneous_part_eval,
     power_decompose_product,
@@ -40,7 +38,7 @@ from .division import (
     power_table,
     random_zero_test,
 )
-from .lowrank import LowRankInput, RemEvaluator, build_transform, inline_forms, rem_eval
+from .lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
 from .apps import (
     Graph,
     blowup_graph,

@@ -20,13 +20,12 @@ with zero coefficient, so the constructed fan-in is exactly predictable.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import GF, QQ, Mod, field_of, random_prime
+from .fields import GF, QQ, Mod, field_of
 from .linalg import LinearForm
-from .poly import CapExceeded, SparsePoly, UnivariatePoly
+from .poly import CapExceeded, SparsePoly, UnivariatePoly, _acc
 
 __all__ = [
     "Input",
@@ -39,7 +38,6 @@ __all__ = [
     "DiagonalCircuit",
     "CapExceeded",
     "expand",
-    "eval_mod_random_prime",
     "homogeneous_part_eval",
     "power_decompose_product",
     "syntactic_degree",
@@ -188,14 +186,23 @@ def syntactic_degree(c: Circuit) -> int:
     return deg[c.out]
 
 
-def expand(c: Circuit, monomial_cap: int = 10**6) -> SparsePoly:
-    """Exact sparse expansion; aborts with CapExceeded past the term budget."""
+def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> SparsePoly:
+    """Exact sparse expansion; aborts with CapExceeded past the term budget.
+
+    With `images` (one SparsePoly per input variable, all over the same
+    variables) the result is c(images) instead of c itself.  With a `reducer`
+    (a `division._Reducer`) every product and linear gate is reduced as soon
+    as it is formed, so intermediate term counts stay within the residue grid
+    and the result is the unique remainder.
+    """
+    n = c.n if images is None else (images[0].n if images else 0)
+    reduce = (lambda p: p) if reducer is None else reducer.reduce
     vals: list = [None] * len(c.nodes)
     for i, node in enumerate(c.nodes):
         if isinstance(node, Input):
-            vals[i] = SparsePoly.variable(c.n, node.var)
+            vals[i] = SparsePoly.variable(n, node.var) if images is None else images[node.var]
         elif isinstance(node, Const):
-            vals[i] = SparsePoly.const(c.n, node.value)
+            vals[i] = SparsePoly.const(n, node.value)
         elif isinstance(node, Add):
             acc = vals[node.children[0]]
             for ch in node.children[1:]:
@@ -206,67 +213,28 @@ def expand(c: Circuit, monomial_cap: int = 10**6) -> SparsePoly:
         elif isinstance(node, Mul):
             acc = vals[node.children[0]]
             for ch in node.children[1:]:
-                acc = acc.mul(vals[ch], cap=monomial_cap)
+                acc = reduce(acc.mul(vals[ch], cap=monomial_cap))
             vals[i] = acc
         else:
-            terms = {}
+            # One dict pass over the images, so a gate over plain variables
+            # costs O(n) terms rather than n copies of a growing sum.
+            terms: dict = {}
             for j, coef in enumerate(node.form.coeffs):
-                if coef:
-                    e = [0] * c.n
+                if not coef:
+                    continue
+                if images is None:
+                    e = [0] * n
                     e[j] = 1
-                    terms[tuple(e)] = coef
+                    _acc(terms, tuple(e), coef)
+                else:
+                    for e, v in images[j].terms.items():
+                        _acc(terms, e, coef * v)
             if node.form.const:
-                terms[(0,) * c.n] = node.form.const
-            vals[i] = SparsePoly(c.n, terms)
+                _acc(terms, (0,) * n, node.form.const)
+            p = SparsePoly.__new__(SparsePoly)
+            p.n, p.terms = n, terms
+            vals[i] = reduce(p)
     return vals[c.out]
-
-
-def _require_integer_circuit(c: Circuit):
-    for node in c.nodes:
-        vals = []
-        if isinstance(node, Const):
-            vals = [node.value]
-        elif isinstance(node, Linear):
-            vals = list(node.form.coeffs) + [node.form.const]
-        for v in vals:
-            if isinstance(v, Fraction) and v.denominator != 1:
-                raise ValueError("circuit is not over the integers")
-            if isinstance(v, Mod):
-                raise ValueError("circuit is not over the integers")
-
-
-def eval_mod_random_prime(c: Circuit, point, bits: int, rng: random.Random):
-    """Evaluate an integer circuit at an integer point modulo a fresh prime.
-
-    Intermediate values never leave Z_p, so circuits that compute doubly
-    exponential integers stay cheap.  Returns (value mod p, p).
-    """
-    if bits < 32:
-        raise ValueError("prime bit length must be at least 32")
-    _require_integer_circuit(c)
-    p = random_prime(bits, rng)
-    vals = [0] * len(c.nodes)
-    for i, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            vals[i] = int(point[node.var]) % p
-        elif isinstance(node, Const):
-            vals[i] = int(node.value) % p
-        elif isinstance(node, Add):
-            acc = 0
-            for ch in node.children:
-                acc += vals[ch]
-            vals[i] = acc % p
-        elif isinstance(node, Mul):
-            acc = 1
-            for ch in node.children:
-                acc = acc * vals[ch] % p
-            vals[i] = acc
-        else:
-            acc = int(node.form.const)
-            for coef, b in zip(node.form.coeffs, point):
-                acc += int(coef) * int(b)
-            vals[i] = acc % p
-    return vals[c.out], p
 
 
 def homogeneous_part_eval(c: Circuit, k: int, deg_bound: int, point):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, expand
 from .fields import QQ, Rationals
-from .poly import CapExceeded, SparsePoly, UnivariatePoly
+from .poly import SparsePoly, UnivariatePoly, _acc
 
 __all__ = [
     "UnivariateIdeal",
@@ -48,23 +48,6 @@ class UnivariateIdeal:
     @classmethod
     def from_dict(cls, gens: dict) -> "UnivariateIdeal":
         return cls(tuple(sorted(gens.items())))
-
-    def generator_for(self, var: int):
-        for v, p in self.generators:
-            if v == var:
-                return p
-        return None
-
-    def vars(self):
-        return [v for v, _ in self.generators]
-
-    def restrict_shift(self, s: int) -> "UnivariateIdeal":
-        """Generators for variables >= s, reindexed down by s."""
-        return UnivariateIdeal(tuple((v - s, p) for v, p in self.generators if v >= s))
-
-    def subideal(self, keep) -> "UnivariateIdeal":
-        keep = set(keep)
-        return UnivariateIdeal(tuple((v, p) for v, p in self.generators if v in keep))
 
 
 def power_table(p: UnivariatePoly, max_e: int):
@@ -124,15 +107,6 @@ class _Reducer:
         return f
 
 
-def _acc(out: dict, e, c):
-    acc = out.get(e)
-    new = c if acc is None else acc + c
-    if new:
-        out[e] = new
-    elif acc is not None:
-        del out[e]
-
-
 def divide(f: SparsePoly, ideal: UnivariateIdeal) -> SparsePoly:
     """The unique remainder R with f = R (mod ideal) and deg_{x_i} R < deg p_i."""
     return _Reducer(ideal).reduce(f)
@@ -153,7 +127,11 @@ def divide_with_quotients(f: SparsePoly, ideal: UnivariateIdeal):
         if top < d:
             continue
         rem_table = power_table(p, top)
-        quo_table = _quotient_table(p, top)
+        # power_table steps x^(e+1) mod p = x * rem_table[e] - lead[e] * p, so
+        # x^e = q_e * p + rem_table[e] with q_e = sum_{k<e} lead[k] * x^(e-1-k).
+        inv_lead = 1 / p.lc()
+        zero = inv_lead - inv_lead
+        lead = [r.coeffs[-1] * inv_lead if r.degree() == d - 1 else zero for r in rem_table]
         out: dict = {}
         hq: dict = {}
         for e, c in f.terms.items():
@@ -164,7 +142,8 @@ def divide_with_quotients(f: SparsePoly, ideal: UnivariateIdeal):
             for j, rc in enumerate(rem_table[exp].coeffs):
                 if rc:
                     _acc(out, e[:var] + (j,) + e[var + 1 :], c * rc)
-            for j, qc in enumerate(quo_table[exp].coeffs):
+            for j in range(exp - d + 1):
+                qc = lead[exp - 1 - j]
                 if qc:
                     _acc(hq, e[:var] + (j,) + e[var + 1 :], c * qc)
         g = SparsePoly.__new__(SparsePoly)
@@ -175,26 +154,6 @@ def divide_with_quotients(f: SparsePoly, ideal: UnivariateIdeal):
         if h:
             quotients[var] = quotients.get(var, SparsePoly.zero(n)) + h
     return f, quotients
-
-
-def _quotient_table(p: UnivariatePoly, max_e: int):
-    """q_e with x^e = q_e(x) p(x) + (x^e mod p)."""
-    one = p.lc() / p.lc()
-    zero = one - one
-    d = p.degree()
-    inv_lead = 1 / p.lc()
-    rems = [UnivariatePoly([one])]
-    quos = [UnivariatePoly([])]
-    for _ in range(max_e):
-        shifted = list((zero,) + rems[-1].coeffs)
-        q_next = UnivariatePoly((zero,) + quos[-1].coeffs)
-        if len(shifted) == d + 1:
-            c = shifted[-1] * inv_lead
-            shifted = [a - c * b for a, b in zip(shifted[:-1], p.coeffs[:-1])]
-            q_next = q_next + UnivariatePoly([c])
-        rems.append(UnivariatePoly(shifted))
-        quos.append(q_next)
-    return quos
 
 
 def is_member_brute(c: Circuit, ideal: UnivariateIdeal, monomial_cap: int = 10**6) -> bool:

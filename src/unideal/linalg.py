@@ -1,11 +1,10 @@
 """Exact dense linear algebra over Q or a prime field.
 
 Everything here is plain Gaussian elimination on small matrices of exact
-scalars.  The three nonstandard entry points are `rank_and_row_basis` (the
+scalars.  The two nonstandard entry points are `rank_and_row_basis` (the
 basis is a subset of the input rows, which the variable-separation transform
-relies on), `complete_invertible` (extend independent rows to a square
-invertible matrix using unit vectors) and `congruence_diagonalize`
-(Q A Q^T = D for symmetric A, valid in characteristic != 2).
+relies on) and `congruence_diagonalize` (Q A Q^T = D for symmetric A, valid
+in characteristic != 2).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "LinearForm",
     "Matrix",
     "rank_and_row_basis",
-    "complete_invertible",
     "congruence_diagonalize",
 ]
 
@@ -40,10 +38,6 @@ class LinearForm:
         for c, b in zip(self.coeffs, point):
             acc = acc + c * b
         return acc
-
-    def head(self, s: int) -> "LinearForm":
-        """Restriction to the first s variables (keeps the constant)."""
-        return LinearForm(tuple(self.coeffs[:s]), self.const)
 
     def tail(self, s: int) -> "LinearForm":
         """Homogeneous part over variables s..n-1, reindexed from 0."""
@@ -205,53 +199,6 @@ def rank_and_row_basis(m: Matrix):
     coords = [list(c) + [zero] * (rank - len(c)) for c in coords]
     basis = [LinearForm(r) for r in basis_rows]
     return rank, basis, Matrix(coords)
-
-
-def complete_invertible(partial_rows, n: int) -> Matrix:
-    """Extend independent rows to an invertible n x n matrix with unit vectors.
-
-    Rejects dependent input rows.  The appended rows are standard basis
-    vectors e_j for the non-pivot columns of the input, so the result is
-    always invertible and block-structured when the inputs are.
-    """
-    rows = []
-    for r in partial_rows:
-        if isinstance(r, LinearForm):
-            if r.const:
-                raise ValueError("completion rows must be homogeneous")
-            r = r.coeffs
-        r = tuple(r)
-        if len(r) != n:
-            raise ValueError("row length mismatch")
-        rows.append(r)
-    if len(rows) > n:
-        raise ValueError("more rows than columns")
-    if rows:
-        rank, _, _ = rank_and_row_basis(Matrix(rows))
-        if rank != len(rows):
-            raise ValueError("input rows are linearly dependent")
-        some = rows[0][0]
-    else:
-        some = Fraction(0)
-    one = _one_like(some)
-    zero = one - one
-    # Pivot columns of the echelon form of the given rows.
-    work = [list(r) for r in rows]
-    pivots = set()
-    reduced: list[tuple[list, int]] = []
-    for vec in work:
-        for evec, piv in reduced:
-            if vec[piv]:
-                f = vec[piv] / evec[piv]
-                vec = [x - f * y for x, y in zip(vec, evec)]
-        piv = next(j for j, x in enumerate(vec) if x)
-        reduced.append((vec, piv))
-        pivots.add(piv)
-    out = list(rows)
-    for j in range(n):
-        if j not in pivots:
-            out.append(tuple(one if t == j else zero for t in range(n)))
-    return Matrix(out)
 
 
 def congruence_diagonalize(a: Matrix):

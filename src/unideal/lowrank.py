@@ -8,16 +8,18 @@ touching more than 2r variables at a time:
   1. split each form l_i into its part over the first s = min(r, n) variables
      and the homogeneous rest; pick a maximal independent subset of the rests
      (size r') and treat those as fresh variables,
-  2. expand the outer circuit over the s + r' local variables, reducing by the
-     generators of the consumed variables after every product so intermediate
-     term counts stay inside the (d+1)^(2r) budget,
+  2. write the polynomial over the s + r' local variables: at the first level
+     expand the outer circuit, deeper down compose the previous level's
+     polynomial with the local forms, reducing by the generators of the
+     consumed variables after every product so intermediate term counts stay
+     inside the (d+1)^(2r) budget,
   3. substitute alpha for the consumed variables,
   4. recurse on the surviving fresh variables, which stand for the
      independent rest-forms, against the ideal on the remaining variables.
 
-The per-level transform chain depends only on the forms, so `RemEvaluator`
-precomputes it (plus the alpha-independent level-0 expansion) once and can
-then evaluate many points cheaply; `rem_eval` is the one-shot wrapper.
+The per-level splits and the first level's expansion do not depend on alpha,
+so `RemEvaluator` computes them once and each `eval` runs steps 2-4 from the
+second level on; `rem_eval` is the one-shot wrapper.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul
+from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand
 from .division import UnivariateIdeal, _Reducer
-from .linalg import LinearForm, Matrix, complete_invertible, rank_and_row_basis
-from .poly import CapExceeded, SparsePoly
+from .linalg import LinearForm, Matrix, rank_and_row_basis
+from .poly import SparsePoly
 
-__all__ = ["LowRankInput", "build_transform", "rem_eval", "RemEvaluator", "inline_forms"]
+__all__ = ["LowRankInput", "rem_eval", "RemEvaluator", "inline_forms"]
 
 
 @dataclass(frozen=True)
@@ -56,38 +58,6 @@ class LowRankInput:
         return self.forms[0].n if self.forms else 0
 
 
-def build_transform(forms, n: int):
-    """Invertible T fixing the first variables and compressing the rest.
-
-    Splits each form at s = min(len(forms), n); returns (T, r', residuals)
-    where the substitution x -> Tx maps the selected independent rest-forms to
-    the variables s..s+r'-1 and `residuals` are those rest-forms reindexed
-    over the trailing n - s variables.
-    """
-    forms = list(forms)
-    s = min(len(forms), n)
-    if not forms:
-        return Matrix.identity(n), 0, []
-    tails = Matrix([f.tail(s).coeffs for f in forms])
-    rank, basis, _ = rank_and_row_basis(tails)
-    one = _one_from(forms)
-    zero = one - one
-    rows = [tuple(one if t == i else zero for t in range(n)) for i in range(s)]
-    rows += [(zero,) * s + b.coeffs for b in basis]
-    u = complete_invertible(rows, n)
-    t = u.inverse()
-    residuals = [LinearForm(b.coeffs) for b in basis]
-    return t, rank, residuals
-
-
-def _one_from(forms):
-    for f in forms:
-        for c in f.coeffs:
-            if c:
-                return c / c
-    return Fraction(1)
-
-
 @dataclass
 class _Level:
     offset: int          # first global variable consumed at this level
@@ -101,14 +71,14 @@ class _Level:
 class RemEvaluator:
     """Prepared remainder evaluator for one (low-rank input, ideal) pair.
 
-    When the residue grid is small (the product over variables of the
-    generator degrees fits `materialize_budget`), the full reduced remainder
-    is computed once symbolically and each eval is a plain polynomial
-    evaluation; otherwise every eval walks the recursion with per-level
-    substitution.  Both paths return identical values.
+    Construction splits the forms level by level and expands the outer
+    circuit over the first level's local variables with interleaved
+    reduction.  Each `eval` then walks the levels: compose with the level's
+    local forms, reduce, substitute the point's consumed coordinates.  Every
+    product is capped at (d+1)^(2r) terms.
     """
 
-    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, materialize_budget: int = 4096):
+    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal):
         self.inp = inp
         self.ideal = ideal
         n = inp.n
@@ -135,44 +105,13 @@ class RemEvaluator:
             forms_cur = level._residuals
             offset += level.s
         self.depth = len(self.levels)
-        # The alpha-independent part of level 0: outer expanded over the local
-        # variables with interleaved reduction.
+        # The alpha-independent part of the walk.  Without levels there are no
+        # x variables: every form is a constant, and so is the expansion.
         if self.levels:
             lvl = self.levels[0]
-            self._base = _eval_circuit_reduced(inp.outer, lvl.hats, lvl.w, lvl.reducer, self.cap)
+            self._base = expand(inp.outer, self.cap, lvl.hats, lvl.reducer)
         else:
-            self._base = None
-        self._full = None
-        grid = 1
-        for v in range(n):
-            p = gens.get(v)
-            grid *= p.degree() if p is not None else d + 1
-            if grid > materialize_budget:
-                break
-        if self._base is not None and grid <= materialize_budget:
-            self._grid = grid
-            self._full = self._materialize()
-
-    def _materialize(self) -> SparsePoly:
-        """Run all levels symbolically; the result is the remainder polynomial."""
-        g = self._base
-        one = self._zero + 1
-        for idx, lvl in enumerate(self.levels):
-            if idx > 0:
-                prefix = lvl.offset  # variables consumed by earlier levels
-                w_full = prefix + lvl.w
-                hats = [SparsePoly.variable(w_full, i, one=one) for i in range(prefix)]
-                hats += [_shift_vars(h, prefix, w_full) for h in lvl.hats]
-                local = {prefix + j: p for j, p in lvl.reducer.gens.items()}
-                reducer = _Reducer(UnivariateIdeal.from_dict(local))
-                g = _compose_reduced(g, hats, w_full, reducer, self.cap * self._grid)
-        consumed = self.levels[-1].offset + self.levels[-1].s
-        if g.n != consumed:
-            raise AssertionError("materialized remainder has unexpected arity")
-        tail = self.inp.n - consumed
-        if tail:
-            g = _shift_vars(g, 0, g.n + tail)  # unused trailing variables
-        return g
+            self._base = expand(inp.outer, self.cap, [SparsePoly.const(0, f.const) for f in inp.forms])
 
     def _field_zero(self):
         for _, p in self.ideal.generators:
@@ -212,7 +151,7 @@ class RemEvaluator:
             p = gens.get(offset + j)
             if p is not None:
                 local_gens[j] = p
-        reducer = _Reducer(UnivariateIdeal.from_dict(local_gens)) if local_gens else _Reducer(UnivariateIdeal(()))
+        reducer = _Reducer(UnivariateIdeal.from_dict(local_gens))
         level = _Level(offset, s, w, hats, reducer, rank)
         level._residuals = [LinearForm(b.coeffs) for b in basis]
         for h in range(len(hats)):
@@ -223,61 +162,14 @@ class RemEvaluator:
         """(f mod I)(alpha), exactly."""
         if len(alpha) != self.inp.n:
             raise ValueError("point length mismatch")
-        if self._full is not None:
-            return self._full.evaluate(alpha) if not self._full.is_zero() else self._zero
-        if self._base is None:
-            # No forms: outer is a constant circuit.
-            from .circuits import expand
-
-            g = expand(self.inp.outer, self.cap if self.cap else 1)
-            return g.evaluate([]) if not g.is_zero() else self._zero
         g = self._base
         for idx, lvl in enumerate(self.levels):
             if idx > 0:
                 g = _compose_reduced(g, lvl.hats, lvl.w, lvl.reducer, self.cap)
-            point = [alpha[lvl.offset + i] for i in range(lvl.s)]
-            g = g.substitute_prefix(lvl.s, point)
+            g = g.substitute_prefix(lvl.s, alpha[lvl.offset : lvl.offset + lvl.s])
         if g.n != 0:
             raise AssertionError("recursion left live variables")
         return g.evaluate([]) if not g.is_zero() else self._zero
-
-
-def _shift_vars(p: SparsePoly, offset: int, new_n: int) -> SparsePoly:
-    """Embed a polynomial into a wider variable list starting at `offset`."""
-    pad = new_n - offset - p.n
-    out = SparsePoly.__new__(SparsePoly)
-    out.n = new_n
-    out.terms = {(0,) * offset + e + (0,) * pad: c for e, c in p.terms.items()}
-    return out
-
-
-def _eval_circuit_reduced(c: Circuit, hats, w: int, reducer, cap: int) -> SparsePoly:
-    """Expand a circuit into SparsePoly values, reducing after every product."""
-    vals: list = [None] * len(c.nodes)
-    for i, node in enumerate(c.nodes):
-        if isinstance(node, Input):
-            vals[i] = hats[node.var]
-        elif isinstance(node, Const):
-            vals[i] = SparsePoly.const(w, node.value)
-        elif isinstance(node, Add):
-            acc = vals[node.children[0]]
-            for ch in node.children[1:]:
-                acc = acc + vals[ch]
-            if len(acc.terms) > cap:
-                raise CapExceeded(f"term count exceeded cap {cap}")
-            vals[i] = acc
-        elif isinstance(node, Mul):
-            acc = vals[node.children[0]]
-            for ch in node.children[1:]:
-                acc = reducer.reduce(acc.mul(vals[ch], cap=cap))
-            vals[i] = acc
-        else:  # Linear over the z variables
-            acc = SparsePoly.const(w, node.form.const) if node.form.const else SparsePoly.zero(w)
-            for zi, coef in enumerate(node.form.coeffs):
-                if coef:
-                    acc = acc + hats[zi].scale(coef)
-            vals[i] = reducer.reduce(acc)
-    return vals[c.out]
 
 
 def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePoly:
@@ -315,7 +207,7 @@ def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha):
     Equal to divide(expand(f), ideal) evaluated at alpha, in time
     d^O(r) * poly(n) instead of the cost of the full expansion.
     """
-    return RemEvaluator(inp, ideal, materialize_budget=0).eval(alpha)
+    return RemEvaluator(inp, ideal).eval(alpha)
 
 
 def inline_forms(inp: LowRankInput) -> Circuit:

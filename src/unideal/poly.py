@@ -28,6 +28,16 @@ class CapExceeded(RuntimeError):
     """An expansion outgrew its monomial budget."""
 
 
+def _acc(out: dict, e, c):
+    """out[e] += c, dropping the entry when it cancels."""
+    acc = out.get(e)
+    new = c if acc is None else acc + c
+    if new:
+        out[e] = new
+    elif acc is not None:
+        del out[e]
+
+
 class SparsePoly:
     __slots__ = ("n", "terms")
 

@@ -9,7 +9,6 @@ from unideal.circuits import (
     CapExceeded,
     CircuitBuilder,
     DiagonalCircuit,
-    eval_mod_random_prime,
     expand,
     homogeneous_part_eval,
     power_decompose_product,
@@ -69,43 +68,6 @@ def test_expand_cap():
     c = b.build(b.mul(s, s))
     with pytest.raises(CapExceeded):
         expand(c, monomial_cap=1)
-
-
-def test_eval_mod_random_prime_const_zero():
-    b = CircuitBuilder(1)
-    c = b.build(b.const(F(0)))
-    rng = random.Random(3)
-    for _ in range(5):
-        v, p = eval_mod_random_prime(c, [1], 32, rng)
-        assert v == 0 and p.bit_length() == 32
-
-
-def test_eval_mod_random_prime_tower():
-    # Repeated squaring: x^(2^20) at x = 2 against pow(2, 2^20, p).
-    b = CircuitBuilder(1)
-    node = b.input(0)
-    for _ in range(20):
-        node = b.mul(node, node)
-    c = b.build(node)
-    rng = random.Random(4)
-    v, p = eval_mod_random_prime(c, [2], 64, rng)
-    assert v == pow(2, 2**20, p)
-
-
-def test_eval_mod_random_prime_rejects_rationals():
-    b = CircuitBuilder(0)
-    c = b.build(b.const(F(1, 2)))
-    with pytest.raises(ValueError):
-        eval_mod_random_prime(c, [], 32, random.Random(0))
-
-
-def test_eval_mod_false_zero_is_rare():
-    # A fixed nonzero value can only vanish mod p when p divides it.
-    b = CircuitBuilder(0)
-    c = b.build(b.const(F(2**31 + 1)))
-    rng = random.Random(5)
-    zeros = sum(1 for _ in range(60) if eval_mod_random_prime(c, [], 32, rng)[0] == 0)
-    assert zeros <= 1  # value has at most one 32-bit prime divisor
 
 
 def test_homogeneous_part_linear_slice():

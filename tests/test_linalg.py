@@ -5,9 +5,7 @@ import pytest
 
 from unideal.fields import GF
 from unideal.linalg import (
-    LinearForm,
     Matrix,
-    complete_invertible,
     congruence_diagonalize,
     rank_and_row_basis,
 )
@@ -57,22 +55,6 @@ def test_basis_is_row_subset():
     assert rank == 2
     assert basis[0].coeffs == (F(1), F(1), F(0))
     assert basis[1].coeffs == (F(0), F(0), F(1))
-
-
-def test_complete_invertible_unit_row():
-    t = complete_invertible([LinearForm((F(1), F(0)))], 2)
-    assert t.rows[0] == (F(1), F(0))
-    assert t.det() != 0
-
-
-def test_complete_invertible_general_row():
-    t = complete_invertible([LinearForm((F(1), F(1)))], 2)
-    assert t.det() != 0
-
-
-def test_complete_invertible_rejects_dependent():
-    with pytest.raises(ValueError):
-        complete_invertible([LinearForm((F(1), F(0))), LinearForm((F(1), F(0)))], 2)
 
 
 def test_congruence_identity():

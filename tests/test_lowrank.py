@@ -7,13 +7,14 @@ from helpers import (
     lift_circuit,
     lift_forms,
     lift_ideal,
+    random_forms,
     random_lowrank_instance,
 )
-from unideal.circuits import CircuitBuilder, expand, syntactic_degree
+from unideal.circuits import Add, CircuitBuilder, Const, Input, Mul, expand
 from unideal.division import UnivariateIdeal, divide, is_member_brute
 from unideal.fields import GF
 from unideal.linalg import LinearForm, Matrix
-from unideal.lowrank import LowRankInput, RemEvaluator, build_transform, inline_forms, rem_eval
+from unideal.lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
 from unideal.poly import UnivariatePoly
 
 F = Fraction
@@ -22,39 +23,6 @@ F = Fraction
 def square_ideal(n):
     sq = UnivariatePoly([F(0), F(0), F(1)])
     return UnivariateIdeal(tuple((i, sq) for i in range(n)))
-
-
-def apply_transform(form: LinearForm, t: Matrix) -> tuple:
-    # coefficient vector of the form after the substitution x -> T x
-    n = t.nrows
-    return tuple(
-        sum((form.coeffs[i] * t[i, j] for i in range(n)), F(0)) for j in range(n)
-    )
-
-
-def test_build_transform_single_form():
-    t, rprime, residuals = build_transform([LinearForm((F(1), F(1), F(1)))], 3)
-    assert rprime == 1
-    assert t.det() != 0
-    # The rest-part x2 + x3 must become exactly x2 under the substitution.
-    rest = LinearForm((F(0), F(1), F(1)))
-    assert apply_transform(rest, t) == (F(0), F(1), F(0))
-
-
-def test_build_transform_no_rest():
-    forms = [LinearForm((F(1), F(0), F(0))), LinearForm((F(0), F(1), F(0)))]
-    t, rprime, residuals = build_transform(forms, 3)
-    assert rprime == 0
-    assert residuals == []
-    assert t == Matrix.identity(3)
-
-
-def test_build_transform_collapsing_rests():
-    forms = [LinearForm((F(1), F(0), F(1), F(1))), LinearForm((F(0), F(1), F(1), F(1)))]
-    t, rprime, residuals = build_transform(forms, 4)
-    assert rprime == 1
-    assert t.det() != 0
-    assert residuals[0].coeffs == (F(1), F(1))
 
 
 def test_rem_eval_square_of_sum():
@@ -111,23 +79,40 @@ def test_oracle_equivalence_prime_field():
         assert g(rem_eval(inp, ideal, alpha)) == got
 
 
+def ideal_of_degrees(rng, n, lo, hi):
+    gens = {}
+    for v in range(n):
+        d = rng.randint(lo, hi)
+        gens[v] = UnivariatePoly([F(rng.randint(-3, 3)) for _ in range(d)] + [F(rng.choice([1, -1, 2]))])
+    return UnivariateIdeal.from_dict(gens)
+
+
 def test_transform_soundness_random():
+    # Each level rewrites its incoming forms over s consumed variables plus r'
+    # fresh ones standing for the independent rest-forms: hat_i evaluated at
+    # (x_0..x_{s-1}, residual_1(x_tail), ..., residual_r'(x_tail)) is l_i(x).
     rng = random.Random(12)
+    depths = set()
     for _ in range(30):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 8)
         r = rng.randint(1, min(3, n))
-        forms = [
-            LinearForm(tuple(F(rng.randint(-2, 2)) for _ in range(n))) for _ in range(r)
-        ]
-        t, rprime, residuals = build_transform(forms, n)
-        assert t.det() != 0
-        assert rprime <= min(r, max(n - r, 0))
-        s = min(r, n)
-        for f in forms:
-            rest = LinearForm((F(0),) * s + f.coeffs[s:])
-            transformed = apply_transform(rest, t)
-            # support of the transformed rest lies in variables s..s+r'-1
-            assert all(c == 0 for j, c in enumerate(transformed) if not s <= j < s + rprime)
+        b = CircuitBuilder(r)
+        inp = LowRankInput(b.build(b.mul(*[b.input(i) for i in range(r)])), random_forms(rng, r, n), r)
+        ev = RemEvaluator(inp, ideal_of_degrees(rng, n, 2, 3))
+        forms = list(inp.forms)
+        for lvl in ev.levels:
+            assert lvl.s == min(len(forms), n - lvl.offset)
+            assert lvl.w == lvl.s + lvl.residual_count <= 2 * r
+            residuals = lvl._residuals
+            assert len(residuals) == lvl.residual_count
+            for _ in range(3):
+                x = [F(rng.randint(-5, 5)) for _ in range(n - lvl.offset)]
+                local = x[: lvl.s] + [res.evaluate(x[lvl.s :]) for res in residuals]
+                for f, hat in zip(forms, lvl.hats):
+                    assert hat.evaluate(local) == f.evaluate(x)
+            forms = residuals
+        depths.add(ev.depth)
+    assert max(depths) >= 2
 
 
 def test_recursion_depth_bounded():
@@ -169,12 +154,68 @@ def test_zero_rank_constant_outer():
     inp = LowRankInput(outer, (), 0)
     ideal = square_ideal(0)
     assert rem_eval(inp, ideal, []) == 7
+    # Forms over no variables are constants.
+    b = CircuitBuilder(2)
+    outer = b.build(b.mul(b.input(0), b.input(1), b.const(F(2))))
+    inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5))), 2)
+    assert rem_eval(inp, ideal, []) == 30
+
+
+def gate_mix_instance(rng, n, lo, hi):
+    """Two affine forms under an outer circuit with every gate kind, linear
+    gates over z with constants included."""
+    b = CircuitBuilder(2)
+    lin = [b.linear(LinearForm((F(rng.randint(-2, 2)), F(rng.randint(1, 2))), F(rng.choice([-2, -1, 1, 2]))))
+           for _ in range(2)]
+    outer = b.build(b.add(b.mul(lin[0], lin[1], b.input(0)), b.input(1), b.const(F(3))))
+    forms = tuple(LinearForm(f.coeffs, F(rng.randint(-2, 2))) for f in random_forms(rng, 2, n))
+    return LowRankInput(outer, forms, 3), ideal_of_degrees(rng, n, lo, hi)
 
 
 def test_evaluator_reuse_matches_one_shot():
+    # One prepared evaluator, many points, against expand-and-divide, on a
+    # residue grid of 16 points and on one of more than 3^9.
     rng = random.Random(15)
-    inp, ideal, _ = random_lowrank_instance(rng)
-    ev = RemEvaluator(inp, ideal)
-    for _ in range(10):
-        alpha = [F(rng.randint(-4, 4)) for _ in range(inp.n)]
-        assert ev.eval(alpha) == rem_eval(inp, ideal, alpha)
+    for n, lo, hi in [(4, 2, 2), (9, 3, 4)]:
+        inp, ideal = gate_mix_instance(rng, n, lo, hi)
+        ev = RemEvaluator(inp, ideal)
+        assert ev.depth >= 2
+        remainder = divide(expand(inline_forms(inp)), ideal)
+        for _ in range(12):
+            alpha = [F(rng.randint(-4, 4)) for _ in range(n)]
+            assert ev.eval(alpha) == remainder.evaluate(alpha)
+
+
+def test_rem_eval_matches_sympy_reduced():
+    # An oracle that shares no code with the package: sympy's multivariate
+    # division by the generators, which form a Groebner basis.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(16)
+
+    def q(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    cases = [random_lowrank_instance(rng)[:2] for _ in range(12)]
+    cases += [gate_mix_instance(rng, 4, 2, 2), gate_mix_instance(rng, 7, 2, 3)]
+    for inp, ideal in cases:
+        xs = sympy.symbols(f"x0:{inp.n}")
+        zs = [sum((q(c) * x for c, x in zip(f.coeffs, xs)), q(F(f.const))) for f in inp.forms]
+        vals = []
+        for node in inp.outer.nodes:
+            if isinstance(node, Input):
+                vals.append(zs[node.var])
+            elif isinstance(node, Const):
+                vals.append(q(node.value))
+            elif isinstance(node, Add):
+                vals.append(sympy.Add(*[vals[ch] for ch in node.children]))
+            elif isinstance(node, Mul):
+                vals.append(sympy.Mul(*[vals[ch] for ch in node.children]))
+            else:
+                form = node.form
+                vals.append(sum((q(c) * z for c, z in zip(form.coeffs, zs)), q(F(form.const))))
+        gens = [sum(q(c) * xs[v] ** k for k, c in enumerate(p.coeffs)) for v, p in ideal.generators]
+        _, rem = sympy.reduced(sympy.expand(vals[inp.outer.out]), gens, *xs)
+        for _ in range(3):
+            alpha = [F(rng.randint(-4, 4)) for _ in range(inp.n)]
+            want = rem.subs(dict(zip(xs, [q(a) for a in alpha])))
+            assert rem_eval(inp, ideal, alpha) == F(int(want.p), int(want.q))
