@@ -20,6 +20,7 @@ polynomial uses; tight=True shortens it to |E| with identical semantics.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from itertools import combinations
 
 from .circuits import CircuitBuilder
 from .division import UnivariateIdeal, random_zero_test
-from .fields import QQ
+from .fields import GF, QQ, FieldMismatch
 from .linalg import LinearForm, Matrix, congruence_diagonalize, rank_and_row_basis
 from .lowrank import LowRankInput, RemEvaluator
 from .poly import UnivariatePoly
@@ -191,6 +192,9 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False):
     return LowRankInput(outer, tuple(forms), deg_bound), ideal, deg_bound
 
 
+VC_PRIME = 2**61 - 1
+
+
 def vertex_cover_lowrank(
     g: Graph, k: int, trials: int = 20, rng: random.Random | None = None, tight: bool = False
 ) -> bool:
@@ -198,11 +202,32 @@ def vertex_cover_lowrank(
 
     One-sided: True is always correct; a False answer is wrong with
     probability at most (deg_bound / (100 * deg_bound))^trials = 100^-trials.
+
+    The zero test runs over GF(p) with p = VC_PRIME = 2^61 - 1, on plain-int
+    residues.  The bound above still holds there.  f has integer coefficients,
+    and so does its remainder R modulo <x_i^2 - x_i>, the multilinear
+    polynomial that agrees with f on {0,1}^n.  At a 0/1 point every factor
+    q - s and sum(x) - t of f is an integer of absolute value at most
+    max(C(n,2), n), so when p exceeds that, f(b) vanishes mod p exactly when
+    it vanishes, and R mod p is zero exactly when R is.  When p also exceeds
+    the sample-set size 100 * deg_bound, Schwartz-Zippel over GF(p) gives the
+    100^-trials bound with no bad-prime term.  The evaluator maps the
+    rational forms and constants into GF(p), which is a ring homomorphism on
+    rationals whose denominators p does not divide, so it returns R(alpha)
+    mod p.  The test falls back to exact arithmetic over QQ when p is not
+    larger than max(C(n,2), n, 100 * deg_bound), or when a denominator
+    vanishes mod p (FieldMismatch); the points drawn from `rng` are the same
+    either way.
     """
     rng = rng or random.Random(0)
     inp, ideal, deg_bound = build_vc_instance(g, k, tight=tight)
-    evaluator = RemEvaluator(inp, ideal)
-    return random_zero_test(evaluator.eval, g.n, deg_bound, trials, rng, field=QQ)
+    field = GF(VC_PRIME) if VC_PRIME > max(math.comb(g.n, 2), g.n, 100 * deg_bound) else QQ
+    try:
+        evaluator = RemEvaluator(inp, ideal, field)
+    except FieldMismatch:
+        field = QQ
+        evaluator = RemEvaluator(inp, ideal, field)
+    return random_zero_test(evaluator.eval, g.n, deg_bound, trials, rng, field=field)
 
 
 def has_vertex_cover_brute(g: Graph, k: int) -> bool:

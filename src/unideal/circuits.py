@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import GF, QQ, Mod, field_of
+from .fields import GF, QQ, Mod, field_of, residue
 from .linalg import LinearForm
-from .poly import CapExceeded, SparsePoly, UnivariatePoly, _acc
+from .poly import CapExceeded, SparsePoly, UnivariatePoly, _acc, _mod_terms
 
 __all__ = [
     "Input",
@@ -190,19 +190,23 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
     """Exact sparse expansion; aborts with CapExceeded past the term budget.
 
     With `images` (one SparsePoly per input variable, all over the same
-    variables) the result is c(images) instead of c itself.  With a `reducer`
-    (a `division._Reducer`) every product and linear gate is reduced as soon
-    as it is formed, so intermediate term counts stay within the residue grid
-    and the result is the unique remainder.
+    variables and with one modulus) the result is c(images) instead of c
+    itself; constants and linear-gate coefficients are mapped into the
+    images' modulus.  With a `reducer` (a `division._Reducer`) every product
+    and linear gate is reduced as soon as it is formed, so intermediate term
+    counts stay within the residue grid and the result is the unique
+    remainder.
     """
     n = c.n if images is None else (images[0].n if images else 0)
-    reduce = (lambda p: p) if reducer is None else reducer.reduce
+    p = images[0].p if images else None
+    coerce = (lambda x: x) if p is None else (lambda x: residue(x, p))
+    reduce = (lambda f: f) if reducer is None else reducer.reduce
     vals: list = [None] * len(c.nodes)
     for i, node in enumerate(c.nodes):
         if isinstance(node, Input):
             vals[i] = SparsePoly.variable(n, node.var) if images is None else images[node.var]
         elif isinstance(node, Const):
-            vals[i] = SparsePoly.const(n, node.value)
+            vals[i] = SparsePoly.const(n, node.value, p)
         elif isinstance(node, Add):
             acc = vals[node.children[0]]
             for ch in node.children[1:]:
@@ -220,6 +224,7 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
             # costs O(n) terms rather than n copies of a growing sum.
             terms: dict = {}
             for j, coef in enumerate(node.form.coeffs):
+                coef = coerce(coef)
                 if not coef:
                     continue
                 if images is None:
@@ -229,11 +234,10 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
                 else:
                     for e, v in images[j].terms.items():
                         _acc(terms, e, coef * v)
-            if node.form.const:
-                _acc(terms, (0,) * n, node.form.const)
-            p = SparsePoly.__new__(SparsePoly)
-            p.n, p.terms = n, terms
-            vals[i] = reduce(p)
+            const = coerce(node.form.const)
+            if const:
+                _acc(terms, (0,) * n, const)
+            vals[i] = reduce(SparsePoly.raw(n, _mod_terms(terms, p), p))
     return vals[c.out]
 
 

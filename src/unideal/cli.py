@@ -117,7 +117,7 @@ def _cmd_member(args) -> int:
         _emit(args, {
             "decision": "NOT-MEMBER" if not_member else "MEMBER",
             "algorithm": f"dispatch={args.mode}->scaled Hadamard power-ideal test (k={k})",
-            "error_bound": "0 (one-sided)" if not_member else "<= 2^-18 total (coverage+zero-test+prime)",
+            "error_bound": "0 (one-sided)" if not_member else _power_ideal_bound(spec, None),
         })
         return 0
     member = is_member_brute(circuit, ideal, args.cap)
@@ -182,6 +182,17 @@ def _cmd_vc(args) -> int:
     return 0
 
 
+def _power_ideal_bound(spec: PowerIdealSpec, trials) -> str:
+    """The IN-IDEAL error bound of `membership_powers(..., trials=trials)`:
+    the worst per-degree coverage failure at the colorings it used."""
+    worst = max(
+        (float(coverage_failure_bound(j, spec.m, trials if trials is not None else _auto_trials(j, spec.m, 20)))
+         for j in range(1, min(spec.k, spec.m) + 1)),
+        default=0.0,
+    )
+    return f"<= {worst:.3g} coverage + zero-test/prime terms"
+
+
 def _cmd_mlmd(args) -> int:
     circuit = uio.parse_circuit(_read(args.circuit))
     exponents = tuple(int(t) for t in args.exponents.split())
@@ -193,15 +204,7 @@ def _cmd_mlmd(args) -> int:
     trials = None if args.trials == "auto" else int(args.trials)
     t0 = time.perf_counter()
     not_member = membership_powers(circuit, spec, trials=trials, rng=rng)
-    if not_member:
-        err = "0 (one-sided)"
-    else:
-        worst = max(
-            (float(coverage_failure_bound(j, spec.m, trials if trials is not None else _auto_trials(j, spec.m, 20)))
-             for j in range(1, min(k, spec.m) + 1)),
-            default=0.0,
-        )
-        err = f"<= {worst:.3g} coverage + zero-test/prime terms"
+    err = "0 (one-sided)" if not_member else _power_ideal_bound(spec, trials)
     _emit(args, {
         "decision": "NOT-IN-IDEAL" if not_member else "IN-IDEAL",
         "algorithm": f"scaled Hadamard detection, degrees 0..{min(k, spec.m)}",

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 
 from .circuits import Circuit, expand
-from .fields import QQ, Rationals
-from .poly import SparsePoly, UnivariatePoly, _acc
+from .fields import GF, QQ, FieldMismatch, Rationals
+from .poly import SparsePoly, UnivariatePoly, _acc, _mod_terms
 
 __all__ = [
     "UnivariateIdeal",
@@ -69,53 +69,72 @@ def power_table(p: UnivariatePoly, max_e: int):
 
 
 class _Reducer:
-    """Caches power tables per variable for repeated reductions."""
+    """Caches power tables per variable for repeated reductions.
 
-    def __init__(self, ideal: UnivariateIdeal):
+    With a modulus p it reduces residue polynomials: the generators are
+    mapped into GF(p) once (a denominator or leading coefficient that
+    vanishes mod p raises FieldMismatch), and the tables hold plain-int
+    residues.
+    """
+
+    def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
+        self.p = p
         self.gens = dict(ideal.generators)
+        if p is not None:
+            field = GF(p)
+            for var, g in self.gens.items():
+                if not field(g.lc()):
+                    raise FieldMismatch(f"leading coefficient of generator {var} vanishes mod {p}")
+                self.gens[var] = UnivariatePoly([field(c) for c in g.coeffs])
         self.tables: dict[int, list] = {}
 
     def _table(self, var: int, need: int):
-        p = self.gens[var]
         t = self.tables.get(var)
         if t is None or len(t) <= need:
-            t = self.tables[var] = power_table(p, need)
+            rows = [r.coeffs for r in power_table(self.gens[var], need)]
+            if self.p is not None:
+                rows = [tuple(c.value for c in r) for r in rows]
+            t = self.tables[var] = rows
         return t
 
     def reduce(self, f: SparsePoly) -> SparsePoly:
         for var in sorted(self.gens):
             if var >= f.n:
                 continue
-            p = self.gens[var]
-            d = p.degree()
+            d = self.gens[var].degree()
             top = f.deg_in(var)
             if top < d:
                 continue
             table = self._table(var, top)
             out: dict = {}
+            get = out.get
             for e, c in f.terms.items():
                 if e[var] < d:
-                    _acc(out, e, c)
+                    pairs = ((e, c),)
                 else:
-                    for j, rc in enumerate(table[e[var]].coeffs):
-                        if rc:
-                            e2 = e[:var] + (j,) + e[var + 1 :]
-                            _acc(out, e2, c * rc)
-            g = SparsePoly.__new__(SparsePoly)
-            g.n, g.terms = f.n, out
-            f = g
+                    head, tail = e[:var], e[var + 1 :]
+                    pairs = [(head + (j,) + tail, c * rc) for j, rc in enumerate(table[e[var]]) if rc]
+                for e2, c2 in pairs:
+                    acc = get(e2)
+                    new = c2 if acc is None else acc + c2
+                    if new:
+                        out[e2] = new
+                    elif acc is not None:
+                        del out[e2]
+            f = SparsePoly.raw(f.n, _mod_terms(out, f.p), f.p)
         return f
 
 
 def divide(f: SparsePoly, ideal: UnivariateIdeal) -> SparsePoly:
     """The unique remainder R with f = R (mod ideal) and deg_{x_i} R < deg p_i."""
-    return _Reducer(ideal).reduce(f)
+    return _Reducer(ideal, f.p).reduce(f)
 
 
 def divide_with_quotients(f: SparsePoly, ideal: UnivariateIdeal):
     """Remainder plus explicit quotients: f == sum_i h_i * p_i(x_i) + R.
 
-    Used by the certifier, which needs the actual coefficients of the h_i.
+    Used by the certifier, which needs the actual coefficients of the h_i;
+    f has exact coefficients.
     """
     n = f.n
     quotients: dict[int, SparsePoly] = {}
@@ -146,11 +165,8 @@ def divide_with_quotients(f: SparsePoly, ideal: UnivariateIdeal):
                 qc = lead[exp - 1 - j]
                 if qc:
                     _acc(hq, e[:var] + (j,) + e[var + 1 :], c * qc)
-        g = SparsePoly.__new__(SparsePoly)
-        g.n, g.terms = n, out
-        f = g
-        h = SparsePoly.__new__(SparsePoly)
-        h.n, h.terms = n, hq
+        f = SparsePoly.raw(n, out)
+        h = SparsePoly.raw(n, hq)
         if h:
             quotients[var] = quotients.get(var, SparsePoly.zero(n)) + h
     return f, quotients

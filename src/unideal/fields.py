@@ -24,6 +24,7 @@ __all__ = [
     "is_probable_prime",
     "random_prime",
     "field_of",
+    "residue",
 ]
 
 
@@ -71,6 +72,26 @@ def random_prime(bits: int, rng: random.Random) -> int:
         c = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(c):
             return c
+
+
+def residue(x, p: int) -> int:
+    """The plain-int residue of an exact scalar in [0, p).
+
+    A rational whose denominator vanishes mod p, or a `Mod` of another
+    modulus, raises FieldMismatch.
+    """
+    if isinstance(x, int):
+        return x % p
+    if isinstance(x, Mod):
+        if x.p != p:
+            raise FieldMismatch(f"mixed moduli {p} and {x.p}")
+        return x.value
+    if isinstance(x, Fraction):
+        den = x.denominator % p
+        if den == 0:
+            raise FieldMismatch(f"denominator of {x} vanishes mod {p}")
+        return x.numerator * pow(den, -1, p) % p
+    raise TypeError(f"cannot coerce {x!r} into GF({p})")
 
 
 class Mod:

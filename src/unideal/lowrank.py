@@ -20,6 +20,11 @@ touching more than 2r variables at a time:
 The per-level splits and the first level's expansion do not depend on alpha,
 so `RemEvaluator` computes them once and each `eval` runs steps 2-4 from the
 second level on; `rem_eval` is the one-shot wrapper.
+
+The evaluator works over Q or over GF(p).  Over GF(p) the split (step 1)
+still runs in the input's own scalars; its output, the level-0 expansion and
+the reducers are mapped to plain-int residues once, and every `eval` walks
+on residue polynomials (see `poly.SparsePoly`).
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand
+from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
 from .division import UnivariateIdeal, _Reducer
+from .fields import QQ, FieldMismatch, field_of
 from .linalg import LinearForm, Matrix, rank_and_row_basis
 from .poly import SparsePoly
 
@@ -76,11 +82,25 @@ class RemEvaluator:
     reduction.  Each `eval` then walks the levels: compose with the level's
     local forms, reduce, substitute the point's consumed coordinates.  Every
     product is capped at (d+1)^(2r) terms.
+
+    `field` is QQ or a `fields.GF(p)`; None takes the field of the input
+    scalars (GF(p) when any of them is a `Mod`, else QQ).  Over GF(p) the
+    levels, the reducers and the expansion are mapped to residues at
+    construction, so a rational denominator or generator leading
+    coefficient that vanishes mod p raises FieldMismatch here, and `eval`
+    returns a `Mod`.  Over QQ `eval` is exact.
     """
 
-    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal):
+    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=None):
         self.inp = inp
         self.ideal = ideal
+        found = _input_field(inp, ideal)
+        if field is None:
+            field = found
+        elif found != QQ and found != field:
+            raise FieldMismatch(f"{found} input evaluated over {field}")
+        self.field = field
+        self.p = None if field == QQ else field.p
         n = inp.n
         support = set()
         for f in inp.forms:
@@ -95,7 +115,6 @@ class RemEvaluator:
         d = max(inp.degree_bound, gen_deg)
         r = len(inp.forms)
         self.cap = (d + 1) ** (2 * r)
-        self._zero = self._field_zero()
         self.levels: list[_Level] = []
         forms_cur = list(inp.forms)
         offset = 0
@@ -111,15 +130,8 @@ class RemEvaluator:
             lvl = self.levels[0]
             self._base = expand(inp.outer, self.cap, lvl.hats, lvl.reducer)
         else:
-            self._base = expand(inp.outer, self.cap, [SparsePoly.const(0, f.const) for f in inp.forms])
-
-    def _field_zero(self):
-        for _, p in self.ideal.generators:
-            return p.lc() - p.lc()
-        for f in self.inp.forms:
-            for c in f.coeffs:
-                return c - c
-        return Fraction(0)
+            images = [SparsePoly.const(0, f.const, self.p) for f in inp.forms]
+            self._base = expand(inp.outer, self.cap, images)
 
     def _prepare_level(self, forms, offset: int, gens) -> _Level:
         n_cur = self.inp.n - offset
@@ -127,7 +139,6 @@ class RemEvaluator:
         tails = Matrix([f.tail(s).coeffs for f in forms])
         rank, basis, coords = rank_and_row_basis(tails)
         w = s + rank
-        zero = self._zero
         hats = []
         for i, f in enumerate(forms):
             terms = {}
@@ -141,17 +152,16 @@ class RemEvaluator:
                 if g:
                     e = [0] * w
                     e[s + j] = 1
-                    key = tuple(e)
-                    terms[key] = terms.get(key, zero) + g
+                    terms[tuple(e)] = g
             if f.const:
                 terms[(0,) * w] = f.const
-            hats.append(SparsePoly(w, terms))
+            hats.append(SparsePoly(w, terms, self.p))
         local_gens = {}
         for j in range(s):
             p = gens.get(offset + j)
             if p is not None:
                 local_gens[j] = p
-        reducer = _Reducer(UnivariateIdeal.from_dict(local_gens))
+        reducer = _Reducer(UnivariateIdeal.from_dict(local_gens), self.p)
         level = _Level(offset, s, w, hats, reducer, rank)
         level._residuals = [LinearForm(b.coeffs) for b in basis]
         for h in range(len(hats)):
@@ -159,7 +169,7 @@ class RemEvaluator:
         return level
 
     def eval(self, alpha):
-        """(f mod I)(alpha), exactly."""
+        """(f mod I)(alpha), exactly over QQ, as a `Mod` over GF(p)."""
         if len(alpha) != self.inp.n:
             raise ValueError("point length mismatch")
         g = self._base
@@ -169,17 +179,35 @@ class RemEvaluator:
             g = g.substitute_prefix(lvl.s, alpha[lvl.offset : lvl.offset + lvl.s])
         if g.n != 0:
             raise AssertionError("recursion left live variables")
-        return g.evaluate([]) if not g.is_zero() else self._zero
+        c = g.terms.get(())
+        if c is None:
+            return self.field.zero
+        return c if self.p is None else self.field(c)
+
+
+def _input_field(inp: LowRankInput, ideal: UnivariateIdeal):
+    """GF(p) when some scalar of the input is a `Mod`, else QQ."""
+    scalars = [c for f in inp.forms for c in (*f.coeffs, f.const)]
+    scalars += [c for _, p in ideal.generators for c in p.coeffs]
+    for node in inp.outer.nodes:
+        if isinstance(node, Const):
+            scalars.append(node.value)
+        elif isinstance(node, Linear):
+            scalars += [*node.form.coeffs, node.form.const]
+    found = {field_of(c) for c in scalars} - {QQ}
+    if len(found) > 1:
+        raise FieldMismatch(f"input scalars from {sorted(map(repr, found))}")
+    return found.pop() if found else QQ
 
 
 def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePoly:
     """g(hat_1, ..., hat_m) with reduction interleaved (Horner per variable)."""
-    m = g.n
+    m, p = g.n, g.p
     if m == 0:
         c = g.terms.get((), None)
-        return SparsePoly.zero(w) if c is None else SparsePoly.const(w, c)
+        return SparsePoly.zero(w, p) if c is None else SparsePoly.const(w, c, p)
     if not g.terms:
-        return SparsePoly.zero(w)
+        return SparsePoly.zero(w, p)
     h = hats[m - 1]
     slices: dict[int, dict] = {}
     for e, c in g.terms.items():
@@ -189,11 +217,9 @@ def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePo
     for e in range(top, -1, -1):
         part = None
         if e in slices:
-            sl = SparsePoly.__new__(SparsePoly)
-            sl.n, sl.terms = m - 1, slices[e]
-            part = _compose_reduced(sl, hats, w, reducer, cap)
+            part = _compose_reduced(SparsePoly.raw(m - 1, slices[e], p), hats, w, reducer, cap)
         if result is None:
-            result = part if part is not None else SparsePoly.zero(w)
+            result = part if part is not None else SparsePoly.zero(w, p)
         else:
             result = reducer.reduce(result.mul(h, cap=cap))
             if part is not None:
@@ -205,7 +231,8 @@ def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha):
     """Evaluate the unique remainder of the composed polynomial at alpha.
 
     Equal to divide(expand(f), ideal) evaluated at alpha, in time
-    d^O(r) * poly(n) instead of the cost of the full expansion.
+    d^O(r) * poly(n) instead of the cost of the full expansion; over the
+    field of the input scalars.
     """
     return RemEvaluator(inp, ideal).eval(alpha)
 

@@ -1,6 +1,15 @@
 """Sparse multivariate and dense univariate polynomials over an exact field.
 
 SparsePoly maps exponent vectors (tuples of length n) to nonzero coefficients.
+Its modulus `p` says which field they live in: with p = None they are exact
+scalars (Fraction, or Mod for a prime field) and every operation is exact
+arithmetic on them; with an int p they are plain ints in [0, p), the residues
+mod p.  A residue polynomial accumulates products and sums as unreduced ints
+and reduces each output term mod p once, at the end of the operation, so the
+inner loops never normalize a Fraction or build a Mod.  Scalars entering a
+residue polynomial are mapped by `fields.residue`; a denominator that
+vanishes mod p, or two polynomials with different moduli, raise FieldMismatch.
+
 UnivariatePoly stores coefficients low-to-high with the trailing zeros
 stripped.  Multiplication can be capped by a term budget; exceeding it raises
 CapExceeded, which callers treat as "instance too large for the declared
@@ -10,7 +19,9 @@ parameters" rather than as a crash.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
+from .fields import FieldMismatch, field_of, residue
 from .linalg import Matrix
 
 __all__ = [
@@ -38,33 +49,52 @@ def _acc(out: dict, e, c):
         del out[e]
 
 
-class SparsePoly:
-    __slots__ = ("n", "terms")
+def _mod_terms(terms: dict, p) -> dict:
+    """Reduce accumulated residue terms mod p; exact terms pass through."""
+    if p is None:
+        return terms
+    return {e: r for e, c in terms.items() if (r := c % p)}
 
-    def __init__(self, n: int, terms=None):
+
+def _same_modulus(a: "SparsePoly", b: "SparsePoly"):
+    if a.n != b.n:
+        raise ValueError("variable count mismatch")
+    if a.p != b.p:
+        raise FieldMismatch(f"mixed moduli {a.p} and {b.p}")
+    return a.p
+
+
+class SparsePoly:
+    __slots__ = ("n", "terms", "p")
+
+    def __init__(self, n: int, terms=None, p: int | None = None):
         self.n = n
+        self.p = p
         clean = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
                 if len(e) != n:
                     raise ValueError("exponent vector length mismatch")
+                if p is not None:
+                    c = residue(c, p)
                 if c:
-                    e = tuple(e)
-                    acc = clean.get(e)
-                    new = c if acc is None else acc + c
-                    if new:
-                        clean[e] = new
-                    elif acc is not None:
-                        del clean[e]
-        self.terms = clean
+                    _acc(clean, tuple(e), c)
+        self.terms = _mod_terms(clean, p)
 
     @classmethod
-    def zero(cls, n: int) -> "SparsePoly":
-        return cls(n)
+    def raw(cls, n: int, terms: dict, p: int | None = None) -> "SparsePoly":
+        """Wrap `terms` as they are: nonzero, and residues when p is set."""
+        f = cls.__new__(cls)
+        f.n, f.terms, f.p = n, terms, p
+        return f
 
     @classmethod
-    def const(cls, n: int, c) -> "SparsePoly":
-        return cls(n, {(0,) * n: c})
+    def zero(cls, n: int, p: int | None = None) -> "SparsePoly":
+        return cls.raw(n, {}, p)
+
+    @classmethod
+    def const(cls, n: int, c, p: int | None = None) -> "SparsePoly":
+        return cls(n, {(0,) * n: c}, p)
 
     @classmethod
     def variable(cls, n: int, i: int, one=Fraction(1)) -> "SparsePoly":
@@ -82,19 +112,19 @@ class SparsePoly:
         return (
             isinstance(other, SparsePoly)
             and self.n == other.n
+            and self.p == other.p
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.p, frozenset(self.terms.items())))
 
     def coeff(self, e) -> object:
         return self.terms.get(tuple(e), 0)
 
     def __add__(self, other):
         if isinstance(other, SparsePoly):
-            if other.n != self.n:
-                raise ValueError("variable count mismatch")
+            p = _same_modulus(self, other)
             out = dict(self.terms)
             for e, c in other.terms.items():
                 acc = out.get(e)
@@ -103,35 +133,34 @@ class SparsePoly:
                     out[e] = new
                 elif acc is not None:
                     del out[e]
-            p = SparsePoly.__new__(SparsePoly)
-            p.n, p.terms = self.n, out
-            return p
+            return SparsePoly.raw(self.n, _mod_terms(out, p), p)
         return NotImplemented
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        p = SparsePoly.__new__(SparsePoly)
-        p.n = self.n
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        p = self.p
+        if p is None:
+            terms = {e: -c for e, c in self.terms.items()}
+        else:
+            terms = {e: p - c for e, c in self.terms.items()}
+        return SparsePoly.raw(self.n, terms, p)
 
     def scale(self, c) -> "SparsePoly":
+        p = self.p
+        if p is not None:
+            c = residue(c, p)
         if not c:
-            return SparsePoly(self.n)
-        p = SparsePoly.__new__(SparsePoly)
-        p.n = self.n
-        p.terms = {e: c * v for e, v in self.terms.items()}
-        return p
+            return SparsePoly.zero(self.n, p)
+        return SparsePoly.raw(self.n, _mod_terms({e: c * v for e, v in self.terms.items()}, p), p)
 
     def mul(self, other: "SparsePoly", cap: int | None = None) -> "SparsePoly":
-        if other.n != self.n:
-            raise ValueError("variable count mismatch")
+        p = _same_modulus(self, other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = out.get(e)
                 new = c if acc is None else acc + c
@@ -140,10 +169,12 @@ class SparsePoly:
                 elif acc is not None:
                     del out[e]
             if cap is not None and len(out) > cap:
-                raise CapExceeded(f"term count exceeded cap {cap}")
-        p = SparsePoly.__new__(SparsePoly)
-        p.n, p.terms = self.n, out
-        return p
+                # Residue sums are never 0 as ints, so count the true
+                # survivors before giving up.
+                out = _mod_terms(out, p)
+                if len(out) > cap:
+                    raise CapExceeded(f"term count exceeded cap {cap}")
+        return SparsePoly.raw(self.n, _mod_terms(out, p), p)
 
     def __mul__(self, other):
         if isinstance(other, SparsePoly):
@@ -153,7 +184,7 @@ class SparsePoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = SparsePoly.const(self.n, 1)
+        result = SparsePoly.const(self.n, 1, self.p)
         base = self
         while k:
             if k & 1:
@@ -163,25 +194,36 @@ class SparsePoly:
         return result
 
     def evaluate(self, point):
+        """The value at `point`: a residue int for a residue polynomial,
+        else a scalar of the point's field."""
         if len(point) != self.n:
             raise ValueError("point length mismatch")
+        p = self.p
+        if p is not None:
+            point = [residue(x, p) for x in point]
         total = None
         for e, c in self.terms.items():
-            v = c
-            for i, exp in enumerate(e):
+            for x, exp in zip(point, e):
                 if exp:
-                    v = v * point[i] ** exp
-            total = v if total is None else total + v
-        return Fraction(0) if total is None else total
+                    c = c * pow(x, exp, p)
+            total = c if total is None else total + c
+        if p is not None:
+            return 0 if total is None else total % p
+        if total is None:
+            return field_of(point[0]).zero if point else Fraction(0)
+        return total
 
     def substitute_prefix(self, s: int, values) -> "SparsePoly":
         """Evaluate variables 0..s-1 at `values`; remaining vars reindex to 0.."""
+        p = self.p
+        if p is not None:
+            values = [residue(x, p) for x in values[:s]]
         out: dict = {}
         for e, c in self.terms.items():
             v = c
             for i in range(s):
                 if e[i]:
-                    v = v * values[i] ** e[i]
+                    v = v * pow(values[i], e[i], p)
             if not v:
                 continue
             tail = e[s:]
@@ -191,9 +233,7 @@ class SparsePoly:
                 out[tail] = new
             elif acc is not None:
                 del out[tail]
-        p = SparsePoly.__new__(SparsePoly)
-        p.n, p.terms = self.n - s, out
-        return p
+        return SparsePoly.raw(self.n - s, _mod_terms(out, p), p)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -203,7 +243,7 @@ class SparsePoly:
         return max((e[i] for e in self.terms), default=-1)
 
     def map_coeffs(self, fn) -> "SparsePoly":
-        return SparsePoly(self.n, {e: fn(c) for e, c in self.terms.items()})
+        return SparsePoly(self.n, {e: fn(c) for e, c in self.terms.items()}, self.p)
 
     def __repr__(self):
         if not self.terms:
@@ -214,7 +254,8 @@ class SparsePoly:
                 f"x{i}^{k}" if k > 1 else f"x{i}" for i, k in enumerate(e) if k
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "SparsePoly(" + " + ".join(bits) + ")"
+        mod = "" if self.p is None else f" mod {self.p}"
+        return "SparsePoly(" + " + ".join(bits) + mod + ")"
 
 
 class UnivariatePoly:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import permutation_permanent, random_low_rank_matrix
+from unideal import apps, poly
 from unideal.apps import (
     Graph,
     blowup_graph,
@@ -15,6 +16,7 @@ from unideal.apps import (
     vertex_cover_lowrank,
 )
 from unideal.division import is_member_brute
+from unideal.fields import GF, QQ, FieldMismatch
 from unideal.linalg import Matrix
 from unideal.lowrank import inline_forms
 
@@ -161,3 +163,60 @@ def test_vc_matches_brute_on_low_rank_family():
         for k in range(g.n + 1):
             got = vertex_cover_lowrank(g, k, 20, rng)
             assert got == has_vertex_cover_brute(g, k)
+
+
+def field_spy(monkeypatch):
+    """Record (field asked for, constructed) for every evaluator vc builds."""
+    calls = []
+
+    class Spy(apps.RemEvaluator):
+        def __init__(self, inp, ideal, field=None):
+            try:
+                super().__init__(inp, ideal, field)
+            except FieldMismatch:
+                calls.append((field, False))
+                raise
+            calls.append((field, True))
+
+    monkeypatch.setattr(apps, "RemEvaluator", Spy)
+    return calls
+
+
+VC_FAMILY = [C4, K13, blowup_graph(K2, [2, 3]), blowup_graph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), [2, 2, 1])]
+
+
+def test_vc_runs_over_the_mersenne_prime(monkeypatch):
+    calls = field_spy(monkeypatch)
+    for g in VC_FAMILY:
+        for k in range(g.n + 1):
+            assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
+    assert set(calls) == {(GF(2**61 - 1), True)}
+
+
+def test_vc_falls_back_to_qq_below_the_prime_precondition(monkeypatch):
+    # 101 is not larger than the sample set 100 * deg_bound.
+    monkeypatch.setattr(apps, "VC_PRIME", 101)
+    calls = field_spy(monkeypatch)
+    for g in VC_FAMILY:
+        for k in range(g.n + 1):
+            assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
+    assert set(calls) == {(QQ, True)}
+
+
+def test_vc_falls_back_to_qq_on_a_vanishing_denominator(monkeypatch):
+    # A residue map under which every non-integer rational has a denominator
+    # that vanishes mod p; the cover instances all carry such constants.
+    real = poly.residue
+
+    def strict(x, p):
+        if isinstance(x, Fraction) and x.denominator != 1:
+            raise FieldMismatch(f"denominator of {x} vanishes mod {p}")
+        return real(x, p)
+
+    monkeypatch.setattr(poly, "residue", strict)
+    calls = field_spy(monkeypatch)
+    for g in VC_FAMILY:
+        for k in range(g.n + 1):
+            assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
+    assert set(calls) == {(GF(2**61 - 1), False), (QQ, True)}
+    assert calls.count((QQ, True)) == sum(g.n + 1 for g in VC_FAMILY)

@@ -10,9 +10,9 @@ from helpers import (
     random_forms,
     random_lowrank_instance,
 )
-from unideal.circuits import Add, CircuitBuilder, Const, Input, Mul, expand
+from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
 from unideal.division import UnivariateIdeal, divide, is_member_brute
-from unideal.fields import GF
+from unideal.fields import GF, QQ, FieldMismatch, Mod
 from unideal.linalg import LinearForm, Matrix
 from unideal.lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
 from unideal.poly import UnivariatePoly
@@ -56,12 +56,53 @@ def test_rem_eval_rank_one_permanent():
     assert got == ryser_permanent(a) == 2
 
 
+def rational_instance(rng, inp, ideal):
+    """The same shape with rational constants, form and generator coefficients."""
+    nodes = []
+    for node in inp.outer.nodes:
+        if isinstance(node, Const):
+            node = Const(F(node.value) / rng.choice([1, 2, 3]))
+        elif isinstance(node, Linear):
+            node = Linear(LinearForm(tuple(F(c) / 2 for c in node.form.coeffs), F(node.form.const) / 3))
+        nodes.append(node)
+    outer = Circuit(inp.outer.n, nodes, inp.outer.out)
+    forms = tuple(
+        LinearForm(tuple(c / rng.choice([1, 2, 3]) for c in f.coeffs), F(rng.randint(-2, 2), 3))
+        for f in inp.forms
+    )
+    gens = {v: UnivariatePoly([c / rng.choice([1, 2, 5]) for c in p.coeffs]) for v, p in ideal.generators}
+    return LowRankInput(outer, forms, inp.degree_bound), UnivariateIdeal.from_dict(gens)
+
+
 def test_oracle_equivalence_random():
+    # The exact evaluator against expand-and-divide, and the residue walk over
+    # GF(p) against the image of the same exact value, on integer and
+    # rational instances with non-monic generators.
     rng = random.Random(10)
+    fields = [GF(10007), GF(2**61 - 1)]
+    cases = []
     for _ in range(60):
         inp, ideal, alpha = random_lowrank_instance(rng)
+        cases.append((inp, ideal, alpha))
+        if len(cases) % 3 == 0:
+            cases.append((*rational_instance(rng, inp, ideal), alpha))
+    for n, lo, hi in [(5, 2, 3), (8, 2, 3)]:
+        inp, ideal = gate_mix_instance(rng, n, lo, hi)
+        cases.append((*rational_instance(rng, inp, ideal), [F(rng.randint(-4, 4)) for _ in range(n)]))
+    depths = set()
+    for inp, ideal, alpha in cases:
         want = divide(expand(inline_forms(inp)), ideal).evaluate(alpha)
         assert rem_eval(inp, ideal, alpha) == want
+        for g in fields:
+            ev = RemEvaluator(inp, ideal, g)
+            assert all(type(c) is int and 0 < c < g.p for c in ev._base.terms.values())
+            got = ev.eval(alpha)
+            assert isinstance(got, Mod) and got.p == g.p
+            assert got == g(want)
+            depths.add(ev.depth)
+    assert max(depths) >= 2
+    assert any(p.lc() != 1 for _, ideal, _ in cases for _, p in ideal.generators)
+    assert any(c.denominator > 1 for inp, _, _ in cases for f in inp.forms for c in f.coeffs)
 
 
 def test_oracle_equivalence_prime_field():
@@ -73,10 +114,42 @@ def test_oracle_equivalence_prime_field():
         ideal_p = lift_ideal(ideal, g)
         alpha_p = [g(a) for a in alpha]
         want = divide(expand(inline_forms(inp_p)), ideal_p).evaluate(alpha_p)
-        got = rem_eval(inp_p, ideal_p, alpha_p)
+        ev = RemEvaluator(inp_p, ideal_p)
+        # Mod inputs run on the residue kernel, like field=GF(p).
+        assert ev.field == g and ev._base.p == g.p
+        got = ev.eval(alpha_p)
         assert got == want
         # cross-field consistency with the rational pipeline
         assert g(rem_eval(inp, ideal, alpha)) == got
+        assert RemEvaluator(inp, ideal, g).eval(alpha) == got
+
+
+def test_residue_evaluator_field_mismatch():
+    b = CircuitBuilder(2)
+    outer = b.build(b.mul(b.input(0), b.input(1), b.const(F(3))))
+    forms = (LinearForm((F(1), F(1, 7), F(0))), LinearForm((F(0), F(1), F(2))))
+    inp = LowRankInput(outer, forms, 2)
+    ideal = square_ideal(3)
+    alpha = [F(1), F(2), F(3)]
+    # A form coefficient 1/7 has no image in GF(7), but one in GF(11).
+    with pytest.raises(FieldMismatch):
+        RemEvaluator(inp, ideal, GF(7))
+    assert RemEvaluator(inp, ideal, GF(11)).eval(alpha) == GF(11)(rem_eval(inp, ideal, alpha))
+    # A generator whose leading coefficient is a multiple of p loses its degree mod p.
+    gens = {v: UnivariatePoly([F(0), F(1), F(7)]) for v in range(3)}
+    integral = LowRankInput(outer, (forms[1], forms[1]), 2)
+    assert RemEvaluator(integral, square_ideal(3), GF(7)).eval(alpha) == GF(7)(rem_eval(integral, square_ideal(3), alpha))
+    with pytest.raises(FieldMismatch):
+        RemEvaluator(integral, UnivariateIdeal.from_dict(gens), GF(7))
+    # Scalars of one field cannot be evaluated over another.
+    g = GF(10007)
+    lifted = LowRankInput(lift_circuit(outer, g), lift_forms(forms, g), 2)
+    with pytest.raises(FieldMismatch):
+        RemEvaluator(lifted, ideal, QQ)
+    with pytest.raises(FieldMismatch):
+        RemEvaluator(lifted, ideal, GF(11))
+    with pytest.raises(FieldMismatch):
+        RemEvaluator(lifted, lift_ideal(ideal, GF(11)))
 
 
 def ideal_of_degrees(rng, n, lo, hi):

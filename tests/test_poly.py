@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unideal.fields import GF, FieldMismatch, Mod, residue
 from unideal.linalg import Matrix
 from unideal.poly import (
     CapExceeded,
@@ -58,6 +59,80 @@ def test_mul_cap():
     a = sparse(1, {(0,): 1, (1,): 1})
     with pytest.raises(CapExceeded):
         (a * a).mul(a, cap=2)
+
+
+P = 10007
+
+rational_polys = st.builds(
+    lambda terms: SparsePoly(2, {e: F(c, d) for e, (c, d) in terms.items()}),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.integers(-5, 5), st.sampled_from([1, 2, 3, 7])),
+        max_size=4,
+    ),
+)
+
+
+def to_residues(f):
+    return SparsePoly(f.n, f.terms, P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys, rational_polys, st.integers(-4, 4))
+def test_residue_ops_are_the_image_of_exact_ops(a, b, x):
+    # Reducing mod p commutes with every operation, including the ones that
+    # leave unreduced ints behind until their final pass.
+    ra, rb = to_residues(a), to_residues(b)
+    assert all(0 < c < P for c in ra.terms.values())
+    assert ra.mul(rb) == to_residues(a.mul(b))
+    assert ra + rb == to_residues(a + b)
+    assert ra - rb == to_residues(a - b)
+    assert -ra == to_residues(-a)
+    assert ra.scale(F(3, 2)) == to_residues(a.scale(F(3, 2)))
+    assert ra ** 2 == to_residues(a ** 2)
+    assert ra.substitute_prefix(1, [F(x, 3)]) == to_residues(a.substitute_prefix(1, [F(x, 3)]))
+    pt = [F(x), F(2, 7)]
+    assert ra.evaluate(pt) == residue(a.evaluate(pt), P)
+
+
+def test_residue_mul_cap():
+    a = SparsePoly(1, {(0,): 1, (1,): 1}, P)
+    with pytest.raises(CapExceeded):
+        (a * a).mul(a, cap=2)
+    # (x + 1)(x - 1) leaves x^2 + p*x + (p - 1) before its final pass; the cap
+    # counts only the two terms that survive mod p, as the exact product does.
+    b = SparsePoly(1, {(0,): -1, (1,): 1}, P)
+    assert a.mul(b, cap=2) == SparsePoly(1, {(0,): -1, (2,): 1}, P)
+    assert sparse(1, {(0,): 1, (1,): 1}).mul(sparse(1, {(0,): -1, (1,): 1}), cap=2).terms == {(0,): -1, (2,): 1}
+
+
+def test_residue_field_mismatch():
+    a = SparsePoly(1, {(1,): 1}, 7)
+    with pytest.raises(FieldMismatch):
+        a + SparsePoly(1, {(1,): 1}, 11)
+    with pytest.raises(FieldMismatch):
+        a.mul(sparse(1, {(1,): 1}))
+    with pytest.raises(FieldMismatch):
+        SparsePoly(1, {(1,): Mod(1, 11)}, 7)
+    # a denominator that vanishes mod p
+    with pytest.raises(FieldMismatch):
+        SparsePoly(1, {(1,): F(1, 14)}, 7)
+    with pytest.raises(FieldMismatch):
+        a.scale(F(2, 7))
+    with pytest.raises(FieldMismatch):
+        a.substitute_prefix(1, [F(1, 7)])
+    assert SparsePoly(1, {(1,): F(1, 2), (0,): Mod(3, 7)}, 7).terms == {(1,): 4, (0,): 3}
+
+
+def test_zero_poly_evaluates_in_the_point_field():
+    g = GF(7)
+    z = SparsePoly.zero(2).evaluate([g(1), g(3)])
+    assert isinstance(z, Mod) and z.p == 7 and not z
+    assert SparsePoly.zero(2).evaluate([F(1), F(3)]) == 0
+    assert isinstance(SparsePoly.zero(0).evaluate([]), Fraction)
+    r = SparsePoly.zero(2, 7).evaluate([g(1), F(3)])
+    assert type(r) is int and r == 0
+    assert SparsePoly(1, {(1,): 3}, 7).evaluate([g(4)]) == 5
 
 
 def test_substitute_prefix():
