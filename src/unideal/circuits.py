@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import GF, QQ, Mod, field_of, residue
+from .fields import field_of, residue
 from .linalg import LinearForm
-from .poly import CapExceeded, SparsePoly, UnivariatePoly, _acc, _mod_terms
+from .poly import CapExceeded, SparsePoly, _acc, _mod_terms
 
 __all__ = [
     "Input",
@@ -241,33 +241,53 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
     return vals[c.out]
 
 
-def homogeneous_part_eval(c: Circuit, k: int, deg_bound: int, point):
+def homogeneous_part_eval(c: Circuit, k: int, point, p: int | None = None):
     """Value of the degree-k homogeneous component of the circuit at `point`.
 
-    Evaluates f(t * point) at the d+1 nodes t = 1..d+1 and reads off the t^k
-    coefficient by Lagrange interpolation; everything stays in the field of
-    the point.
+    The t^k coefficient of f(t * point), from one pass over the gates in power
+    series truncated after t^k: an input is [0, b_i], a constant [c], a linear
+    gate [c_0, sum c_i b_i]; Add is coefficient-wise, Mul a truncated
+    convolution.  Any field size works.  `p=None` keeps exact scalars; an int
+    `p` takes residues in [0, p), maps the circuit's scalars with `residue`
+    and returns a residue.
     """
-    d = deg_bound
-    if d < 0:
-        raise ValueError("negative degree bound")
-    field = field_of(point[0]) if len(point) else QQ
-    if k > d:
-        return field.zero
-    if field is not QQ and field.p <= d + 1:
-        raise ValueError(f"field GF({field.p}) too small for {d + 1} interpolation nodes")
-    ts = [field(i) for i in range(1, d + 2)]
-    vals = [c.evaluate([t * b for b in point]) for t in ts]
-    # P(t) = prod (t - t_j); weight for node j is [t^k](P/(t - t_j)) / P'(t_j).
-    pnodes = UnivariatePoly.from_roots(ts, one=field.one)
-    total = field.zero
-    for j, tj in enumerate(ts):
-        qj, rem = pnodes.divmod(UnivariatePoly([-tj, field.one]))
-        assert rem.is_zero()
-        denom = qj.evaluate(tj)
-        wk = qj.coeffs[k] if k <= qj.degree() else field.zero
-        total = total + wk / denom * vals[j]
-    return total
+    if len(point) != c.n:
+        raise ValueError("point length mismatch")
+    coerce = (lambda x: x) if p is None else (lambda x: residue(x, p))
+    top = k + 1
+    vals: list = [None] * len(c.nodes)
+    for i, node in enumerate(c.nodes):
+        if isinstance(node, Input):
+            s = [0, point[node.var]]
+        elif isinstance(node, Const):
+            s = [coerce(node.value)]
+        elif isinstance(node, Add):
+            s = [0] * max(len(vals[ch]) for ch in node.children)
+            for ch in node.children:
+                for j, v in enumerate(vals[ch]):
+                    s[j] += v
+        elif isinstance(node, Mul):
+            s = vals[node.children[0]]
+            for ch in node.children[1:]:
+                s = _series_mul(s, vals[ch], top)
+        else:
+            form = node.form
+            s = [coerce(form.const), sum(coerce(cc) * b for cc, b in zip(form.coeffs, point))]
+        if p is not None:
+            s = [v % p for v in s]
+        vals[i] = s[:top]
+    out = vals[c.out]
+    return out[k] if k < len(out) else 0
+
+
+def _series_mul(a: list, b: list, top: int) -> list:
+    """Product of two power series in t, truncated to its first `top` terms."""
+    out = [0] * min(len(a) + len(b) - 1, top)
+    for i, x in enumerate(a[: len(out)]):
+        if x:
+            for j, y in enumerate(b[: len(out) - i]):
+                out[i + j] += x * y
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,14 +310,8 @@ class DiagonalCircuit:
         return len(self.summands)
 
     def evaluate(self, point):
-        total = None
-        for coef, form in self.summands:
-            v = form.evaluate(point)
-            term = coef * v ** self.degree if self.degree else coef * _one_of(point)
-            total = term if total is None else total + term
-        if total is None:
-            return _zero_of(point)
-        return total
+        zero = field_of(point[0]).zero if len(point) else Fraction(0)
+        return sum((coef * form.evaluate(point) ** self.degree for coef, form in self.summands), zero)
 
     def to_sparse(self) -> SparsePoly:
         out = SparsePoly.zero(self.n)
@@ -314,18 +328,6 @@ class DiagonalCircuit:
         return out
 
 
-def _one_of(point):
-    if len(point):
-        return field_of(point[0]).one
-    return Fraction(1)
-
-
-def _zero_of(point):
-    if len(point):
-        return field_of(point[0]).zero
-    return Fraction(0)
-
-
 def power_decompose_product(forms, k: int) -> DiagonalCircuit:
     """Degree-k homogeneous part of a product of affine forms, as powers.
 
@@ -340,14 +342,12 @@ def power_decompose_product(forms, k: int) -> DiagonalCircuit:
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= len(forms)")
     n = forms[0].n
-    one = _form_one(forms[0])
-    scale = one / (2 ** (m - 1) * math.factorial(m))
-    binko = one * math.comb(m, k)
+    scale = Fraction(math.comb(m, k), 2 ** (m - 1) * math.factorial(m))
     summands = []
     for mask in range(2 ** (m - 1)):
         sign = 1
         lin = list(forms[0].coeffs)
-        const = forms[0].const + (one - one)
+        const = forms[0].const
         for i in range(m - 1):
             eps = 1 if not (mask >> i) & 1 else -1
             sign *= eps
@@ -355,15 +355,7 @@ def power_decompose_product(forms, k: int) -> DiagonalCircuit:
             for j, cc in enumerate(f.coeffs):
                 lin[j] = lin[j] + eps * cc
             const = const + eps * f.const
-        coef = sign * scale * binko * const ** (m - k)
+        coef = sign * scale * const ** (m - k)
         summands.append((coef, LinearForm(tuple(lin), 0)))
     return DiagonalCircuit(n, k, tuple(summands))
 
-
-def _form_one(form: LinearForm):
-    for c in form.coeffs:
-        if isinstance(c, Mod):
-            return GF(c.p).one
-    if isinstance(form.const, Mod):
-        return GF(form.const.p).one
-    return Fraction(1)

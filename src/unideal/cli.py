@@ -71,6 +71,12 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _positive_trials(trials: int) -> int:
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+    return trials
+
+
 def _is_power_ideal(ideal) -> bool:
     for _, p in ideal.generators:
         if any(c for c in p.coeffs[:-1]) or p.lc() != 1:
@@ -79,6 +85,7 @@ def _is_power_ideal(ideal) -> bool:
 
 
 def _cmd_member(args) -> int:
+    _positive_trials(args.trials)
     circuit = uio.parse_circuit(_read(args.circuit))
     ideal = uio.parse_ideal(_read(args.ideal))
     forms = uio.parse_forms(_read(args.forms)) if args.forms else None
@@ -93,7 +100,7 @@ def _cmd_member(args) -> int:
             mode = "brute"
     if mode == "lowrank":
         if forms is None:
-            raise SystemExit("lowrank mode needs --forms")
+            raise ValueError("lowrank mode needs --forms")
         d = max(syntactic_degree(circuit), max(p.degree() for _, p in ideal.generators))
         inp = LowRankInput(circuit, forms, d)
         ev = RemEvaluator(inp, ideal)
@@ -110,7 +117,7 @@ def _cmd_member(args) -> int:
     if mode == "powers":
         exponents = tuple(p.degree() for _, p in sorted(ideal.generators))
         if len(exponents) != circuit.n:
-            raise SystemExit("powers mode needs one generator per circuit variable")
+            raise ValueError("powers mode needs one generator per circuit variable")
         k = syntactic_degree(circuit)
         spec = PowerIdealSpec(exponents, k)
         not_member = membership_powers(circuit, spec, rng=rng)
@@ -166,6 +173,7 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_vc(args) -> int:
+    _positive_trials(args.trials)
     graph = uio.parse_graph(_read(args.graph))
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
@@ -197,11 +205,11 @@ def _cmd_mlmd(args) -> int:
     circuit = uio.parse_circuit(_read(args.circuit))
     exponents = tuple(int(t) for t in args.exponents.split())
     if len(exponents) != circuit.n:
-        raise SystemExit("need one exponent per circuit variable")
+        raise ValueError("need one exponent per circuit variable")
     k = args.k if args.k is not None else syntactic_degree(circuit)
     spec = PowerIdealSpec(exponents, k)
     rng = random.Random(args.seed)
-    trials = None if args.trials == "auto" else int(args.trials)
+    trials = None if args.trials == "auto" else _positive_trials(int(args.trials))
     t0 = time.perf_counter()
     not_member = membership_powers(circuit, spec, trials=trials, rng=rng)
     err = "0 (one-sided)" if not_member else _power_ideal_bound(spec, trials)
@@ -247,7 +255,7 @@ def _cmd_reduce(args) -> int:
     if args.kind == "indep-set":
         graph = uio.parse_graph(_read(args.infile))
         if args.k is None:
-            raise SystemExit("indep-set reduction needs --k")
+            raise ValueError("indep-set reduction needs --k")
         circuit, ideal = reduce_independent_set(graph, args.k)
     elif args.kind == "klineq":
         inst = uio.parse_klineq(_read(args.infile))
@@ -255,7 +263,7 @@ def _cmd_reduce(args) -> int:
     elif args.kind == "coloring":
         graph = uio.parse_graph(_read(args.infile))
         if args.k is None:
-            raise SystemExit("coloring instance needs --k")
+            raise ValueError("coloring instance needs --k")
         circuit, ideal = graph_coloring_instance(graph, args.k)
     else:  # one-in-three
         inst = uio.parse_one_in_three(_read(args.infile))

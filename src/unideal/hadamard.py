@@ -17,12 +17,15 @@ The scaled Hadamard product against one power summand has a closed form:
 with f_j the degree-j homogeneous component of f, because the coefficient of
 a monomial x^m in l^j is (j!/m!) * prod l_i^(m_i) and the scaling by m!
 cancels the multinomial denominator.  Summing over summands gives
-`scaled_hadamard_eval` with poly(n, deg) memory.
+`scaled_hadamard_eval` with poly(n, deg) memory; each f_j value is one pass
+of the circuit over power series truncated after t^j
+(`circuits.homogeneous_part_eval`), which works over any field.  Only the
+Fischer construction has a field condition: characteristic 0 or > ceil(1.5j).
 
-Evaluations run modulo fresh random 64-bit primes so that circuits over the
-integers whose values are doubly exponential stay cheap; a nonzero value
-modulo any prime certifies nonmembership, so that side of the answer is never
-wrong.
+Evaluations run modulo fresh random 64-bit primes, on plain-int residues, so
+that circuits over the integers whose values are doubly exponential stay
+cheap; a nonzero value modulo any prime certifies nonmembership, so that side
+of the answer is never wrong.
 """
 
 from __future__ import annotations
@@ -32,15 +35,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import (
-    Circuit,
-    DiagonalCircuit,
-    homogeneous_part_eval,
-    power_decompose_product,
-    syntactic_degree,
-)
+from .circuits import Circuit, Const, DiagonalCircuit, Linear, homogeneous_part_eval, power_decompose_product
 from .division import UnivariateIdeal
-from .fields import GF, field_of, random_prime
+from .fields import GF, Mod, random_prime, residue
 from .linalg import LinearForm
 from .poly import UnivariatePoly
 
@@ -84,27 +81,39 @@ class PowerIdealSpec:
 
 
 def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point):
-    """(f o^s D)(point) for f computed by `c`, via the closed per-summand form."""
+    """(f o^s D)(point) for f computed by `c`, via the closed per-summand form.
+
+    A point of `Mod`s is worked on as plain-int residues: the point, the
+    circuit's scalars and the summands are mapped through `residue` once, and
+    only the sum comes back as a `Mod`.  Any other point stays exact.
+    """
     if d.n != c.n:
         raise ValueError("variable count mismatch between circuit and diagonal circuit")
+    p = point[0].p if len(point) and isinstance(point[0], Mod) else None
+    coerce = (lambda x: x) if p is None else (lambda x: residue(x, p))
+    if p is not None:
+        c = _residue_circuit(c, p)
+    point = [coerce(b) for b in point]
     k = d.degree
-    deg = max(syntactic_degree(c), k)
-    kfact = math.factorial(k)
-    total = None
+    total = 0
     for coef, form in d.summands:
-        scaled = [l * b for l, b in zip(form.coeffs, point)]
-        hk = homogeneous_part_eval(c, k, deg, scaled)
-        term = coef * kfact * hk
-        total = term if total is None else total + term
-    if total is None:
-        return _zero_like(point)
-    return total
+        scaled = [coerce(coerce(l) * b) for l, b in zip(form.coeffs, point)]
+        total += coerce(coef) * homogeneous_part_eval(c, k, scaled, p)
+    total *= math.factorial(k)
+    return Fraction(total) if p is None else Mod(total, p)
 
 
-def _zero_like(point):
-    if len(point):
-        return field_of(point[0]).zero
-    return Fraction(0)
+def _residue_circuit(c: Circuit, p: int) -> Circuit:
+    """`c` with its constants and linear-gate coefficients mapped into [0, p)."""
+    nodes = []
+    for node in c.nodes:
+        if isinstance(node, Const):
+            node = Const(residue(node.value, p))
+        elif isinstance(node, Linear):
+            form = node.form
+            node = Linear(LinearForm(tuple(residue(x, p) for x in form.coeffs), residue(form.const, p)))
+        nodes.append(node)
+    return Circuit(c.n, nodes, c.out)
 
 
 def _color_count(k: int) -> int:
@@ -156,10 +165,7 @@ def build_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.Rando
         counts = [[0] * n for _ in range(kk)]
         for owner in owners:
             counts[rng.randrange(kk)][owner] += 1
-        forms = [
-            LinearForm(tuple(Fraction(c) for c in counts[j]), Fraction(1))
-            for j in range(kk)
-        ]
+        forms = [LinearForm(tuple(counts[j]), 1) for j in range(kk)]
         summands.extend(power_decompose_product(forms, k).summands)
     return DiagonalCircuit(n, k, tuple(summands))
 

@@ -278,10 +278,10 @@ class UnivariatePoly:
         return cls([one - one, one])
 
     @classmethod
-    def from_roots(cls, roots, one=Fraction(1)) -> "UnivariatePoly":
-        p = cls([one])
+    def from_roots(cls, roots) -> "UnivariatePoly":
+        p = cls([Fraction(1)])
         for r in roots:
-            p = p * cls([-r, one])
+            p = p * cls([-r, Fraction(1)])
         return p
 
     def is_zero(self) -> bool:

@@ -1,8 +1,10 @@
 """Condensed oracle-equivalence suite behind `unideal selftest`.
 
 A quick, seeded version of the checks the full pytest suite runs at scale:
-every fast path is compared against its independent brute-force oracle.
-Returns a list of failure descriptions; empty means healthy.
+every fast path is compared against its independent brute-force oracle, and
+the three membership engines are compared with each other on low-rank inputs
+modulo power ideals, where all three apply.  Returns a list of failure
+descriptions; empty means healthy.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from fractions import Fraction
 
 from .apps import Graph, has_vertex_cover_brute, permanent_lowrank, ryser_permanent, vertex_cover_lowrank
 from .circuits import CircuitBuilder, expand, syntactic_degree
-from .division import UnivariateIdeal, divide
+from .division import UnivariateIdeal, divide, is_member_brute, random_zero_test
+from .fields import QQ
 from .hadamard import PowerIdealSpec, membership_powers
 from .linalg import LinearForm, Matrix
-from .lowrank import LowRankInput, inline_forms, rem_eval
+from .lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
 from .poly import SparsePoly, UnivariatePoly
 
 __all__ = ["run_selftest"]
@@ -87,6 +90,37 @@ def run_selftest(seed: int = 0) -> list:
         got = membership_powers(c, PowerIdealSpec(exps, k), rng=random.Random(seed + t))
         if got != want:
             failures.append(f"power membership mismatch on instance {t}")
+
+    # cross-engine: rank <= 2 inputs modulo power ideals, where the power-ideal
+    # test, the low-rank remainder zero test and expand-and-divide all apply
+    for t in range(8):
+        n = rng.randint(1, 4)
+        member = t % 2 == 1  # a multiple of x_0^e_0
+        exps = tuple(rng.randint(1, 2 if member else 3) for _ in range(n))
+        forms = [
+            LinearForm(tuple(F(rng.randint(-2, 2)) for _ in range(n)), F(rng.randint(-1, 1))) for _ in range(2)
+        ]
+        if member:
+            b = CircuitBuilder(2)
+            g = b.add(b.power(b.input(0), rng.randint(1, 2)), b.const(F(rng.randint(-2, 2))))
+            outer = b.build(b.mul(g, b.power(b.input(1), exps[0])))
+            forms[1] = LinearForm(tuple(F(int(i == 0)) for i in range(n)))
+        else:
+            outer = _random_outer(rng, rng.randint(1, 2))
+            while syntactic_degree(outer) > 4:
+                outer = _random_outer(rng, outer.n)
+        ideal = PowerIdealSpec(exps, 0).to_ideal(QQ)
+        inp = LowRankInput(outer, tuple(forms[: outer.n]), max(syntactic_degree(outer), *exps))
+        c = inline_forms(inp)
+        brute = is_member_brute(c, ideal)
+        powers = not membership_powers(c, PowerIdealSpec(exps, syntactic_degree(c)), rng=random.Random(seed + t))
+        lowrank = not random_zero_test(
+            RemEvaluator(inp, ideal).eval, n, inp.degree_bound, 5, random.Random(seed + t), field=QQ
+        )
+        if not brute == powers == lowrank:
+            failures.append(f"engines disagree on instance {t}: brute={brute} powers={powers} lowrank={lowrank}")
+        elif member and not brute:
+            failures.append(f"constructed member {t} reported as a nonmember")
 
     # division properties
     for t in range(15):

@@ -75,16 +75,16 @@ def test_homogeneous_part_linear_slice():
     b = CircuitBuilder(1)
     x = b.input(0)
     c = b.build(b.add(b.const(F(1)), x, b.mul(x, x)))
-    assert homogeneous_part_eval(c, 1, 2, [F(7)]) == 7
-    assert homogeneous_part_eval(c, 0, 2, [F(7)]) == 1
-    assert homogeneous_part_eval(c, 5, 2, [F(7)]) == 0
+    assert homogeneous_part_eval(c, 1, [F(7)]) == 7
+    assert homogeneous_part_eval(c, 0, [F(7)]) == 1
+    assert homogeneous_part_eval(c, 5, [F(7)]) == 0
 
 
 def test_homogeneous_input_is_identity():
     b = CircuitBuilder(2)
     c = b.build(b.mul(b.input(0), b.input(1)))
     pt = [F(3), F(5)]
-    assert homogeneous_part_eval(c, 2, 2, pt) == 15
+    assert homogeneous_part_eval(c, 2, pt) == 15
 
 
 def test_homogeneous_parts_sum_to_eval():
@@ -93,16 +93,34 @@ def test_homogeneous_parts_sum_to_eval():
         c = random_circuit(rng, rng.randint(1, 3))
         d = syntactic_degree(c)
         pt = [F(rng.randint(-3, 3)) for _ in range(c.n)]
-        total = sum((homogeneous_part_eval(c, k, d, pt) for k in range(d + 1)), F(0))
+        total = sum((homogeneous_part_eval(c, k, pt) for k in range(d + 1)), F(0))
         assert total == c.evaluate(pt)
 
 
-def test_homogeneous_part_small_field_rejected():
-    b = CircuitBuilder(1)
-    c = b.build(b.input(0))
-    g = GF(3)
-    with pytest.raises(ValueError):
-        homogeneous_part_eval(c, 1, 3, [g(1)])
+def test_homogeneous_part_over_small_fields():
+    # Degree >= p is fine: compare with the degree-k terms of the expansion,
+    # on plain-int residues and on a point of Mods.
+    rng = random.Random(11)
+    for p in (3, 5):
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            b = CircuitBuilder(n)
+            form = LinearForm(tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)), F(1, 2))
+            shift = b.add(b.input(0), b.const(F(rng.randint(-2, 2))))
+            prod = b.mul(b.linear(form), b.power(shift, p), b.input(n - 1))
+            c = b.build(b.add(prod, b.mul(*[b.input(v) for v in range(n)])))
+            d = syntactic_degree(c)
+            assert d >= p
+            f = expand(c)
+            pt = [rng.randrange(p) for _ in range(n)]
+            for k in range(d + 2):
+                want = sum(
+                    (coef * math.prod(F(x) ** y for x, y in zip(pt, e)) for e, coef in f.terms.items() if sum(e) == k),
+                    F(0),
+                )
+                want = want.numerator * pow(want.denominator, -1, p) % p
+                assert homogeneous_part_eval(c, k, pt, p) == want
+                assert homogeneous_part_eval(c, k, [GF(p)(x) for x in pt]) == want
 
 
 def test_power_decompose_single_factor():
@@ -142,7 +160,7 @@ def test_power_decompose_matches_homogeneous_extraction():
         prod = b.build(b.product([b.linear(f) for f in forms]))
         for _ in range(20):
             pt = [F(rng.randint(-4, 4)) for _ in range(n)]
-            assert dc.evaluate(pt) == homogeneous_part_eval(prod, k, m, pt)
+            assert dc.evaluate(pt) == homogeneous_part_eval(prod, k, pt)
 
 
 def test_diagonal_circuit_rejects_affine_summands():

@@ -3,9 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import brute_power_membership, literal_scaled_hadamard, random_circuit_capped_degree
-from unideal.circuits import CircuitBuilder, DiagonalCircuit, expand, syntactic_degree
+from unideal.circuits import (
+    Add,
+    CircuitBuilder,
+    Const,
+    DiagonalCircuit,
+    Input,
+    Mul,
+    expand,
+    homogeneous_part_eval,
+    syntactic_degree,
+)
+from unideal.fields import GF
 from unideal.hadamard import (
     PowerIdealSpec,
     build_detection_circuit,
@@ -190,3 +202,110 @@ def test_membership_powers_multilinear_detection():
 def test_coverage_failure_bound_shrinks():
     assert coverage_failure_bound(3, 6, 40) < coverage_failure_bound(3, 6, 10)
     assert coverage_failure_bound(2, 4, 200) < Fraction(1, 2**20)
+
+
+_scalars = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 3))
+    b = CircuitBuilder(n)
+    ids = [b.input(i) for i in range(n)] + [b.const(draw(_scalars))]
+    degs = [1] * n + [0]
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["add", "mul", "linear"]))
+        if kind == "linear":
+            ids.append(b.linear(LinearForm(tuple(draw(_scalars) for _ in range(n)), draw(_scalars))))
+            degs.append(1)
+            continue
+        x, y = draw(st.integers(0, len(ids) - 1)), draw(st.integers(0, len(ids) - 1))
+        if kind == "mul" and degs[x] + degs[y] <= 6:
+            ids.append(b.mul(ids[x], ids[y]))
+            degs.append(degs[x] + degs[y])
+        else:
+            ids.append(b.add(ids[x], ids[y]))
+            degs.append(max(degs[x], degs[y]))
+    return b.build(ids[-1])
+
+
+def _sympy_poly(sympy, c, xs):
+    """The circuit as an expanded sympy polynomial, built gate by gate."""
+    def q(v):
+        return sympy.Rational(v.numerator, v.denominator)
+
+    vals = []
+    for node in c.nodes:
+        if isinstance(node, Input):
+            vals.append(xs[node.var])
+        elif isinstance(node, Const):
+            vals.append(q(node.value))
+        elif isinstance(node, Add):
+            vals.append(sympy.Add(*[vals[ch] for ch in node.children]))
+        elif isinstance(node, Mul):
+            vals.append(sympy.Mul(*[vals[ch] for ch in node.children]))
+        else:
+            form = node.form
+            vals.append(sum((q(v) * x for v, x in zip(form.coeffs, xs)), q(F(form.const))))
+    return sympy.Poly(sympy.expand(vals[c.out]), *xs)
+
+
+def _to_residue(r, p):
+    return int(r.p) * pow(int(r.q), -1, p) % p
+
+
+def test_homogeneous_part_and_scaled_hadamard_match_sympy():
+    # sympy expands the circuit and keeps the total-degree-k terms; nothing
+    # here goes through `expand` or the series kernel.
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_circuits(), st.data())
+    def check(c, data):
+        n = c.n
+        xs = sympy.symbols(f"x0:{n}")
+        f = _sympy_poly(sympy, c, xs)
+        k = data.draw(st.integers(0, 7))
+        pt = [F(data.draw(st.integers(-4, 4)), data.draw(st.sampled_from([1, 2]))) for _ in range(n)]
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        ipt = [data.draw(st.integers(0, p - 1)) for _ in range(n)]
+
+        def part(point):
+            return sum(
+                (coef * sympy.prod(x**e for x, e in zip(point, mon)) for mon, coef in f.terms() if sum(mon) == k),
+                sympy.Integer(0),
+            )
+
+        want = part([sympy.Rational(x.numerator, x.denominator) for x in pt])
+        assert homogeneous_part_eval(c, k, pt) == F(int(want.p), int(want.q))
+        assert homogeneous_part_eval(c, k, ipt, p) == _to_residue(part([sympy.Integer(x) for x in ipt]), p)
+
+        # The literal definition: sum over monomials m of m! [m]f [m]D b^m.
+        summands = tuple(
+            (data.draw(_scalars), LinearForm(tuple(F(data.draw(st.integers(-2, 2))) for _ in range(n))))
+            for _ in range(data.draw(st.integers(1, 3)))
+        )
+        d = DiagonalCircuit(n, k, summands)
+        g = sympy.Integer(0)
+        for cf, form in summands:
+            lin = sum((int(v) * x for v, x in zip(form.coeffs, xs)), sympy.Integer(0))
+            g += sympy.Rational(cf.numerator, cf.denominator) * lin**k
+        g = sympy.Poly(sympy.expand(g), *xs)
+
+        def literal(point):
+            total = sympy.Integer(0)
+            for mon, cg in g.terms():
+                cf = f.coeff_monomial(mon)
+                if cf:
+                    total += sympy.prod(sympy.factorial(e) for e in mon) * cf * cg * sympy.prod(
+                        x**e for x, e in zip(point, mon)
+                    )
+            return total
+
+        want = literal([sympy.Rational(x.numerator, x.denominator) for x in pt])
+        assert scaled_hadamard_eval(c, d, pt) == F(int(want.p), int(want.q))
+        field = GF(p)
+        got = scaled_hadamard_eval(c, d, [field(x) for x in ipt])
+        assert got == field(_to_residue(literal([sympy.Integer(x) for x in ipt]), p))
+
+    check()

@@ -176,6 +176,69 @@ def test_cli_usage_error_exit_code(workdir, capsys):
     assert code == 2  # an ideal file that does not parse
 
 
+def run_cli_err(capsys, *argv) -> tuple:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["member", "--circuit", "mlc.txt", "--ideal", "sq.txt", "--mode", "lowrank"],
+         "lowrank mode needs --forms"),
+        (["member", "--circuit", "mlc.txt", "--ideal", "x0sq.txt", "--mode", "powers"],
+         "powers mode needs one generator per circuit variable"),
+        (["mlmd", "--circuit", "mlc.txt", "--exponents", "2"], "need one exponent per circuit variable"),
+        (["reduce", "indep-set", "--in", "c4.txt"], "indep-set reduction needs --k"),
+        (["reduce", "coloring", "--in", "c4.txt"], "coloring instance needs --k"),
+    ],
+    ids=["member-lowrank-forms", "member-powers-generators", "mlmd-exponents", "indep-set-k", "coloring-k"],
+)
+def test_cli_usage_errors_exit_2(workdir, capsys, monkeypatch, argv, message):
+    (workdir / "x0sq.txt").write_text("var 0 : 0 0 1\n")
+    monkeypatch.chdir(workdir)
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-1", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["member", "--circuit", "mlc.txt", "--ideal", "sq.txt", "--forms", "forms.txt"],
+        ["vc", "--graph", "c4.txt", "--k", "1"],
+        ["mlmd", "--circuit", "mlc.txt", "--exponents", "2 2"],
+    ],
+    ids=["member", "vc", "mlmd"],
+)
+def test_cli_rejects_trials_below_one(workdir, capsys, monkeypatch, argv, trials):
+    (workdir / "forms.txt").write_text("form 1 0\nform 0 1\n")
+    monkeypatch.chdir(workdir)
+    code, out, err = run_cli_err(capsys, *argv, "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+def test_cli_process_exit_code_on_bad_trials(workdir):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import unideal
+
+    env = dict(os.environ, PYTHONPATH=str(Path(unideal.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unideal.cli", "mlmd", "--circuit", str(workdir / "mlc.txt"),
+         "--exponents", "2 2", "--trials", "-2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "--trials must be at least 1" in proc.stderr
+
+
 def test_cli_rem_eval(workdir, capsys, tmp_path):
     lr = tmp_path / "lr.txt"
     lr.write_text("vars 1\nin 0\nmul 0 0\nout 1\nform 1 1\n")
