@@ -2,13 +2,18 @@
 """Wall-time scaling of remainder evaluation in the variable count.
 
 Fixes the outer polynomial (degree 3 in two forms) and the generator degree
-at 3, then times rem_eval across a range of n.  The theory predicts
-d^O(r) * poly(n); the printed ratios should stay far below the n^4 slope.
+at 3, then times rem_eval (preparation plus one point) for n = 20 doubling up
+to 640.  The theory predicts d^O(r) * poly(n).  The printed ratios against the
+smallest n should stay far below the n^4 slope, and each doubling's slope
+log2(t(2n)/t(n)) shows the growth exponent directly: about 1 when the work per
+recursion level does not grow with n (preparation eliminates the forms once,
+then solves an r x r' system per level), 2 for per-level work linear in n.
 
-Usage: python scripts/scaling_rem.py [--sizes 20,40,80,160] [--seed 0]
+Usage: python scripts/scaling_rem.py [--sizes 20,40,80,160,320,640] [--seed 0]
 """
 
 import argparse
+import math
 import random
 import time
 from fractions import Fraction
@@ -41,7 +46,7 @@ def build_instance(rng, n):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sizes", default="20,40,80")
+    ap.add_argument("--sizes", default="20,40,80,160,320,640")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
@@ -57,10 +62,13 @@ def main():
         times[n] = best
         print(f"{n:>6} {best * 1e3:>12.2f}")
     base = sizes[0]
-    print("\nratios against n^4 slope:")
+    print("\nratios against n^4 slope, and the slope of each doubling:")
     for n in sizes[1:]:
         allowed = (n / base) ** 4
-        print(f"  t({n})/t({base}) = {times[n] / times[base]:8.2f}   (n^4 slope: {allowed:.0f})")
+        line = f"  t({n})/t({base}) = {times[n] / times[base]:8.2f}   (n^4 slope: {allowed:>7.0f})"
+        if n % 2 == 0 and n // 2 in times:
+            line += f"   log2(t({n})/t({n // 2})) = {math.log2(times[n] / times[n // 2]):5.2f}"
+        print(line)
 
 
 def _timed(fn):

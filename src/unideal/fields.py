@@ -32,11 +32,16 @@ class FieldMismatch(ArithmeticError):
     """Combining scalars that live in different fields."""
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Miller-Rabin to the bases _SMALL_PRIMES decides primality exactly below this
+# bound (Sorenson and Webster, Math. Comp. 2017).
+_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Miller-Rabin test with `rounds` random bases (deterministic per n)."""
+    """Miller-Rabin test: exact for n < 3.317e24, where the bases are the
+    primes 2..41; above it `rounds` random bases (deterministic per n)."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -49,9 +54,12 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    rng = random.Random(n)
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
+    if n < _DETERMINISTIC_BOUND:
+        bases = _SMALL_PRIMES
+    else:
+        rng = random.Random(n)
+        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -1,10 +1,13 @@
 """Exact dense linear algebra over Q or a prime field.
 
 Everything here is plain Gaussian elimination on small matrices of exact
-scalars.  The two nonstandard entry points are `rank_and_row_basis` (the
-basis is a subset of the input rows, which the variable-separation transform
-relies on) and `congruence_diagonalize` (Q A Q^T = D for symmetric A, valid
-in characteristic != 2).
+scalars.  The nonstandard entry points are `rank_and_row_basis` (the basis
+is a subset of the input rows, which the variable-separation transform
+relies on), `suffix_pivots` (one right-to-left column elimination whose
+pivots give a column basis of every suffix m[:, c:] at once, so that
+transform solves each level on at most nrows columns) and
+`congruence_diagonalize` (Q A Q^T = D for symmetric A, valid in
+characteristic != 2).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "LinearForm",
     "Matrix",
     "rank_and_row_basis",
+    "suffix_pivots",
     "congruence_diagonalize",
 ]
 
@@ -38,10 +42,6 @@ class LinearForm:
         for c, b in zip(self.coeffs, point):
             acc = acc + c * b
         return acc
-
-    def tail(self, s: int) -> "LinearForm":
-        """Homogeneous part over variables s..n-1, reindexed from 0."""
-        return LinearForm(tuple(self.coeffs[s:]), 0)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs) and not self.const
@@ -199,6 +199,34 @@ def rank_and_row_basis(m: Matrix):
     coords = [list(c) + [zero] * (rank - len(c)) for c in coords]
     basis = [LinearForm(r) for r in basis_rows]
     return rank, basis, Matrix(coords)
+
+
+def suffix_pivots(m: Matrix) -> list:
+    """The columns j with rank(m[:, j:]) > rank(m[:, j+1:]), increasing.
+
+    One elimination of the columns from the last to the first, each reduced
+    against the columns kept so far: O(nrows^2 * ncols) scalar operations.
+    For every c the pivots >= c are a basis of the column space of m[:, c:],
+    so every row subset of m[:, c:] has the same left kernel (rank,
+    independent rows, coordinates) on those at most nrows columns as on all
+    of them.
+    """
+    echelon: list[tuple[list, int]] = []  # (column vector, pivot row)
+    pivots = []
+    for j in range(m.ncols - 1, -1, -1):
+        if len(echelon) == m.nrows:
+            break  # full rank: no column further left adds to it
+        vec = [row[j] for row in m.rows]
+        for evec, piv in echelon:
+            if vec[piv]:
+                f = vec[piv] / evec[piv]
+                vec = [x - f * y for x, y in zip(vec, evec)]
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is not None:
+            echelon.append((vec, piv))
+            pivots.append(j)
+    pivots.reverse()
+    return pivots
 
 
 def congruence_diagonalize(a: Matrix):

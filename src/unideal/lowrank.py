@@ -7,7 +7,11 @@ touching more than 2r variables at a time:
 
   1. split each form l_i into its part over the first s = min(r, n) variables
      and the homogeneous rest; pick a maximal independent subset of the rests
-     (size r') and treat those as fresh variables,
+     (size r') and treat those as fresh variables.  The rests at every level
+     are tails of input forms, so one right-to-left elimination of the input
+     coefficients (`linalg.suffix_pivots`) finds, for every level, at most r
+     columns on which the rests have the same linear dependencies as on all
+     their columns; each level solves its split there, in O(r^3),
   2. write the polynomial over the s + r' local variables: at the first level
      expand the outer circuit, deeper down compose the previous level's
      polynomial with the local forms, reducing by the generators of the
@@ -18,8 +22,9 @@ touching more than 2r variables at a time:
      independent rest-forms, against the ideal on the remaining variables.
 
 The per-level splits and the first level's expansion do not depend on alpha,
-so `RemEvaluator` computes them once and each `eval` runs steps 2-4 from the
-second level on; `rem_eval` is the one-shot wrapper.
+so `RemEvaluator` computes them once (the splits in O(r^2 n + depth r^3)
+scalar operations) and each `eval` runs steps 2-4 from the second level on;
+`rem_eval` is the one-shot wrapper.
 
 The evaluator works over Q or over GF(p).  Over GF(p) the split (step 1)
 still runs in the input's own scalars; its output, the level-0 expansion and
@@ -29,13 +34,14 @@ on residue polynomials (see `poly.SparsePoly`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
 from .division import UnivariateIdeal, _Reducer
 from .fields import QQ, FieldMismatch, field_of
-from .linalg import LinearForm, Matrix, rank_and_row_basis
+from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
 from .poly import SparsePoly
 
 __all__ = ["LowRankInput", "rem_eval", "RemEvaluator", "inline_forms"]
@@ -71,17 +77,21 @@ class _Level:
     w: int               # local variable count: s + r'
     hats: list           # per incoming z variable, a SparsePoly over w vars
     reducer: _Reducer    # reduction by the consumed generators (local indices)
-    residual_count: int  # r'
+    residual_rows: tuple # the r' input rows whose tails past the consumed
+                         # variables are the next level's forms
 
 
 class RemEvaluator:
     """Prepared remainder evaluator for one (low-rank input, ideal) pair.
 
-    Construction splits the forms level by level and expands the outer
-    circuit over the first level's local variables with interleaved
-    reduction.  Each `eval` then walks the levels: compose with the level's
-    local forms, reduce, substitute the point's consumed coordinates.  Every
-    product is capped at (d+1)^(2r) terms.
+    Construction eliminates the form coefficients once, from the last column
+    to the first, then splits the forms level by level, each level on the at
+    most r pivot columns past its consumed variables: O(r^2 n + depth r^3)
+    scalar operations in all.  It then expands the outer circuit over the
+    first level's local variables with interleaved reduction.  Each `eval`
+    walks the levels: compose with the level's local forms, reduce,
+    substitute the point's consumed coordinates.  Every product is capped at
+    (d+1)^(2r) terms.
 
     `field` is QQ or a `fields.GF(p)`; None takes the field of the input
     scalars (GF(p) when any of them is a `Mod`, else QQ).  Over GF(p) the
@@ -116,12 +126,15 @@ class RemEvaluator:
         r = len(inp.forms)
         self.cap = (d + 1) ** (2 * r)
         self.levels: list[_Level] = []
-        forms_cur = list(inp.forms)
+        # Every level's forms are tails of a subset of the input rows, so one
+        # elimination of the whole coefficient matrix serves all levels.
+        pivots = suffix_pivots(Matrix([f.coeffs for f in inp.forms]))
+        rows = tuple(range(r))
         offset = 0
-        while forms_cur and n - offset > 0:
-            level = self._prepare_level(forms_cur, offset, gens)
+        while rows and n - offset > 0:
+            level = self._prepare_level(rows, offset, gens, pivots)
             self.levels.append(level)
-            forms_cur = level._residuals
+            rows = level.residual_rows
             offset += level.s
         self.depth = len(self.levels)
         # The alpha-independent part of the walk.  Without levels there are no
@@ -133,27 +146,43 @@ class RemEvaluator:
             images = [SparsePoly.const(0, f.const, self.p) for f in inp.forms]
             self._base = expand(inp.outer, self.cap, images)
 
-    def _prepare_level(self, forms, offset: int, gens) -> _Level:
-        n_cur = self.inp.n - offset
-        s = min(len(forms), n_cur)
-        tails = Matrix([f.tail(s).coeffs for f in forms])
-        rank, basis, coords = rank_and_row_basis(tails)
+    def _prepare_level(self, rows, offset: int, gens, pivots) -> _Level:
+        """Split the tails from `offset` of the input rows `rows`.
+
+        The rest-forms are solved on the `pivots` past the consumed
+        variables, at most r columns, which give the same rank, basis rows and
+        coordinates as the whole tail (see `linalg.suffix_pivots`).
+        """
+        forms = self.inp.forms
+        s = min(len(rows), self.inp.n - offset)
+        cols = pivots[bisect_left(pivots, offset + s):]
+        rests = Matrix([[forms[i].coeffs[j] for j in cols] for i in rows])
+        rank, basis, coords = rank_and_row_basis(rests)
+        # The basis is the first maximal independent subset of the rows: its
+        # t-th member is the first row after the (t-1)-th one that equals it.
+        residual_rows = []
+        for i, row in zip(rows, rests.rows):
+            if len(residual_rows) < rank and row == basis[len(residual_rows)].coeffs:
+                residual_rows.append(i)
         w = s + rank
         hats = []
-        for i, f in enumerate(forms):
+        for k, i in enumerate(rows):
+            f = forms[i]
             terms = {}
             for j in range(s):
-                if f.coeffs[j]:
+                c = f.coeffs[offset + j]
+                if c:
                     e = [0] * w
                     e[j] = 1
-                    terms[tuple(e)] = f.coeffs[j]
+                    terms[tuple(e)] = c
             for j in range(rank):
-                g = coords[i, j]
+                g = coords[k, j]
                 if g:
                     e = [0] * w
                     e[s + j] = 1
                     terms[tuple(e)] = g
-            if f.const:
+            # Only the input forms carry constants; deeper ones are rests.
+            if offset == 0 and f.const:
                 terms[(0,) * w] = f.const
             hats.append(SparsePoly(w, terms, self.p))
         local_gens = {}
@@ -162,11 +191,9 @@ class RemEvaluator:
             if p is not None:
                 local_gens[j] = p
         reducer = _Reducer(UnivariateIdeal.from_dict(local_gens), self.p)
-        level = _Level(offset, s, w, hats, reducer, rank)
-        level._residuals = [LinearForm(b.coeffs) for b in basis]
         for h in range(len(hats)):
             hats[h] = reducer.reduce(hats[h])
-        return level
+        return _Level(offset, s, w, hats, reducer, tuple(residual_rows))
 
     def eval(self, alpha):
         """(f mod I)(alpha), exactly over QQ, as a `Mod` over GF(p)."""

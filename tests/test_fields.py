@@ -60,6 +60,36 @@ def test_primality():
     assert not is_probable_prime((1 << 67) - 1)  # classic composite Mersenne
 
 
+def test_primality_rejects_strong_pseudoprimes():
+    # Each passes Miller-Rabin to every base below the one that catches it.
+    assert not is_probable_prime(3215031751)  # bases 2, 3, 5, 7
+    assert not is_probable_prime(3825123056546413051)  # bases 2..23
+    assert not is_probable_prime(318665857834031151167461)  # bases 2..37
+    assert is_probable_prime(41) and is_probable_prime(43)
+
+
+def test_primality_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    numbers = list(range(-2, 3000))
+    for bits in (32, 64, 81, 82, 100):
+        numbers += [rng.getrandbits(bits) | 1 for _ in range(300)]
+    for n in numbers:
+        assert is_probable_prime(n) == sympy.isprime(n), n
+
+
+def test_random_prime_stream_is_pinned():
+    # The primes drawn for a seed do not depend on how primality is decided.
+    want = {
+        0: [9625328367889806653, 12700963649918818993, 14021983575550262063],
+        1: [17324573639174612641, 16789950873655392269, 15632896013307799313],
+        9001: [13851468809915000519, 10221469348557938357, 11697468618379273207],
+    }
+    for seed, primes in want.items():
+        rng = random.Random(seed)
+        assert [random_prime(64, rng) for _ in primes] == primes
+
+
 def test_random_prime_has_requested_bits():
     rng = random.Random(3)
     for bits in (32, 48, 64):

@@ -8,6 +8,7 @@ from unideal.linalg import (
     Matrix,
     congruence_diagonalize,
     rank_and_row_basis,
+    suffix_pivots,
 )
 
 F = Fraction
@@ -55,6 +56,28 @@ def test_basis_is_row_subset():
     assert rank == 2
     assert basis[0].coeffs == (F(1), F(1), F(0))
     assert basis[1].coeffs == (F(0), F(0), F(1))
+
+
+def test_suffix_pivots_count_suffix_ranks():
+    # rank(m[:, c:]) pivots lie at or past c, for every c, on matrices with
+    # zero columns, zero rows, repeated rows and rows whose support ends early.
+    rng = random.Random(8)
+    for field in (F, GF(5), GF(10007)):
+        for _ in range(80):
+            r, n = rng.randint(1, 5), rng.randint(0, 10)
+            zero_cols = set(rng.sample(range(n), rng.randint(0, n)))
+            rows = []
+            for _ in range(r):
+                if rows and rng.random() < 0.25:
+                    rows.append(list(rng.choice(rows)))
+                    continue
+                end = rng.randint(0, n)
+                rows.append([field(0 if j >= end or j in zero_cols else rng.randint(-2, 2)) for j in range(n)])
+            m = Matrix(rows)
+            pivots = suffix_pivots(m)
+            assert pivots == sorted(set(pivots))
+            for c in range(n + 1):
+                assert sum(j >= c for j in pivots) == Matrix([row[c:] for row in rows]).rank()
 
 
 def test_congruence_identity():

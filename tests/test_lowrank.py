@@ -13,9 +13,9 @@ from helpers import (
 from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
 from unideal.division import UnivariateIdeal, divide, is_member_brute
 from unideal.fields import GF, QQ, FieldMismatch, Mod
-from unideal.linalg import LinearForm, Matrix
+from unideal.linalg import LinearForm, Matrix, rank_and_row_basis
 from unideal.lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
-from unideal.poly import UnivariatePoly
+from unideal.poly import SparsePoly, UnivariatePoly
 
 F = Fraction
 
@@ -175,9 +175,8 @@ def test_transform_soundness_random():
         forms = list(inp.forms)
         for lvl in ev.levels:
             assert lvl.s == min(len(forms), n - lvl.offset)
-            assert lvl.w == lvl.s + lvl.residual_count <= 2 * r
-            residuals = lvl._residuals
-            assert len(residuals) == lvl.residual_count
+            assert lvl.w == lvl.s + len(lvl.residual_rows) <= 2 * r
+            residuals = [LinearForm(inp.forms[i].coeffs[lvl.offset + lvl.s :]) for i in lvl.residual_rows]
             for _ in range(3):
                 x = [F(rng.randint(-5, 5)) for _ in range(n - lvl.offset)]
                 local = x[: lvl.s] + [res.evaluate(x[lvl.s :]) for res in residuals]
@@ -186,6 +185,103 @@ def test_transform_soundness_random():
             forms = residuals
         depths.add(ev.depth)
     assert max(depths) >= 2
+
+
+def structured_forms(rng, r, n, field):
+    """Forms with zero columns, repeated and dependent rows, constants, and
+    supports that end early, so tails lose rank partway down the recursion."""
+    zero_cols = set(rng.sample(range(n), rng.randint(0, n // 2)))
+    rows = []
+    for _ in range(r):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            row = [field(rng.choice([1, -1, 2])) * c for c in rng.choice(rows)]
+        elif len(rows) >= 2 and kind < 0.4:
+            a, b = rng.sample(rows, 2)
+            row = [x + field(rng.randint(-2, 2)) * y for x, y in zip(a, b)]
+        else:
+            end = rng.randint(0, n)
+            row = [field(0) if j >= end or j in zero_cols else field(rng.randint(-2, 2)) for j in range(n)]
+        rows.append(row)
+    return tuple(LinearForm(tuple(row), field(rng.choice([0, 0, 1, -3]))) for row in rows)
+
+
+def reference_levels(inp, p):
+    """(offset, s, w, unreduced hats, residual tails) per level, from one
+    elimination of the whole remaining tail at every level."""
+    forms = [(f.coeffs, f.const) for f in inp.forms]
+    offset, levels = 0, []
+    while forms and inp.n - offset > 0:
+        s = min(len(forms), inp.n - offset)
+        rank, basis, coords = rank_and_row_basis(Matrix([c[s:] for c, _ in forms]))
+        w = s + rank
+        hats = []
+        for i, (coeffs, const) in enumerate(forms):
+            terms = {}
+            for j, c in [(j, coeffs[j]) for j in range(s)] + [(s + t, coords[i, t]) for t in range(rank)]:
+                if c:
+                    terms[tuple(int(k == j) for k in range(w))] = c
+            if const:
+                terms[(0,) * w] = const
+            hats.append(SparsePoly(w, terms, p))
+        levels.append((offset, s, w, hats, [b.coeffs for b in basis]))
+        forms = [(b.coeffs, 0) for b in basis]
+        offset += s
+    return levels
+
+
+def test_prepared_levels_match_full_tail_elimination():
+    # Solving each level on the pivot columns of one up-front elimination
+    # gives the levels that eliminating the whole tail at every level gives,
+    # down to the order of the hats' terms.
+    rng = random.Random(18)
+    drops = 0
+    for field in (QQ, GF(7), GF(10007)):
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            r = rng.randint(1, 4)
+            b = CircuitBuilder(r)
+            outer = b.build(b.mul(*[b.input(i) for i in range(r)]))
+            inp = LowRankInput(outer, structured_forms(rng, r, n, field), r)
+            ev = RemEvaluator(inp, lift_ideal(ideal_of_degrees(rng, n, 1, 3), field))
+            want = reference_levels(inp, ev.p)
+            assert len(ev.levels) == len(want)
+            incoming = r
+            for lvl, (offset, s, w, hats, rests) in zip(ev.levels, want):
+                assert (lvl.offset, lvl.s, lvl.w, len(lvl.residual_rows)) == (offset, s, w, len(rests))
+                assert [inp.forms[i].coeffs[offset + s :] for i in lvl.residual_rows] == rests
+                assert len(lvl.hats) == len(hats) == incoming
+                for got, hat in zip(lvl.hats, hats):
+                    assert list(got.terms.items()) == list(lvl.reducer.reduce(hat).terms.items())
+                drops += len(lvl.residual_rows) < min(incoming, n - offset - s)
+                incoming = len(lvl.residual_rows)
+    assert drops > 0
+
+
+def test_preparation_solves_small_systems(monkeypatch):
+    # Every level's rest-forms are solved on at most r columns, so
+    # preparation stays linear in n; eliminating each level's whole
+    # r x (n - offset) tail would make it quadratic.
+    import unideal.lowrank as lowrank
+
+    seen = []
+    real = lowrank.rank_and_row_basis
+
+    def spy(m):
+        seen.append((m.nrows, m.ncols))
+        return real(m)
+
+    monkeypatch.setattr(lowrank, "rank_and_row_basis", spy)
+    rng = random.Random(19)
+    n, r = 320, 3
+    b = CircuitBuilder(r)
+    outer = b.build(b.add(b.mul(b.input(0), b.input(1)), b.mul(b.input(2), b.input(2))))
+    inp = LowRankInput(outer, random_forms(rng, r, n, lo=-3, hi=3), 2)
+    ev = RemEvaluator(inp, ideal_of_degrees(rng, n, 2, 3))
+    assert ev.depth >= n // r - 1
+    assert len(seen) == ev.depth
+    assert all(cols <= r for _, cols in seen)
+    assert sum(rows * cols for rows, cols in seen) <= r * r * ev.depth
 
 
 def test_recursion_depth_bounded():
