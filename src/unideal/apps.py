@@ -137,21 +137,21 @@ def _permanent_input(a: Matrix):
     return LowRankInput(outer, tuple(basis), max(n, 1)), rank
 
 
-def permanent_lowrank(a: Matrix):
-    """Permanent via remainder evaluation; exact, n^O(rank) time."""
+def permanent_lowrank(a: Matrix, field=QQ):
+    """Permanent of a matrix over `field` via remainder evaluation; exact,
+    n^O(rank) time.  Any field works: the remainder modulo <x_i^2> keeps the
+    multilinear part of the row product."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("permanent of non-square matrix")
     if n == 0:
-        return Fraction(1)
-    inp, rank = _permanent_input(a)
+        return field.one
+    inp, rank = _permanent_input(Matrix([[field(x) for x in row] for row in a.rows]))
     if rank == 0:  # zero matrix; every row product vanishes
-        return a.rows[0][0] - a.rows[0][0]
-    one = a.rows[0][0] - a.rows[0][0] + 1
-    zero = one - one
-    square = UnivariatePoly([zero, zero, one])
+        return field.zero
+    square = UnivariatePoly([0, 0, 1])
     ideal = UnivariateIdeal(tuple((i, square) for i in range(n)))
-    return RemEvaluator(inp, ideal).eval([one] * n)
+    return RemEvaluator(inp, ideal, field).eval([1] * n)
 
 
 def build_vc_instance(g: Graph, k: int, tight: bool = False):
@@ -203,21 +203,19 @@ def vertex_cover_lowrank(
     One-sided: True is always correct; a False answer is wrong with
     probability at most (deg_bound / (100 * deg_bound))^trials = 100^-trials.
 
-    The zero test runs over GF(p) with p = VC_PRIME = 2^61 - 1, on plain-int
-    residues.  The bound above still holds there.  f has integer coefficients,
-    and so does its remainder R modulo <x_i^2 - x_i>, the multilinear
-    polynomial that agrees with f on {0,1}^n.  At a 0/1 point every factor
-    q - s and sum(x) - t of f is an integer of absolute value at most
-    max(C(n,2), n), so when p exceeds that, f(b) vanishes mod p exactly when
-    it vanishes, and R mod p is zero exactly when R is.  When p also exceeds
-    the sample-set size 100 * deg_bound, Schwartz-Zippel over GF(p) gives the
-    100^-trials bound with no bad-prime term.  The evaluator maps the
-    rational forms and constants into GF(p), which is a ring homomorphism on
-    rationals whose denominators p does not divide, so it returns R(alpha)
-    mod p.  The test falls back to exact arithmetic over QQ when p is not
-    larger than max(C(n,2), n, 100 * deg_bound), or when a denominator
-    vanishes mod p (FieldMismatch); the points drawn from `rng` are the same
-    either way.
+    The whole test runs over GF(p) with p = VC_PRIME = 2^61 - 1: the
+    evaluator maps the instance's rational scalars into GF(p), a ring
+    homomorphism on rationals whose denominators p does not divide, so it
+    evaluates the remainder R_p of f mod p, the multilinear polynomial that
+    agrees with f mod p on {0,1}^n.  At a 0/1 point every factor q - s and
+    sum(x) - t of f is an integer of absolute value at most max(C(n,2), n),
+    so when p exceeds that, f vanishes mod p at exactly the 0/1 points where
+    it vanishes, and R_p = 0 exactly when the exact remainder is.  When p
+    also exceeds the sample-set size 100 * deg_bound, Schwartz-Zippel over
+    GF(p) gives the 100^-trials bound.  The test falls back to exact
+    arithmetic over QQ when p is not larger than max(C(n,2), n,
+    100 * deg_bound), or when a denominator vanishes mod p (FieldMismatch);
+    the points drawn from `rng` are the same either way.
     """
     rng = rng or random.Random(0)
     inp, ideal, deg_bound = build_vc_instance(g, k, tight=tight)

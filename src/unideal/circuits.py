@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import field_of, residue
+from .fields import residue
 from .linalg import LinearForm
 from .poly import CapExceeded, SparsePoly, _acc, _mod_terms
 
@@ -39,6 +39,7 @@ __all__ = [
     "CapExceeded",
     "expand",
     "homogeneous_part_eval",
+    "map_scalars",
     "power_decompose_product",
     "syntactic_degree",
 ]
@@ -123,6 +124,19 @@ class Circuit:
         return f"Circuit(n={self.n}, {len(self.nodes)} nodes)"
 
 
+def map_scalars(c: Circuit, fn) -> Circuit:
+    """`c` with `fn` applied to every constant and linear-gate coefficient."""
+    nodes = []
+    for node in c.nodes:
+        if isinstance(node, Const):
+            node = Const(fn(node.value))
+        elif isinstance(node, Linear):
+            form = node.form
+            node = Linear(LinearForm(tuple(map(fn, form.coeffs)), fn(form.const)))
+        nodes.append(node)
+    return Circuit(c.n, nodes, c.out)
+
+
 class CircuitBuilder:
     """Incremental construction helper; returns node ids."""
 
@@ -191,15 +205,14 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
 
     With `images` (one SparsePoly per input variable, all over the same
     variables and with one modulus) the result is c(images) instead of c
-    itself; constants and linear-gate coefficients are mapped into the
-    images' modulus.  With a `reducer` (a `division._Reducer`) every product
+    itself; over a modulus p the circuit's scalars must already be residues
+    (`map_scalars`).  With a `reducer` (a `division._Reducer`) every product
     and linear gate is reduced as soon as it is formed, so intermediate term
     counts stay within the residue grid and the result is the unique
     remainder.
     """
     n = c.n if images is None else (images[0].n if images else 0)
     p = images[0].p if images else None
-    coerce = (lambda x: x) if p is None else (lambda x: residue(x, p))
     reduce = (lambda f: f) if reducer is None else reducer.reduce
     vals: list = [None] * len(c.nodes)
     for i, node in enumerate(c.nodes):
@@ -224,7 +237,6 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
             # costs O(n) terms rather than n copies of a growing sum.
             terms: dict = {}
             for j, coef in enumerate(node.form.coeffs):
-                coef = coerce(coef)
                 if not coef:
                     continue
                 if images is None:
@@ -234,7 +246,7 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
                 else:
                     for e, v in images[j].terms.items():
                         _acc(terms, e, coef * v)
-            const = coerce(node.form.const)
+            const = node.form.const
             if const:
                 _acc(terms, (0,) * n, const)
             vals[i] = reduce(SparsePoly.raw(n, _mod_terms(terms, p), p))
@@ -310,8 +322,7 @@ class DiagonalCircuit:
         return len(self.summands)
 
     def evaluate(self, point):
-        zero = field_of(point[0]).zero if len(point) else Fraction(0)
-        return sum((coef * form.evaluate(point) ** self.degree for coef, form in self.summands), zero)
+        return sum(coef * form.evaluate(point) ** self.degree for coef, form in self.summands)
 
     def to_sparse(self) -> SparsePoly:
         out = SparsePoly.zero(self.n)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .circuits import Circuit, expand
-from .fields import GF, QQ, FieldMismatch, Rationals
+from .fields import GF, QQ, FieldMismatch
 from .poly import SparsePoly, UnivariatePoly, _acc, _mod_terms
 
 __all__ = [
@@ -49,6 +49,20 @@ class UnivariateIdeal:
     def from_dict(cls, gens: dict) -> "UnivariateIdeal":
         return cls(tuple(sorted(gens.items())))
 
+    def over(self, field) -> "UnivariateIdeal":
+        """The same generators with their coefficients mapped into `field`.
+
+        A coefficient with no image there, or a leading coefficient that
+        vanishes there, raises FieldMismatch.
+        """
+        gens = []
+        for var, g in self.generators:
+            coeffs = [field(c) for c in g.coeffs]
+            if not coeffs[-1]:
+                raise FieldMismatch(f"leading coefficient of generator {var} vanishes in {field}")
+            gens.append((var, UnivariatePoly(coeffs)))
+        return UnivariateIdeal(tuple(gens))
+
 
 def power_table(p: UnivariatePoly, max_e: int):
     """table[e] = x^e mod p(x) for e = 0..max_e, each of degree < deg(p)."""
@@ -72,20 +86,13 @@ class _Reducer:
     """Caches power tables per variable for repeated reductions.
 
     With a modulus p it reduces residue polynomials: the generators are
-    mapped into GF(p) once (a denominator or leading coefficient that
-    vanishes mod p raises FieldMismatch), and the tables hold plain-int
-    residues.
+    mapped into GF(p) once (`UnivariateIdeal.over`), and the tables hold
+    plain-int residues.
     """
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
         self.p = p
-        self.gens = dict(ideal.generators)
-        if p is not None:
-            field = GF(p)
-            for var, g in self.gens.items():
-                if not field(g.lc()):
-                    raise FieldMismatch(f"leading coefficient of generator {var} vanishes mod {p}")
-                self.gens[var] = UnivariatePoly([field(c) for c in g.coeffs])
+        self.gens = dict(ideal.generators if p is None else ideal.over(GF(p)).generators)
         self.tables: dict[int, list] = {}
 
     def _table(self, var: int, need: int):
@@ -184,7 +191,7 @@ def random_zero_test(r_eval, n: int, deg_bound: int, trials: int, rng: random.Ra
     trial misses a nonzero polynomial with probability at most deg_bound / S.
     """
     size = max(1, 100 * deg_bound)
-    if not isinstance(field, Rationals) and field.p <= size:
+    if field.p is not None and field.p <= size:
         raise ValueError(f"field GF({field.p}) smaller than sample set of size {size}")
     for _ in range(trials):
         point = [field(rng.randint(1, size)) for _ in range(n)]

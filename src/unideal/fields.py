@@ -1,10 +1,13 @@
 """Exact scalar arithmetic: arbitrary-precision rationals and prime residue fields.
 
-Every algebraic computation in this package runs over one of two scalar kinds:
-`fractions.Fraction` for the rationals and `Mod` for a prime field.  A field is
-represented by the singleton `QQ` or by `GF(p)`; both are callables that coerce
-integers and rationals into scalars of the right kind.  No floating point is
-used anywhere in the algebraic core.
+A field is the singleton `QQ` or `GF(p)`, and the caller states it: nothing
+in this package infers a field from the type of its scalars.  Both are
+callables that map integers and rationals into the field once, at an API
+boundary (`QQ` to `fractions.Fraction`, rejecting a `Mod`; `GF(p)` to `Mod`).
+`field.p` (None for QQ) is the one bridge to the residue kernels, which work
+on plain ints in [0, p) mapped by `residue`; `Mod` is the type of values
+handed back to callers.  No floating point is used anywhere in the algebraic
+core.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "Scalar",
     "is_probable_prime",
     "random_prime",
-    "field_of",
     "residue",
 ]
 
@@ -112,18 +114,9 @@ class Mod:
         self.p = p
 
     def _lift(self, other):
-        # Returns the residue of `other` in this field, or None.
-        if isinstance(other, Mod):
-            if other.p != self.p:
-                raise FieldMismatch(f"mixed moduli {self.p} and {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        if isinstance(other, Fraction):
-            den = other.denominator % self.p
-            if den == 0:
-                raise FieldMismatch(f"denominator of {other} vanishes mod {self.p}")
-            return other.numerator * pow(den, self.p - 2, self.p) % self.p
+        # The residue of `other` in this field, or None for a foreign type.
+        if isinstance(other, (int, Fraction, Mod)):
+            return residue(other, self.p)
         return None
 
     def __add__(self, other):
@@ -201,8 +194,11 @@ class Rationals:
     """The field Q; scalars are fractions.Fraction."""
 
     char = 0
+    p = None
 
     def __call__(self, x) -> Fraction:
+        if isinstance(x, Mod):
+            raise FieldMismatch(f"{x!r} is not a rational")
         return Fraction(x)
 
     @property
@@ -239,15 +235,7 @@ class PrimeField:
         self.char = p
 
     def __call__(self, x) -> Mod:
-        if isinstance(x, Mod):
-            if x.p != self.p:
-                raise FieldMismatch(f"mixed moduli {self.p} and {x.p}")
-            return x
-        if isinstance(x, int):
-            return Mod(x, self.p)
-        if isinstance(x, Fraction):
-            return Mod(0, self.p) + x
-        raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
+        return Mod(residue(x, self.p), self.p)
 
     @property
     def zero(self) -> Mod:
@@ -282,14 +270,3 @@ def GF(p: int) -> PrimeField:
 
 
 Scalar = Union[Fraction, Mod]
-
-Field = Union[Rationals, PrimeField]
-
-
-def field_of(x: Scalar) -> Field:
-    """The field a scalar belongs to."""
-    if isinstance(x, Mod):
-        return GF(x.p)
-    if isinstance(x, (Fraction, int)):
-        return QQ
-    raise TypeError(f"not a scalar: {x!r}")

@@ -22,10 +22,11 @@ of the circuit over power series truncated after t^j
 (`circuits.homogeneous_part_eval`), which works over any field.  Only the
 Fischer construction has a field condition: characteristic 0 or > ceil(1.5j).
 
-Evaluations run modulo fresh random 64-bit primes, on plain-int residues, so
-that circuits over the integers whose values are doubly exponential stay
-cheap; a nonzero value modulo any prime certifies nonmembership, so that side
-of the answer is never wrong.
+Evaluations run modulo fresh random 64-bit primes, on plain-int residues
+(no field object is built for a drawn prime), so that circuits over the
+integers whose values are doubly exponential stay cheap; a nonzero value
+modulo any prime certifies nonmembership, so that side of the answer is
+never wrong.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuits import Circuit, Const, DiagonalCircuit, Linear, homogeneous_part_eval, power_decompose_product
+from .circuits import Circuit, DiagonalCircuit, homogeneous_part_eval, map_scalars, power_decompose_product
 from .division import UnivariateIdeal
-from .fields import GF, Mod, random_prime, residue
+from .fields import random_prime, residue
 from .linalg import LinearForm
 from .poly import UnivariatePoly
 
@@ -80,19 +81,18 @@ class PowerIdealSpec:
         return UnivariateIdeal(tuple(gens))
 
 
-def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point):
+def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point, p: int | None = None):
     """(f o^s D)(point) for f computed by `c`, via the closed per-summand form.
 
-    A point of `Mod`s is worked on as plain-int residues: the point, the
-    circuit's scalars and the summands are mapped through `residue` once, and
-    only the sum comes back as a `Mod`.  Any other point stays exact.
+    `p=None` keeps exact scalars and returns a Fraction.  An int `p` works on
+    plain-int residues: the point, the circuit's scalars and the summands are
+    mapped through `residue` once, and the value is a residue in [0, p).
     """
     if d.n != c.n:
         raise ValueError("variable count mismatch between circuit and diagonal circuit")
-    p = point[0].p if len(point) and isinstance(point[0], Mod) else None
     coerce = (lambda x: x) if p is None else (lambda x: residue(x, p))
     if p is not None:
-        c = _residue_circuit(c, p)
+        c = map_scalars(c, coerce)
     point = [coerce(b) for b in point]
     k = d.degree
     total = 0
@@ -100,20 +100,7 @@ def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point):
         scaled = [coerce(coerce(l) * b) for l, b in zip(form.coeffs, point)]
         total += coerce(coef) * homogeneous_part_eval(c, k, scaled, p)
     total *= math.factorial(k)
-    return Fraction(total) if p is None else Mod(total, p)
-
-
-def _residue_circuit(c: Circuit, p: int) -> Circuit:
-    """`c` with its constants and linear-gate coefficients mapped into [0, p)."""
-    nodes = []
-    for node in c.nodes:
-        if isinstance(node, Const):
-            node = Const(residue(node.value, p))
-        elif isinstance(node, Linear):
-            form = node.form
-            node = Linear(LinearForm(tuple(residue(x, p) for x in form.coeffs), residue(form.const, p)))
-        nodes.append(node)
-    return Circuit(c.n, nodes, c.out)
+    return Fraction(total) if p is None else total % p
 
 
 def _color_count(k: int) -> int:
@@ -201,9 +188,8 @@ def membership_powers(
         for _ in range(zt_trials):
             for _attempt in range(4):  # fresh prime redraws on a zero result
                 p = random_prime(prime_bits, rng)
-                field = GF(p)
-                point = [field(rng.randrange(1, p)) for _ in range(n)]
-                if scaled_hadamard_eval(c, dj, point):
+                point = [rng.randrange(1, p) for _ in range(n)]
+                if scaled_hadamard_eval(c, dj, point, p):
                     return True
     return False
 

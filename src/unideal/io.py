@@ -49,7 +49,10 @@ __all__ = [
 
 
 def parse_scalar(tok: str) -> Fraction:
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok!r}") from None
 
 
 def format_scalar(x) -> str:
@@ -78,6 +81,8 @@ def parse_point(text: str):
 def _parse_lin_tokens(toks, n):
     if "+" in toks:
         at = toks.index("+")
+        if at != len(toks) - 2:
+            raise ValueError('a linear form ends in "+ c0"')
         coeffs = toks[:at]
         const = parse_scalar(toks[at + 1])
     else:
@@ -94,14 +99,17 @@ def parse_circuit(text: str) -> Circuit:
 
 
 def _parse_circuit_lines(lines) -> Circuit:
-    if not lines or not lines[0].startswith("vars"):
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "vars":
         raise ValueError('circuit file must start with "vars n"')
-    n = int(lines[0].split()[1])
+    n = int(head[1])
     nodes = []
     out = None
     for line in lines[1:]:
         toks = line.split()
         kind = toks[0]
+        if kind in ("in", "const", "out") and len(toks) != 2:
+            raise ValueError(f'"{kind}" takes one argument: {line}')
         if kind == "in":
             nodes.append(Input(int(toks[1])))
         elif kind == "const":
@@ -145,7 +153,7 @@ def parse_ideal(text: str) -> UnivariateIdeal:
     gens = []
     for line in _content_lines(text):
         toks = line.split()
-        if toks[0] != "var" or toks[2] != ":":
+        if len(toks) < 3 or toks[0] != "var" or toks[2] != ":":
             raise ValueError(f'ideal line must look like "var i : c0 c1 ...": {line}')
         var = int(toks[1])
         coeffs = [parse_scalar(t) for t in toks[3:]]
@@ -216,7 +224,7 @@ def parse_certificate(text: str) -> Certificate:
     values = []
     for line in _content_lines(text):
         re_tok, im_tok = line.split()
-        values.append(GaussianRational(Fraction(re_tok), Fraction(im_tok)))
+        values.append(GaussianRational(parse_scalar(re_tok), parse_scalar(im_tok)))
     return Certificate(tuple(values))
 
 

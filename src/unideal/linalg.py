@@ -7,7 +7,9 @@ relies on), `suffix_pivots` (one right-to-left column elimination whose
 pivots give a column basis of every suffix m[:, c:] at once, so that
 transform solves each level on at most nrows columns) and
 `congruence_diagonalize` (Q A Q^T = D for symmetric A, valid in
-characteristic != 2).
+characteristic != 2).  The scalars are those of the caller's field; where a
+routine needs a one or a zero that no division reaches it uses the int
+literals, and the one routine that needs the field itself takes it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import Scalar
+from .fields import QQ, Scalar
 
 __all__ = [
     "LinearForm",
@@ -58,8 +60,8 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def identity(cls, n: int, one=Fraction(1), zero=Fraction(0)) -> "Matrix":
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -104,15 +106,12 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
         n = self.nrows
-        if n == 0:
-            return Fraction(1)
         a = [list(r) for r in self.rows]
-        det = a[0][0] - a[0][0] + 1  # one in the ambient field
+        det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
-                zero = a[0][0] - a[0][0]
-                return zero
+                return 0
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
                 det = -det
@@ -128,9 +127,9 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        one = _one_like(self.rows[0][0]) if n else Fraction(1)
-        zero = one - one
-        a = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(self.rows)]
+        # The identity half turns into field scalars: every row is scaled by
+        # its pivot's inverse.
+        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
@@ -157,10 +156,6 @@ def _dot(u, v) -> Scalar:
     return acc
 
 
-def _one_like(x) -> Scalar:
-    return x - x + 1
-
-
 def rank_and_row_basis(m: Matrix):
     """Rank, a row-subset basis of the row space, and coordinates.
 
@@ -172,13 +167,12 @@ def rank_and_row_basis(m: Matrix):
         return 0, [], Matrix([])
     if m.ncols == 0:
         return 0, [], Matrix([[] for _ in m.rows])
-    zero = m.rows[0][0] - m.rows[0][0]
     echelon: list[tuple[list, int, list]] = []  # (vector, pivot col, combo over basis)
     basis_rows: list[tuple] = []
     coords: list[list] = []
     for row in m.rows:
         vec = list(row)
-        combo = [zero] * len(basis_rows)
+        combo = [0] * len(basis_rows)
         for evec, piv, ecombo in echelon:
             if vec[piv]:
                 f = vec[piv] / evec[piv]
@@ -189,14 +183,14 @@ def rank_and_row_basis(m: Matrix):
         if piv is None:
             coords.append(combo)
         else:
-            new_combo = [-c for c in combo] + [_one_like(vec[piv])]
+            new_combo = [-c for c in combo] + [1]
             for entry in echelon:
-                entry[2].append(zero)
+                entry[2].append(0)
             echelon.append((vec, piv, new_combo))
             basis_rows.append(row)
-            coords.append([zero] * len(basis_rows[:-1]) + [_one_like(vec[piv])])
+            coords.append([0] * len(basis_rows[:-1]) + [1])
     rank = len(basis_rows)
-    coords = [list(c) + [zero] * (rank - len(c)) for c in coords]
+    coords = [list(c) + [0] * (rank - len(c)) for c in coords]
     basis = [LinearForm(r) for r in basis_rows]
     return rank, basis, Matrix(coords)
 
@@ -229,25 +223,25 @@ def suffix_pivots(m: Matrix) -> list:
     return pivots
 
 
-def congruence_diagonalize(a: Matrix):
-    """Invertible Q and diagonal D with Q * A * Q^T == D, exactly.
+def congruence_diagonalize(a: Matrix, field=QQ):
+    """Invertible Q and diagonal D with Q * A * Q^T == D, exactly, over `field`.
 
     Symmetric Gaussian elimination: the same row operation is applied to rows
     and columns.  A zero diagonal pivot with a nonzero entry below it is fixed
     by adding row/column j to row/column i, which requires characteristic
     different from 2.  The number of nonzero diagonal entries of D equals
-    rank(A).
+    rank(A).  The entries of A are mapped into `field`, and Q and D hold
+    field scalars, so Q can be inverted without an int reaching a division.
     """
     if not a.is_symmetric():
         raise ValueError("matrix is not symmetric")
+    if field.char == 2:
+        raise ValueError("characteristic 2 is not supported")
     n = a.nrows
     if n == 0:
         return Matrix([]), Matrix([])
-    one = _one_like(a.rows[0][0])
-    if one + one == one - one:
-        raise ValueError("characteristic 2 is not supported")
-    zero = one - one
-    m = [list(r) for r in a.rows]
+    one, zero = field.one, field.zero
+    m = [[field(x) for x in r] for r in a.rows]
     q = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     def add_row_col(i, j, f):

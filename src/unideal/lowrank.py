@@ -26,10 +26,11 @@ so `RemEvaluator` computes them once (the splits in O(r^2 n + depth r^3)
 scalar operations) and each `eval` runs steps 2-4 from the second level on;
 `rem_eval` is the one-shot wrapper.
 
-The evaluator works over Q or over GF(p).  Over GF(p) the split (step 1)
-still runs in the input's own scalars; its output, the level-0 expansion and
-the reducers are mapped to plain-int residues once, and every `eval` walks
-on residue polynomials (see `poly.SparsePoly`).
+The evaluator works over the field the caller states, QQ or GF(p).  Every
+input scalar is mapped into it once, at construction, and the split (step 1)
+runs on field scalars.  Over GF(p) its output, the level-0 expansion and the
+reducers are plain-int residues, and every `eval` walks on residue
+polynomials (see `poly.SparsePoly`).
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
+from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, map_scalars
 from .division import UnivariateIdeal, _Reducer
-from .fields import QQ, FieldMismatch, field_of
+from .fields import QQ, residue
 from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
 from .poly import SparsePoly
 
@@ -93,24 +95,24 @@ class RemEvaluator:
     substitute the point's consumed coordinates.  Every product is capped at
     (d+1)^(2r) terms.
 
-    `field` is QQ or a `fields.GF(p)`; None takes the field of the input
-    scalars (GF(p) when any of them is a `Mod`, else QQ).  Over GF(p) the
-    levels, the reducers and the expansion are mapped to residues at
-    construction, so a rational denominator or generator leading
-    coefficient that vanishes mod p raises FieldMismatch here, and `eval`
-    returns a `Mod`.  Over QQ `eval` is exact.
+    `field` is QQ (the default) or a `fields.GF(p)`.  Every scalar of the
+    input (form coefficients and constants, generator coefficients, and the
+    outer circuit's constants and linear-gate coefficients) is mapped into it
+    here, so a scalar with no image there (a `Mod` under QQ, another
+    modulus, a denominator that vanishes mod p) or a generator leading
+    coefficient that vanishes mod p raises FieldMismatch.  Over GF(p) the
+    levels, the reducers and the expansion are residues and `eval` returns a
+    `Mod`; over QQ `eval` is exact.
     """
 
-    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=None):
-        self.inp = inp
-        self.ideal = ideal
-        found = _input_field(inp, ideal)
-        if field is None:
-            field = found
-        elif found != QQ and found != field:
-            raise FieldMismatch(f"{found} input evaluated over {field}")
+    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=QQ):
         self.field = field
-        self.p = None if field == QQ else field.p
+        self.p = field.p
+        # The outer circuit goes straight to the expansion's scalars.
+        outer = map_scalars(inp.outer, field if self.p is None else partial(residue, p=self.p))
+        forms = tuple(LinearForm(tuple(map(field, f.coeffs)), field(f.const)) for f in inp.forms)
+        self.inp = inp = LowRankInput(outer, forms, inp.degree_bound)
+        self.ideal = ideal = ideal.over(field)
         n = inp.n
         support = set()
         for f in inp.forms:
@@ -206,25 +208,7 @@ class RemEvaluator:
             g = g.substitute_prefix(lvl.s, alpha[lvl.offset : lvl.offset + lvl.s])
         if g.n != 0:
             raise AssertionError("recursion left live variables")
-        c = g.terms.get(())
-        if c is None:
-            return self.field.zero
-        return c if self.p is None else self.field(c)
-
-
-def _input_field(inp: LowRankInput, ideal: UnivariateIdeal):
-    """GF(p) when some scalar of the input is a `Mod`, else QQ."""
-    scalars = [c for f in inp.forms for c in (*f.coeffs, f.const)]
-    scalars += [c for _, p in ideal.generators for c in p.coeffs]
-    for node in inp.outer.nodes:
-        if isinstance(node, Const):
-            scalars.append(node.value)
-        elif isinstance(node, Linear):
-            scalars += [*node.form.coeffs, node.form.const]
-    found = {field_of(c) for c in scalars} - {QQ}
-    if len(found) > 1:
-        raise FieldMismatch(f"input scalars from {sorted(map(repr, found))}")
-    return found.pop() if found else QQ
+        return self.field(g.terms.get((), 0))
 
 
 def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePoly:
@@ -254,14 +238,13 @@ def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePo
     return result
 
 
-def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha):
+def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha, field=QQ):
     """Evaluate the unique remainder of the composed polynomial at alpha.
 
     Equal to divide(expand(f), ideal) evaluated at alpha, in time
-    d^O(r) * poly(n) instead of the cost of the full expansion; over the
-    field of the input scalars.
+    d^O(r) * poly(n) instead of the cost of the full expansion; over `field`.
     """
-    return RemEvaluator(inp, ideal).eval(alpha)
+    return RemEvaluator(inp, ideal, field).eval(alpha)
 
 
 def inline_forms(inp: LowRankInput) -> Circuit:

@@ -2,11 +2,12 @@
 
 SparsePoly maps exponent vectors (tuples of length n) to nonzero coefficients.
 Its modulus `p` says which field they live in: with p = None they are exact
-scalars (Fraction, or Mod for a prime field) and every operation is exact
-arithmetic on them; with an int p they are plain ints in [0, p), the residues
-mod p.  A residue polynomial accumulates products and sums as unreduced ints
-and reduces each output term mod p once, at the end of the operation, so the
-inner loops never normalize a Fraction or build a Mod.  Scalars entering a
+scalars of the caller's field (Fraction, or Mod for a prime field) and every
+operation is exact arithmetic on them; with an int p they are plain ints in
+[0, p), the residues mod p.  A residue polynomial accumulates products and
+sums as unreduced ints and reduces each output term mod p once, at the end
+of the operation, so the inner loops never normalize a Fraction or build a
+Mod.  Scalars entering a
 residue polynomial are mapped by `fields.residue`; a denominator that
 vanishes mod p, or two polynomials with different moduli, raise FieldMismatch.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .fields import FieldMismatch, field_of, residue
+from .fields import FieldMismatch, residue
 from .linalg import Matrix
 
 __all__ = [
@@ -97,10 +98,10 @@ class SparsePoly:
         return cls(n, {(0,) * n: c}, p)
 
     @classmethod
-    def variable(cls, n: int, i: int, one=Fraction(1)) -> "SparsePoly":
+    def variable(cls, n: int, i: int) -> "SparsePoly":
         e = [0] * n
         e[i] = 1
-        return cls(n, {tuple(e): one})
+        return cls(n, {tuple(e): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -195,23 +196,19 @@ class SparsePoly:
 
     def evaluate(self, point):
         """The value at `point`: a residue int for a residue polynomial,
-        else a scalar of the point's field."""
+        else a scalar of the point's field (the int 0 for the zero polynomial)."""
         if len(point) != self.n:
             raise ValueError("point length mismatch")
         p = self.p
         if p is not None:
             point = [residue(x, p) for x in point]
-        total = None
+        total = 0
         for e, c in self.terms.items():
             for x, exp in zip(point, e):
                 if exp:
                     c = c * pow(x, exp, p)
-            total = c if total is None else total + c
-        if p is not None:
-            return 0 if total is None else total % p
-        if total is None:
-            return field_of(point[0]).zero if point else Fraction(0)
-        return total
+            total = total + c
+        return total if p is None else total % p
 
     def substitute_prefix(self, s: int, values) -> "SparsePoly":
         """Evaluate variables 0..s-1 at `values`; remaining vars reindex to 0.."""
@@ -272,10 +269,6 @@ class UnivariatePoly:
     @classmethod
     def const(cls, c) -> "UnivariatePoly":
         return cls([c])
-
-    @classmethod
-    def x(cls, one=Fraction(1)) -> "UnivariatePoly":
-        return cls([one - one, one])
 
     @classmethod
     def from_roots(cls, roots) -> "UnivariatePoly":
@@ -391,17 +384,15 @@ def resultant(a: UnivariatePoly, b: UnivariatePoly):
         return a.coeffs[0] ** db
     if db == 0:
         return b.coeffs[0] ** da
-    one = _field_one(a.coeffs[0])
-    zero = one - one
     size = da + db
     rows = []
     for i in range(db):
-        row = [zero] * size
+        row = [0] * size
         for j, c in enumerate(reversed(a.coeffs)):
             row[i + j] = c
         rows.append(row)
     for i in range(da):
-        row = [zero] * size
+        row = [0] * size
         for j, c in enumerate(reversed(b.coeffs)):
             row[i + j] = c
         rows.append(row)
@@ -414,21 +405,22 @@ def discriminant(p: UnivariatePoly):
     if d < 1:
         raise ValueError("discriminant needs degree >= 1")
     if d == 1:
-        return _field_one(p.coeffs[0])
+        return 1
     r = resultant(p, p.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * r / p.lc()
 
 
 def charpoly(m: Matrix) -> UnivariatePoly:
-    """det(w*I - M), monic, by exact Hessenberg reduction plus the minor recurrence."""
+    """det(w*I - M), monic, by exact Hessenberg reduction plus the minor recurrence.
+
+    The leading coefficient is Fraction(1), which a `Mod` absorbs, so
+    `monic` and `divmod` never divide by an int; the others are scalars of
+    M's field.
+    """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of non-square matrix")
-    if n == 0:
-        return UnivariatePoly([Fraction(1)])
-    one = _field_one(m.rows[0][0])
-    zero = one - one
     h = [list(r) for r in m.rows]
     for col in range(n - 2):
         piv = next((r for r in range(col + 1, n) if h[r][col]), None)
@@ -445,18 +437,13 @@ def charpoly(m: Matrix) -> UnivariatePoly:
                 for t in range(n):
                     h[t][col + 1] = h[t][col + 1] + f * h[t][r]
     # p_m(w) = (w - h[m][m]) p_{m-1} - sum_i h[i][m] (prod subdiag) p_{i-1}
-    ps = [UnivariatePoly([one])]
+    ps = [UnivariatePoly([Fraction(1)])]
     for mm in range(n):
-        x_minus = UnivariatePoly([-h[mm][mm], one])
-        p = x_minus * ps[mm]
-        prod = one
+        p = UnivariatePoly((0,) + ps[mm].coeffs) - ps[mm].scale(h[mm][mm])
+        prod = 1
         for i in range(mm - 1, -1, -1):
             prod = prod * h[i + 1][i]
             if h[i][mm] and prod:
                 p = p - ps[i].scale(h[i][mm] * prod)
         ps.append(p)
     return ps[n]
-
-
-def _field_one(x):
-    return x - x + 1

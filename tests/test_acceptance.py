@@ -82,7 +82,7 @@ def test_criterion_01_remainder_oracle_equivalence():
             )
             ideal_p = lift_ideal(ideal, g)
             alpha_p = [g(a) for a in alpha]
-            got_p = rem_eval(inp_p, ideal_p, alpha_p)
+            got_p = rem_eval(inp_p, ideal_p, alpha_p, g)
             assert got_p == oracle_poly.map_coeffs(g).evaluate(alpha_p)
             assert got_p == g(want)
     elapsed = time.perf_counter() - t0

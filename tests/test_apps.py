@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import permutation_permanent, random_low_rank_matrix
-from unideal import apps, poly
+from unideal import apps, fields
 from unideal.apps import (
     Graph,
     blowup_graph,
@@ -15,8 +15,9 @@ from unideal.apps import (
     ryser_permanent,
     vertex_cover_lowrank,
 )
+from unideal.circuits import Const
 from unideal.division import is_member_brute
-from unideal.fields import GF, QQ, FieldMismatch
+from unideal.fields import GF, QQ, FieldMismatch, Mod
 from unideal.linalg import Matrix
 from unideal.lowrank import inline_forms
 
@@ -70,6 +71,21 @@ def test_permanent_random_low_rank():
         assert permanent_lowrank(m) == ryser_permanent(m)
 
 
+@pytest.mark.parametrize("p", [2, 7, 10007])
+def test_permanent_over_prime_fields(p):
+    # The permanent is an integer polynomial in the entries, so over GF(p) it
+    # is the image of the rational one; GF(2) also exercises rank drops mod p.
+    g = GF(p)
+    rng = random.Random(p)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        a = random_low_rank_matrix(rng, n, rng.randint(1, min(3, n)))
+        a_p = Matrix([[g(x) for x in row] for row in a.rows])
+        got = permanent_lowrank(a_p, g)
+        assert isinstance(got, Mod) and got.p == p
+        assert got == ryser_permanent(a_p) == g(ryser_permanent(a))
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(2, ((0, 0),))
@@ -94,6 +110,17 @@ def test_vc_instance_empty_graph():
 def test_vc_instance_star_rank():
     inp, ideal, deg = build_vc_instance(K13, 1)
     assert len(inp.forms) <= 3  # quadratic rank 2 plus the size form
+
+
+def test_vc_instance_scalars_are_fractions():
+    # The forms come from inverting the congruence transform, whose int
+    # literals must never reach a division (1 / 1 is the float 1.0).
+    isolated = Graph.from_edges(5, [(0, 1), (1, 2)])
+    for g in (C4, K13, K2, isolated, blowup_graph(K2, [2, 3])):
+        inp, ideal, _ = build_vc_instance(g, 1)
+        scalars = [c for f in inp.forms for c in f.coeffs]
+        scalars += [node.value for node in inp.outer.nodes if isinstance(node, Const)]
+        assert scalars and all(type(c) is Fraction for c in scalars), g
 
 
 def test_vc_instance_k2_witnesses():
@@ -206,14 +233,14 @@ def test_vc_falls_back_to_qq_below_the_prime_precondition(monkeypatch):
 def test_vc_falls_back_to_qq_on_a_vanishing_denominator(monkeypatch):
     # A residue map under which every non-integer rational has a denominator
     # that vanishes mod p; the cover instances all carry such constants.
-    real = poly.residue
+    real = fields.residue
 
     def strict(x, p):
         if isinstance(x, Fraction) and x.denominator != 1:
             raise FieldMismatch(f"denominator of {x} vanishes mod {p}")
         return real(x, p)
 
-    monkeypatch.setattr(poly, "residue", strict)
+    monkeypatch.setattr(fields, "residue", strict)
     calls = field_spy(monkeypatch)
     for g in VC_FAMILY:
         for k in range(g.n + 1):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from unideal.fields import GF, QQ, FieldMismatch, Mod, field_of, is_probable_prime, random_prime
+from unideal.fields import GF, FieldMismatch, Mod, is_probable_prime, random_prime
 
 F = Fraction
 
@@ -96,11 +96,6 @@ def test_random_prime_has_requested_bits():
         p = random_prime(bits, rng)
         assert p.bit_length() == bits
         assert is_probable_prime(p)
-
-
-def test_field_of():
-    assert field_of(F(1)) is QQ
-    assert field_of(Mod(1, 13)) == GF(13)
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30))

@@ -239,6 +239,48 @@ def test_cli_process_exit_code_on_bad_trials(workdir):
     assert "Traceback" not in proc.stderr and "--trials must be at least 1" in proc.stderr
 
 
+MALFORMED = {
+    "matrix-zero-denominator": ("bad.txt", "1 1/0\n2 3\n", ["perm", "--matrix", "bad.txt"]),
+    "circuit-bare-vars": ("bad.txt", "vars\nin 0\nout 0\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
+    "circuit-out-without-id": ("bad.txt", "vars 1\nin 0\nout\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
+    "circuit-in-without-var": ("bad.txt", "vars 1\nin\nout 0\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
+    "circuit-dangling-plus": ("bad.txt", "vars 1\nlin 1 +\nout 0\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
+    "ideal-short-line": ("bad.txt", "var 0\n", ["member", "--circuit", "mlc.txt", "--ideal", "bad.txt"]),
+    "certificate-zero-denominator": (
+        "bad.txt", "1/0 0\n",
+        ["certify", "--circuit", "fx.txt", "--ideal", "ix.txt", "--verify", "bad.txt"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_input_exits_2(workdir, capsys, monkeypatch, name):
+    path, text, argv = MALFORMED[name]
+    (workdir / path).write_text(text)
+    monkeypatch.chdir(workdir)
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_cli_process_malformed_matrix_has_no_traceback(workdir):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import unideal
+
+    (workdir / "bad.txt").write_text("1 1/0\n2 3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(unideal.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unideal.cli", "perm", "--matrix", str(workdir / "bad.txt")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and "zero denominator" in proc.stderr
+
+
 def test_cli_rem_eval(workdir, capsys, tmp_path):
     lr = tmp_path / "lr.txt"
     lr.write_text("vars 1\nin 0\nmul 0 0\nout 1\nform 1 1\n")

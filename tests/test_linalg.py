@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from unideal.fields import GF
+from unideal.fields import GF, Mod
 from unideal.linalg import (
     Matrix,
     congruence_diagonalize,
@@ -124,15 +124,36 @@ def test_congruence_rejects_asymmetric_and_char2():
         congruence_diagonalize(frac_matrix([[0, 1], [2, 0]]))
     g = GF(2)
     with pytest.raises(ValueError):
-        congruence_diagonalize(Matrix([[g(0), g(1)], [g(1), g(0)]]))
+        congruence_diagonalize(Matrix([[g(0), g(1)], [g(1), g(0)]]), g)
 
 
 def test_congruence_works_in_odd_characteristic():
     g = GF(7)
     a = Matrix([[g(0), g(1)], [g(1), g(0)]])
-    q, d = congruence_diagonalize(a)
+    q, d = congruence_diagonalize(a, g)
     assert q * a * q.transpose() == d
     assert sum(1 for i in range(2) if d[i, i]) == 2
+
+
+def test_congruence_over_gf7_keeps_field_scalars():
+    # Q and D hold GF(7) scalars, also in rows the elimination never touches,
+    # so inverting Q never divides an int literal.
+    g = GF(7)
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        zero_row = rng.randrange(n + 1)  # n: no forced zero row
+        a = Matrix([
+            [g(0 if zero_row in (i, j) else base[i][j] + base[j][i]) for j in range(n)] for i in range(n)
+        ])
+        q, d = congruence_diagonalize(a, g)
+        assert q * a * q.transpose() == d
+        assert all(isinstance(x, Mod) and x.p == 7 for row in q.rows + d.rows for x in row)
+        assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
+        assert q.det() != 0
+        assert sum(1 for i in range(n) if d[i, i]) == a.rank()
+        assert q * q.inverse() == Matrix([[g(int(i == j)) for j in range(n)] for i in range(n)])
 
 
 def test_matrix_inverse_and_det():

@@ -114,8 +114,8 @@ def test_oracle_equivalence_prime_field():
         ideal_p = lift_ideal(ideal, g)
         alpha_p = [g(a) for a in alpha]
         want = divide(expand(inline_forms(inp_p)), ideal_p).evaluate(alpha_p)
-        ev = RemEvaluator(inp_p, ideal_p)
-        # Mod inputs run on the residue kernel, like field=GF(p).
+        ev = RemEvaluator(inp_p, ideal_p, g)
+        # Over GF(p) the evaluator walks on the residue kernel.
         assert ev.field == g and ev._base.p == g.p
         got = ev.eval(alpha_p)
         assert got == want
@@ -150,6 +150,31 @@ def test_residue_evaluator_field_mismatch():
         RemEvaluator(lifted, ideal, GF(11))
     with pytest.raises(FieldMismatch):
         RemEvaluator(lifted, lift_ideal(ideal, GF(11)))
+
+
+def test_default_field_rejects_mod_scalars():
+    # The field is stated, never inferred from the scalars: under the default
+    # QQ a `Mod` in the outer circuit, the forms or the ideal raises.
+    g = GF(10007)
+    b = CircuitBuilder(2)
+    outer = b.build(b.mul(b.input(0), b.linear(LinearForm((F(1), F(2)), F(1))), b.const(F(3))))
+    forms = (LinearForm((F(1), F(2), F(0))), LinearForm((F(0), F(1), F(2)), F(1)))
+    inp = LowRankInput(outer, forms, 3)
+    ideal = square_ideal(3)
+    alpha = [F(1), F(2), F(3)]
+    assert RemEvaluator(inp, ideal).field == QQ
+    for lifted in (
+        LowRankInput(lift_circuit(outer, g), forms, 3),
+        LowRankInput(outer, lift_forms(forms, g), 3),
+        LowRankInput(lift_circuit(outer, g), lift_forms(forms, g), 3),
+    ):
+        with pytest.raises(FieldMismatch):
+            RemEvaluator(lifted, ideal)
+        with pytest.raises(FieldMismatch):
+            rem_eval(lifted, ideal, alpha)
+        assert rem_eval(lifted, ideal, alpha, g) == g(rem_eval(inp, ideal, alpha))
+    with pytest.raises(FieldMismatch):
+        RemEvaluator(inp, lift_ideal(ideal, g))
 
 
 def ideal_of_degrees(rng, n, lo, hi):
@@ -243,7 +268,7 @@ def test_prepared_levels_match_full_tail_elimination():
             b = CircuitBuilder(r)
             outer = b.build(b.mul(*[b.input(i) for i in range(r)]))
             inp = LowRankInput(outer, structured_forms(rng, r, n, field), r)
-            ev = RemEvaluator(inp, lift_ideal(ideal_of_degrees(rng, n, 1, 3), field))
+            ev = RemEvaluator(inp, lift_ideal(ideal_of_degrees(rng, n, 1, 3), field), field)
             want = reference_levels(inp, ev.p)
             assert len(ev.levels) == len(want)
             incoming = r
