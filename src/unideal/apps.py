@@ -125,33 +125,55 @@ def ryser_permanent(a: Matrix):
     return total
 
 
-def _permanent_input(a: Matrix):
+def _permanent_input(a: Matrix, field):
+    """The row product of `a` as a low-rank input, its rank, and a scale.
+
+    perm is linear in every row, so over QQ each row of `a` is first scaled by
+    the lcm of its denominators and then each row's coordinates in the basis
+    rows by the lcm of theirs: the forms and the outer circuit have integer
+    scalars and the walk runs on ints.  The input's remainder is `scale`
+    times perm(a); over GF(p) the scale is 1.
+    """
     n = a.nrows
+    scale = 1
+    if field.p is None:
+        rows = []
+        for row in a.rows:
+            m = math.lcm(*(x.denominator for x in row))
+            scale *= m
+            rows.append([x * m for x in row])
+        a = Matrix(rows)
     rank, basis, coords = rank_and_row_basis(a)
     b = CircuitBuilder(rank)
-    row_ids = [
-        b.linear(LinearForm(tuple(coords[i, j] for j in range(rank))))
-        for i in range(n)
-    ]
+    row_ids = []
+    for i in range(n):
+        row = [coords[i, j] for j in range(rank)]
+        if field.p is None:
+            m = math.lcm(*(x.denominator for x in row))
+            scale *= m
+            row = [x * m for x in row]
+        row_ids.append(b.linear(LinearForm(tuple(row))))
     outer = b.build(b.product(row_ids))
-    return LowRankInput(outer, tuple(basis), max(n, 1)), rank
+    return LowRankInput(outer, tuple(basis), max(n, 1)), rank, scale
 
 
 def permanent_lowrank(a: Matrix, field=QQ):
     """Permanent of a matrix over `field` via remainder evaluation; exact,
     n^O(rank) time.  Any field works: the remainder modulo <x_i^2> keeps the
-    multilinear part of the row product."""
+    multilinear part of the row product.  Over QQ the rows and their
+    coordinates are scaled to integers first and the scale divided out at
+    the end (see `_permanent_input`)."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("permanent of non-square matrix")
     if n == 0:
         return field.one
-    inp, rank = _permanent_input(Matrix([[field(x) for x in row] for row in a.rows]))
+    inp, rank, scale = _permanent_input(Matrix([[field(x) for x in row] for row in a.rows]), field)
     if rank == 0:  # zero matrix; every row product vanishes
         return field.zero
     square = UnivariatePoly([0, 0, 1])
     ideal = UnivariateIdeal(tuple((i, square) for i in range(n)))
-    return RemEvaluator(inp, ideal, field).eval([1] * n)
+    return RemEvaluator(inp, ideal, field).eval([1] * n) / scale
 
 
 def build_vc_instance(g: Graph, k: int, tight: bool = False):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, expand
 from .fields import GF, QQ, FieldMismatch
-from .poly import SparsePoly, UnivariatePoly, _acc, _mod_terms
+from .poly import SparsePoly, UnivariatePoly, _acc, _integral, _inverse, _mod_terms, _same_modulus
 
 __all__ = [
     "UnivariateIdeal",
@@ -68,9 +68,9 @@ def power_table(p: UnivariatePoly, max_e: int):
     """table[e] = x^e mod p(x) for e = 0..max_e, each of degree < deg(p)."""
     if p.degree() < 1:
         raise ValueError("modulus must be nonconstant")
-    one = p.lc() / p.lc()
+    inv_lead = _inverse(p.lc())
+    one = p.lc() * inv_lead
     table = [UnivariatePoly([one])]
-    inv_lead = 1 / p.lc()
     d = p.degree()
     for _ in range(max_e):
         prev = table[-1]
@@ -87,12 +87,18 @@ class _Reducer:
 
     With a modulus p it reduces residue polynomials: the generators are
     mapped into GF(p) once (`UnivariateIdeal.over`), and the tables hold
-    plain-int residues.
+    plain-int residues.  Without one the generators and the tables hold
+    exact scalars, each integral one as an int, so the tables of monic
+    integer generators are built on ints and reducing a polynomial with int
+    coefficients builds no Fraction.
     """
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
         self.p = p
-        self.gens = dict(ideal.generators if p is None else ideal.over(GF(p)).generators)
+        if p is None:
+            self.gens = {v: UnivariatePoly(map(_integral, g.coeffs)) for v, g in ideal.generators}
+        else:
+            self.gens = dict(ideal.over(GF(p)).generators)
         self.tables: dict[int, list] = {}
 
     def _table(self, var: int, need: int):
@@ -101,8 +107,58 @@ class _Reducer:
             rows = [r.coeffs for r in power_table(self.gens[var], need)]
             if self.p is not None:
                 rows = [tuple(c.value for c in r) for r in rows]
+            else:
+                rows = [tuple(map(_integral, r)) for r in rows]
             t = self.tables[var] = rows
         return t
+
+    def mul_affine(self, f: SparsePoly, h: SparsePoly, cap: int | None = None) -> SparsePoly:
+        """reduce(f.mul(h, cap=cap)) for a reduced f and an h of total degree
+        at most 1, in one pass over the pairs of terms.
+
+        A product of a reduced term of f and a term c * x_v of h can leave
+        the residue grid only in x_v, and only as x_v^deg(p_v), so it is
+        folded through the one table row x_v^deg(p_v) mod p_v as it forms;
+        the sums are reduced mod p once, at the end.  h need not be reduced.
+        When len(f) * len(h) exceeds `cap`, where `mul` may raise
+        CapExceeded partway, this is `reduce(f.mul(h, cap=cap))`, so it
+        raises exactly when `mul` would.
+        """
+        p = _same_modulus(f, h)
+        if any(sum(e) > 1 for e in h.terms):
+            raise ValueError("mul_affine multiplies by a form of total degree at most 1")
+        if cap is not None and len(f.terms) * len(h.terms) > cap:
+            return self.reduce(f.mul(h, cap=cap))
+        items = f.terms.items()
+        # The constant term of h maps f's distinct terms to distinct terms.
+        c0 = h.terms.get((0,) * f.n)
+        out = {} if c0 is None else {e1: c1 * c0 for e1, c1 in items}
+        get = out.get
+        for e, c2 in h.terms.items():
+            if not any(e):
+                continue
+            v = e.index(1)
+            top = fold = 0  # a variable without a generator never folds
+            if v in self.gens:
+                top = self.gens[v].degree()
+                fold = [(j, rc) for j, rc in enumerate(self._table(v, top)[top]) if rc]
+            for e1, c1 in items:
+                c = c1 * c2
+                e2 = list(e1)
+                k = e2[v] = e1[v] + 1
+                if k != top:
+                    e2 = tuple(e2)
+                    acc = get(e2)
+                    new = c if acc is None else acc + c
+                    if new:
+                        out[e2] = new
+                    elif acc is not None:
+                        del out[e2]
+                    continue
+                for j, rc in fold:
+                    e2[v] = j
+                    _acc(out, tuple(e2), c * rc)
+        return SparsePoly.raw(f.n, _mod_terms(out, p), p)
 
     def reduce(self, f: SparsePoly) -> SparsePoly:
         for var in sorted(self.gens):
@@ -155,7 +211,7 @@ def divide_with_quotients(f: SparsePoly, ideal: UnivariateIdeal):
         rem_table = power_table(p, top)
         # power_table steps x^(e+1) mod p = x * rem_table[e] - lead[e] * p, so
         # x^e = q_e * p + rem_table[e] with q_e = sum_{k<e} lead[k] * x^(e-1-k).
-        inv_lead = 1 / p.lc()
+        inv_lead = _inverse(p.lc())
         zero = inv_lead - inv_lead
         lead = [r.coeffs[-1] * inv_lead if r.degree() == d - 1 else zero for r in rem_table]
         out: dict = {}

@@ -172,6 +172,8 @@ def write_ideal(ideal: UnivariateIdeal) -> str:
 
 def parse_graph(text: str) -> Graph:
     lines = list(_content_lines(text))
+    if not lines:
+        raise ValueError('graph file must start with "n m"')
     n, m = (int(t) for t in lines[0].split())
     edges = []
     for line in lines[1 : m + 1]:
@@ -237,6 +239,8 @@ def write_certificate(cert: Certificate) -> str:
 
 def parse_klineq(text: str) -> KLinEqInstance:
     lines = list(_content_lines(text))
+    if len(lines) < 2:
+        raise ValueError('k-lin-eq file must start with "k n" and the line of b')
     k, n = (int(t) for t in lines[0].split())
     b = tuple(int(t) for t in lines[1].split())
     rows = tuple(tuple(int(t) for t in line.split()) for line in lines[2 : 2 + k])
@@ -253,6 +257,8 @@ def write_klineq(inst: KLinEqInstance) -> str:
 
 def parse_one_in_three(text: str) -> OneInThreeInstance:
     lines = list(_content_lines(text))
+    if not lines:
+        raise ValueError('one-in-three file must start with "v c"')
     v, c = (int(t) for t in lines[0].split())
     clauses = tuple(tuple(int(t) for t in line.split()) for line in lines[1 : c + 1])
     if len(clauses) != c:

@@ -30,7 +30,12 @@ The evaluator works over the field the caller states, QQ or GF(p).  Every
 input scalar is mapped into it once, at construction, and the split (step 1)
 runs on field scalars.  Over GF(p) its output, the level-0 expansion and the
 reducers are plain-int residues, and every `eval` walks on residue
-polynomials (see `poly.SparsePoly`).
+polynomials (see `poly.SparsePoly`).  Over QQ the walk holds every integral
+scalar as a Python int (the outer circuit's scalars, the hats, the reducer
+tables and the point) and only the others as Fractions, so an integral
+input with monic generators walks on ints alone.  Each product in the walk
+is a reduced polynomial times an affine form, formed and reduced in one
+pass by `division._Reducer.mul_affine`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, m
 from .division import UnivariateIdeal, _Reducer
 from .fields import QQ, residue
 from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
-from .poly import SparsePoly
+from .poly import SparsePoly, _integral
 
 __all__ = ["LowRankInput", "rem_eval", "RemEvaluator", "inline_forms"]
 
@@ -91,8 +96,9 @@ class RemEvaluator:
     most r pivot columns past its consumed variables: O(r^2 n + depth r^3)
     scalar operations in all.  It then expands the outer circuit over the
     first level's local variables with interleaved reduction.  Each `eval`
-    walks the levels: compose with the level's local forms, reduce,
-    substitute the point's consumed coordinates.  Every product is capped at
+    walks the levels: compose with the level's local forms, multiplying by
+    one affine hat and reducing in one pass per Horner step, then substitute
+    the point's consumed coordinates.  Every product is capped at
     (d+1)^(2r) terms.
 
     `field` is QQ (the default) or a `fields.GF(p)`.  Every scalar of the
@@ -102,14 +108,16 @@ class RemEvaluator:
     modulus, a denominator that vanishes mod p) or a generator leading
     coefficient that vanishes mod p raises FieldMismatch.  Over GF(p) the
     levels, the reducers and the expansion are residues and `eval` returns a
-    `Mod`; over QQ `eval` is exact.
+    `Mod`; over QQ they hold integral scalars as ints, the point is mapped
+    the same way, and `eval` returns the exact value as a Fraction.
     """
 
     def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=QQ):
         self.field = field
         self.p = field.p
+        self._scalar = scalar = _walk_scalar(field)
         # The outer circuit goes straight to the expansion's scalars.
-        outer = map_scalars(inp.outer, field if self.p is None else partial(residue, p=self.p))
+        outer = map_scalars(inp.outer, scalar)
         forms = tuple(LinearForm(tuple(map(field, f.coeffs)), field(f.const)) for f in inp.forms)
         self.inp = inp = LowRankInput(outer, forms, inp.degree_bound)
         self.ideal = ideal = ideal.over(field)
@@ -145,7 +153,7 @@ class RemEvaluator:
             lvl = self.levels[0]
             self._base = expand(inp.outer, self.cap, lvl.hats, lvl.reducer)
         else:
-            images = [SparsePoly.const(0, f.const, self.p) for f in inp.forms]
+            images = [SparsePoly.const(0, scalar(f.const), self.p) for f in inp.forms]
             self._base = expand(inp.outer, self.cap, images)
 
     def _prepare_level(self, rows, offset: int, gens, pivots) -> _Level:
@@ -167,6 +175,7 @@ class RemEvaluator:
             if len(residual_rows) < rank and row == basis[len(residual_rows)].coeffs:
                 residual_rows.append(i)
         w = s + rank
+        scalar = self._scalar
         hats = []
         for k, i in enumerate(rows):
             f = forms[i]
@@ -176,16 +185,16 @@ class RemEvaluator:
                 if c:
                     e = [0] * w
                     e[j] = 1
-                    terms[tuple(e)] = c
+                    terms[tuple(e)] = scalar(c)
             for j in range(rank):
                 g = coords[k, j]
                 if g:
                     e = [0] * w
                     e[s + j] = 1
-                    terms[tuple(e)] = g
+                    terms[tuple(e)] = scalar(g)
             # Only the input forms carry constants; deeper ones are rests.
             if offset == 0 and f.const:
-                terms[(0,) * w] = f.const
+                terms[(0,) * w] = scalar(f.const)
             hats.append(SparsePoly(w, terms, self.p))
         local_gens = {}
         for j in range(s):
@@ -201,6 +210,7 @@ class RemEvaluator:
         """(f mod I)(alpha), exactly over QQ, as a `Mod` over GF(p)."""
         if len(alpha) != self.inp.n:
             raise ValueError("point length mismatch")
+        alpha = [self._scalar(x) for x in alpha]
         g = self._base
         for idx, lvl in enumerate(self.levels):
             if idx > 0:
@@ -211,8 +221,17 @@ class RemEvaluator:
         return self.field(g.terms.get((), 0))
 
 
+def _walk_scalar(field):
+    """How the walk holds a scalar of `field`: as its residue over GF(p); over
+    QQ as an int when it is integral, else as a Fraction."""
+    if field.p is not None:
+        return partial(residue, p=field.p)
+    return lambda x: _integral(field(x))
+
+
 def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePoly:
-    """g(hat_1, ..., hat_m) with reduction interleaved (Horner per variable)."""
+    """g(hat_1, ..., hat_m) with reduction interleaved (Horner per variable);
+    each step multiplies a reduced polynomial by an affine hat."""
     m, p = g.n, g.p
     if m == 0:
         c = g.terms.get((), None)
@@ -232,7 +251,7 @@ def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePo
         if result is None:
             result = part if part is not None else SparsePoly.zero(w, p)
         else:
-            result = reducer.reduce(result.mul(h, cap=cap))
+            result = reducer.mul_affine(result, h, cap)
             if part is not None:
                 result = result + part
     return result

@@ -57,6 +57,19 @@ def _mod_terms(terms: dict, p) -> dict:
     return {e: r for e, c in terms.items() if (r := c % p)}
 
 
+def _inverse(c):
+    """1 / c, exactly: an int c gives an int (c = 1 or -1) or a Fraction,
+    never a float; a Fraction or a `Mod` gives one of its own kind."""
+    if type(c) is int:
+        return c if c in (1, -1) else Fraction(1, c)
+    return 1 / c
+
+
+def _integral(c):
+    """An integral Fraction as the int it equals; any other scalar as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _same_modulus(a: "SparsePoly", b: "SparsePoly"):
     if a.n != b.n:
         raise ValueError("variable count mismatch")
@@ -332,7 +345,7 @@ class UnivariatePoly:
         if dq < 0:
             return UnivariatePoly([]), UnivariatePoly(rem)
         quo = [rem[0] - rem[0]] * (dq + 1)
-        inv = 1 / other.lc()
+        inv = _inverse(other.lc())
         for i in range(dq, -1, -1):
             c = rem[i + other.degree()] * inv
             if c:
@@ -358,7 +371,7 @@ class UnivariatePoly:
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():
             return self
-        inv = 1 / self.lc()
+        inv = _inverse(self.lc())
         return UnivariatePoly([c * inv for c in self.coeffs])
 
     def __repr__(self):

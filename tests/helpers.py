@@ -162,3 +162,42 @@ def random_lowrank_instance(rng: random.Random, n_max=6, r_max=3, d_max=4):
     ideal = random_ideal(rng, n, d_max)
     alpha = [F(rng.randint(-4, 4)) for _ in range(n)]
     return inp, ideal, alpha
+
+
+def multiset_permanent(u, v):
+    """perm(U V) for U (n x r) and V (r x n), by multiset types.
+
+    Expanding every entry of U V as sum_t U[i][t] V[t][j] and grouping the
+    terms of the permutation sum by how often each t is used gives
+
+        perm(U V) = sum over m in N^r with |m| = n of
+                    prod_t m_t! * [y^m] prod_i (U_i . y) * [y^m] prod_j (V_{.j} . y),
+
+    an integer identity, so it holds over any field.  Plain dicts of
+    exponent tuples over the entries' own numbers, sharing no code with the
+    package: O(n * C(n+r-1, r-1) * r) operations where Ryser needs 2^n.
+    """
+    n, r = len(u), len(v)
+
+    def product_of_forms(rows):
+        poly = {(0,) * r: 1}
+        for row in rows:
+            nxt = {}
+            for e, c in poly.items():
+                for t, a in enumerate(row):
+                    if a:
+                        e2 = e[:t] + (e[t] + 1,) + e[t + 1 :]
+                        nxt[e2] = nxt.get(e2, 0) + c * a
+            poly = nxt
+        return poly
+
+    left = product_of_forms(u)
+    right = product_of_forms([[v[t][j] for t in range(r)] for j in range(n)])
+    total = 0
+    for m, c in left.items():
+        if m in right:
+            term = c * right[m]
+            for k in m:
+                term *= math.factorial(k)
+            total += term
+    return total

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import permutation_permanent, random_low_rank_matrix
+from helpers import multiset_permanent, permutation_permanent, random_low_rank_matrix
 from unideal import apps, fields
 from unideal.apps import (
     Graph,
@@ -69,6 +69,42 @@ def test_permanent_random_low_rank():
         r = rng.randint(1, min(3, n))
         m = random_low_rank_matrix(rng, n, r)
         assert permanent_lowrank(m) == ryser_permanent(m)
+
+
+def factors(rng, n, r, entries):
+    u = [[rng.choice(entries) for _ in range(r)] for _ in range(n)]
+    v = [[rng.choice(entries) for _ in range(n)] for _ in range(r)]
+    a = Matrix([[sum(F(u[i][t]) * v[t][j] for t in range(r)) for j in range(n)] for i in range(n)])
+    return u, v, a
+
+
+def test_multiset_oracle_matches_ryser():
+    rng = random.Random(20)
+    for n, r in [(1, 1), (5, 1), (8, 2), (7, 3), (6, 4)]:
+        u, v, a = factors(rng, n, r, (-2, -1, 0, 1, 2))
+        assert multiset_permanent(u, v) == ryser_permanent(a)
+
+
+@pytest.mark.parametrize("r, n", [(2, 24), (2, 30), (3, 16)])
+def test_permanent_past_ryser_matches_multiset_oracle(r, n):
+    # Sizes where n^O(r) matters and Ryser (n <= 20) cannot check the engine.
+    u, v, a = factors(random.Random(100 * r + n), n, r, (-2, -1, 1, 2))
+    assert a.rank() == r
+    assert permanent_lowrank(a) == multiset_permanent(u, v)
+
+
+def test_permanent_of_rational_matrix_matches_multiset_oracle():
+    # Rational entries and rational basis coordinates: the rows and their
+    # coordinates are scaled to integers, and the scale must be divided out.
+    rng = random.Random(21)
+    entries = (F(-3, 2), F(-1, 3), F(1, 4), F(2), F(5, 6))
+    for n, r in [(6, 2), (12, 2), (9, 3)]:
+        u, v, a = factors(rng, n, r, entries)
+        assert any(x.denominator > 1 for row in a.rows for x in row)
+        want = multiset_permanent(u, v)
+        assert permanent_lowrank(a) == want
+        if n <= 8:
+            assert ryser_permanent(a) == want
 
 
 @pytest.mark.parametrize("p", [2, 7, 10007])

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_ideal, random_sparse
 from unideal.circuits import CircuitBuilder, expand
 from unideal.division import (
     UnivariateIdeal,
+    _Reducer,
     divide,
     divide_with_quotients,
     is_member_brute,
@@ -210,3 +212,90 @@ def test_divide_annihilates_random_multiples():
         m = SparsePoly(2, {(rng.randint(0, 3), rng.randint(0, 3)): F(rng.randint(1, 5))})
         pv = SparsePoly(2, {(1, 0): F(-1), (2, 0): F(1)})
         assert divide(m * pv, ideal).is_zero()
+
+
+def test_int_leading_coefficients_divide_exactly():
+    # 1 / lc of an int leading coefficient is an exact Fraction (or the int
+    # itself for +-1), never a float.
+    ideal = UnivariateIdeal(((0, UnivariatePoly([1, 0, 3])),))
+    r = divide(SparsePoly(1, {(3,): F(1)}), ideal)
+    assert r == SparsePoly(1, {(1,): F(-1, 3)})
+    assert all(type(c) is F for c in r.terms.values())
+    table = power_table(UnivariatePoly([1, 0, 3]), 4)
+    assert table[2] == UnivariatePoly([F(-1, 3)]) and table[4] == UnivariatePoly([F(1, 9)])
+    assert all(type(c) in (int, F) for row in table for c in row.coeffs)
+    monic_table = power_table(UnivariatePoly([2, -1, 1]), 5)
+    assert all(type(c) is int for row in monic_table for c in row.coeffs)
+    assert UnivariatePoly([1, 2, 4]).monic().coeffs == (F(1, 4), F(1, 2), 1)
+    assert UnivariatePoly([3, -1]).monic().coeffs == (-3, 1)
+    q, rem = UnivariatePoly([1, 0, 0, 1]).divmod(UnivariatePoly([1, 2]))
+    assert q.coeffs == (F(1, 8), F(-1, 4), F(1, 2)) and rem.coeffs == (F(7, 8),)
+    f = SparsePoly(2, {(3, 1): F(2), (1, 2): F(1)})
+    rem, quotients = divide_with_quotients(f, UnivariateIdeal(((0, UnivariatePoly([1, 0, 3])),)))
+    assert all(type(c) is F for h in quotients.values() for c in h.terms.values())
+    assert rem == divide(f, UnivariateIdeal(((0, UnivariatePoly([1, 0, 3])),)))
+    back = rem + quotients[0] * SparsePoly(2, {(0, 0): 1, (2, 0): 3})
+    assert back == f
+
+
+# Fields of the fused-kernel check: QQ with int and with Fraction scalars, and
+# two residue kernels.
+AFFINE_FIELDS = {"qq-int": None, "qq-fraction": None, "gf7": 7, "gf-mersenne": 2**61 - 1}
+
+
+@st.composite
+def affine_products(draw):
+    kind = draw(st.sampled_from(sorted(AFFINE_FIELDS)))
+    p = AFFINE_FIELDS[kind]
+    n = draw(st.integers(1, 4))
+
+    def scalar(nonzero=False):
+        a = draw(st.integers(-4, 4).filter(bool) if nonzero else st.integers(-4, 4))
+        return F(a, draw(st.integers(1, 5))) if kind == "qq-fraction" else a
+
+    gens = {}
+    for v in range(n):
+        if v == 0 or draw(st.booleans()):
+            d = draw(st.integers(1, 4))
+            lc = draw(st.sampled_from([1, 1, -1, 2, 3]))
+            gens[v] = UnivariatePoly([scalar() for _ in range(d)] + [lc])
+    reducer = _Reducer(UnivariateIdeal.from_dict(gens), p)
+    exps = st.tuples(*[st.integers(0, 5)] * n)
+    f = SparsePoly(n, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=8)), p)
+    f = reducer.reduce(f.map_coeffs(lambda c: c * scalar(True)))
+    h = {}
+    for v in range(n):
+        if draw(st.booleans()):
+            h[tuple(int(j == v) for j in range(n))] = scalar(True)
+    if draw(st.booleans()):
+        h[(0,) * n] = scalar(True)
+    return reducer, f, SparsePoly(n, h, p), draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_products())
+def test_mul_affine_is_reduced_product(case):
+    reducer, f, h, cap = case
+    want = reducer.reduce(f.mul(h))
+    got = reducer.mul_affine(f, h)
+    assert got == want and got.p == h.p
+    assert all(type(c) is not float for c in got.terms.values())
+    try:
+        want = reducer.reduce(f.mul(h, cap=cap))
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            reducer.mul_affine(f, h, cap)
+    else:
+        assert reducer.mul_affine(f, h, cap) == want
+
+
+def test_mul_affine_edge_cases():
+    reducer = _Reducer(UnivariateIdeal(((0, boolean_gen()), (1, UnivariatePoly([1, 0, 2])))))
+    f = SparsePoly(2, {(1, 1): F(2), (0, 0): F(-1)})
+    h = SparsePoly(2, {(1, 0): F(1), (0, 1): F(3), (0, 0): F(5)})
+    assert reducer.mul_affine(SparsePoly.zero(2), h).is_zero()
+    assert reducer.mul_affine(f, SparsePoly.zero(2)).is_zero()
+    assert reducer.mul_affine(f, SparsePoly.const(2, F(4))) == f.scale(4)
+    assert reducer.mul_affine(f, h) == reducer.reduce(f.mul(h))
+    with pytest.raises(ValueError):
+        reducer.mul_affine(f, SparsePoly(2, {(1, 1): F(1)}))

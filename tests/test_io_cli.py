@@ -246,6 +246,10 @@ MALFORMED = {
     "circuit-in-without-var": ("bad.txt", "vars 1\nin\nout 0\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
     "circuit-dangling-plus": ("bad.txt", "vars 1\nlin 1 +\nout 0\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
     "ideal-short-line": ("bad.txt", "var 0\n", ["member", "--circuit", "mlc.txt", "--ideal", "bad.txt"]),
+    "graph-empty": ("bad.txt", "", ["vc", "--graph", "bad.txt", "--k", "1"]),
+    "klineq-empty": ("bad.txt", "# nothing\n", ["reduce", "klineq", "--in", "bad.txt"]),
+    "klineq-without-b": ("bad.txt", "1 2\n", ["reduce", "klineq", "--in", "bad.txt"]),
+    "one-in-three-empty": ("bad.txt", "\n", ["reduce", "one-in-three", "--in", "bad.txt"]),
     "certificate-zero-denominator": (
         "bad.txt", "1/0 0\n",
         ["certify", "--circuit", "fx.txt", "--ideal", "ix.txt", "--verify", "bad.txt"],
@@ -330,3 +334,21 @@ def test_selftest_clean():
     from unideal.selftest import run_selftest
 
     assert run_selftest(seed=7) == []
+
+
+def test_cli_process_empty_graph_has_no_traceback(workdir):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import unideal
+
+    (workdir / "empty.txt").write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(unideal.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unideal.cli", "vc", "--graph", str(workdir / "empty.txt"), "--k", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: graph file")

@@ -413,3 +413,51 @@ def test_rem_eval_matches_sympy_reduced():
             alpha = [F(rng.randint(-4, 4)) for _ in range(inp.n)]
             want = rem.subs(dict(zip(xs, [q(a) for a in alpha])))
             assert rem_eval(inp, ideal, alpha) == F(int(want.p), int(want.q))
+
+
+def test_integral_input_walks_on_ints():
+    # Over QQ an integral input with monic generators keeps its scalars as
+    # ints: the hats, the level-0 expansion and the reducer tables hold no
+    # Fraction and no float, and the value still comes back as a Fraction.
+    b = CircuitBuilder(2)
+    lin = b.linear(LinearForm((F(2), F(-1)), F(3)))
+    outer = b.build(b.add(b.mul(lin, b.input(0), b.input(1)), b.mul(b.input(1), b.input(1)), b.const(F(-5))))
+    forms = (LinearForm((F(1), F(2), F(-1), F(3), F(1), F(0)), F(2)),
+             LinearForm((F(0), F(1), F(2), F(-1), F(1), F(1))))
+    inp = LowRankInput(outer, forms, 3)
+    gens = [[F(2), F(-1), F(0), F(1)], [F(0), F(-1), F(1)], [F(-3), F(1), F(1), F(1)],
+            [F(1), F(0), F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(4), F(2), F(0), F(1)]]
+    ideal = UnivariateIdeal(tuple((v, UnivariatePoly(g)) for v, g in enumerate(gens)))
+    ev = RemEvaluator(inp, ideal)
+    remainder = divide(expand(inline_forms(inp)), ideal)
+    rng = random.Random(17)
+    for _ in range(5):
+        alpha = [F(rng.randint(-4, 4)) for _ in range(inp.n)]
+        got = ev.eval(alpha)
+        assert type(got) is F and got == remainder.evaluate(alpha)
+    assert ev.depth == 3
+    assert all(type(c) is int for c in ev._base.terms.values())
+    for lvl in ev.levels:
+        assert all(type(c) is int for hat in lvl.hats for c in hat.terms.values())
+        assert all(type(c) is int for g in lvl.reducer.gens.values() for c in g.coeffs)
+        rows = [c for t in lvl.reducer.tables.values() for row in t for c in row]
+        assert rows and all(type(c) is int for c in rows)
+
+
+def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
+    # expand-and-divide multiplies with `mul` and reduces with `reduce`
+    # only, so it checks the fused kernel rather than reusing it.
+    import unideal.division as division
+
+    rng = random.Random(22)
+    cases = [random_lowrank_instance(rng) for _ in range(12)]
+    want = [rem_eval(inp, ideal, alpha) for inp, ideal, alpha in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the remainder oracle called mul_affine")
+
+    monkeypatch.setattr(division._Reducer, "mul_affine", forbidden)
+    with pytest.raises(AssertionError):
+        rem_eval(*cases[0])
+    for (inp, ideal, alpha), value in zip(cases, want):
+        assert divide(expand(inline_forms(inp)), ideal).evaluate(alpha) == value
