@@ -125,6 +125,16 @@ def ryser_permanent(a: Matrix):
     return total
 
 
+def _integral_rows(rows):
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    scale, out = 1, []
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        scale *= m
+        out.append([x * m for x in row])
+    return out, scale
+
+
 def _permanent_input(a: Matrix, field):
     """The row product of `a` as a low-rank input, its rank, and a scale.
 
@@ -137,23 +147,15 @@ def _permanent_input(a: Matrix, field):
     n = a.nrows
     scale = 1
     if field.p is None:
-        rows = []
-        for row in a.rows:
-            m = math.lcm(*(x.denominator for x in row))
-            scale *= m
-            rows.append([x * m for x in row])
+        rows, scale = _integral_rows(a.rows)
         a = Matrix(rows)
     rank, basis, coords = rank_and_row_basis(a)
+    coord_rows = [[coords[i, j] for j in range(rank)] for i in range(n)]
+    if field.p is None:
+        coord_rows, coord_scale = _integral_rows(coord_rows)
+        scale *= coord_scale
     b = CircuitBuilder(rank)
-    row_ids = []
-    for i in range(n):
-        row = [coords[i, j] for j in range(rank)]
-        if field.p is None:
-            m = math.lcm(*(x.denominator for x in row))
-            scale *= m
-            row = [x * m for x in row]
-        row_ids.append(b.linear(LinearForm(tuple(row))))
-    outer = b.build(b.product(row_ids))
+    outer = b.build(b.product([b.linear(LinearForm(tuple(row))) for row in coord_rows]))
     return LowRankInput(outer, tuple(basis), max(n, 1)), rank, scale
 
 
