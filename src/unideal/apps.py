@@ -125,35 +125,24 @@ def ryser_permanent(a: Matrix):
     return total
 
 
-def _integral_rows(rows):
-    """Each row times the lcm of its denominators, and the product of those lcms."""
-    scale, out = 1, []
-    for row in rows:
-        m = math.lcm(*(x.denominator for x in row))
-        scale *= m
-        out.append([x * m for x in row])
-    return out, scale
-
-
 def _permanent_input(a: Matrix, field):
     """The row product of `a` as a low-rank input, its rank, and a scale.
 
-    perm is linear in every row, so over QQ each row of `a` is first scaled by
-    the lcm of its denominators and then each row's coordinates in the basis
-    rows by the lcm of theirs: the forms and the outer circuit have integer
-    scalars and the walk runs on ints.  The input's remainder is `scale`
-    times perm(a); over GF(p) the scale is 1.
+    perm is linear in every row, so over QQ each row's coordinates in the
+    basis rows are scaled by the lcm of their denominators: the outer
+    circuit has integer scalars, and for an integral `a` the walk runs on
+    ints.  The input's remainder is `scale` times perm(a); over GF(p) the
+    scale is 1.
     """
     n = a.nrows
-    scale = 1
-    if field.p is None:
-        rows, scale = _integral_rows(a.rows)
-        a = Matrix(rows)
     rank, basis, coords = rank_and_row_basis(a)
     coord_rows = [[coords[i, j] for j in range(rank)] for i in range(n)]
+    scale = 1
     if field.p is None:
-        coord_rows, coord_scale = _integral_rows(coord_rows)
-        scale *= coord_scale
+        for i, row in enumerate(coord_rows):
+            m = math.lcm(*(x.denominator for x in row))
+            scale *= m
+            coord_rows[i] = [x * m for x in row]
     b = CircuitBuilder(rank)
     outer = b.build(b.product([b.linear(LinearForm(tuple(row))) for row in coord_rows]))
     return LowRankInput(outer, tuple(basis), max(n, 1)), rank, scale
@@ -162,9 +151,9 @@ def _permanent_input(a: Matrix, field):
 def permanent_lowrank(a: Matrix, field=QQ):
     """Permanent of a matrix over `field` via remainder evaluation; exact,
     n^O(rank) time.  Any field works: the remainder modulo <x_i^2> keeps the
-    multilinear part of the row product.  Over QQ the rows and their
-    coordinates are scaled to integers first and the scale divided out at
-    the end (see `_permanent_input`)."""
+    multilinear part of the row product.  Over QQ the rows' coordinates are
+    scaled to integers first and the scale divided out at the end (see
+    `_permanent_input`)."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("permanent of non-square matrix")

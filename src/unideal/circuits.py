@@ -209,9 +209,9 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
     (`map_scalars`).  With a `reducer` (a `division._Reducer`) every product
     and linear gate is reduced as soon as it is formed, so intermediate term
     counts stay within the residue grid and the result is the unique
-    remainder; a product by a factor of total degree at most 1 (an image
-    form, or one shifted by a constant) is formed and reduced in one pass
-    by `reducer.mul_affine`.
+    remainder; products go through `reducer.mul_affine`, which forms and
+    reduces a product by a factor of total degree at most 1 (an image form,
+    or one shifted by a constant) in one pass.
     """
     n = c.n if images is None else (images[0].n if images else 0)
     p = images[0].p if images else None
@@ -219,7 +219,7 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
     vals: list = [None] * len(c.nodes)
     for i, node in enumerate(c.nodes):
         if isinstance(node, Input):
-            vals[i] = SparsePoly.variable(n, node.var) if images is None else reduce(images[node.var])
+            vals[i] = reduce(SparsePoly.variable(n, node.var) if images is None else images[node.var])
         elif isinstance(node, Const):
             vals[i] = SparsePoly.const(n, node.value, p)
         elif isinstance(node, Add):
@@ -232,11 +232,10 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
         elif isinstance(node, Mul):
             acc = vals[node.children[0]]
             for ch in node.children[1:]:
-                factor = vals[ch]
-                if reducer is not None and all(sum(e) <= 1 for e in factor.terms):
-                    acc = reducer.mul_affine(acc, factor, monomial_cap)
+                if reducer is None:
+                    acc = acc.mul(vals[ch], cap=monomial_cap)
                 else:
-                    acc = reduce(acc.mul(factor, cap=monomial_cap))
+                    acc = reducer.mul_affine(acc, vals[ch], monomial_cap)
             vals[i] = acc
         else:
             # One dict pass over the images, so a gate over plain variables

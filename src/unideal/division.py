@@ -87,18 +87,14 @@ class _Reducer:
 
     With a modulus p it reduces residue polynomials: the generators are
     mapped into GF(p) once (`UnivariateIdeal.over`), and the tables hold
-    plain-int residues.  Without one the generators and the tables hold
-    exact scalars, each integral one as an int, so the tables of monic
-    integer generators are built on ints and reducing a polynomial with int
-    coefficients builds no Fraction.
+    plain-int residues.  Without one the tables hold exact scalars, each
+    integral one as an int, so the tables of monic integer generators hold
+    ints and reducing a polynomial with int coefficients builds no Fraction.
     """
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
         self.p = p
-        if p is None:
-            self.gens = {v: UnivariatePoly(map(_integral, g.coeffs)) for v, g in ideal.generators}
-        else:
-            self.gens = dict(ideal.over(GF(p)).generators)
+        self.gens = dict(ideal.generators if p is None else ideal.over(GF(p)).generators)
         self.tables: dict[int, list] = {}
 
     def _table(self, var: int, need: int):
@@ -113,21 +109,19 @@ class _Reducer:
         return t
 
     def mul_affine(self, f: SparsePoly, h: SparsePoly, cap: int | None = None) -> SparsePoly:
-        """reduce(f.mul(h, cap=cap)) for a reduced f and an h of total degree
-        at most 1, in one pass over the pairs of terms.
+        """reduce(f.mul(h, cap=cap)) for a reduced f.
 
-        A product of a reduced term of f and a term c * x_v of h can leave
-        the residue grid only in x_v, and only as x_v^deg(p_v), so it is
-        folded through the one table row x_v^deg(p_v) mod p_v as it forms;
-        the sums are reduced mod p once, at the end.  h need not be reduced.
-        When len(f) * len(h) exceeds `cap`, where `mul` may raise
-        CapExceeded partway, this is `reduce(f.mul(h, cap=cap))`, so it
-        raises exactly when `mul` would.
+        When h has total degree at most 1 this is one pass over the pairs of
+        terms: a product of a reduced term of f and a term c * x_v of h can
+        leave the residue grid only in x_v, and only as x_v^deg(p_v), so it
+        is folded through the one table row x_v^deg(p_v) mod p_v as it
+        forms; the sums are reduced mod p once, at the end.  h need not be
+        reduced.  For any other h, and when len(f) * len(h) exceeds `cap`
+        (where `mul` may raise CapExceeded partway), this is
+        `reduce(f.mul(h, cap=cap))`, so it raises exactly when `mul` would.
         """
         p = _same_modulus(f, h)
-        if any(sum(e) > 1 for e in h.terms):
-            raise ValueError("mul_affine multiplies by a form of total degree at most 1")
-        if cap is not None and len(f.terms) * len(h.terms) > cap:
+        if (cap is not None and len(f.terms) * len(h.terms) > cap) or any(sum(e) > 1 for e in h.terms):
             return self.reduce(f.mul(h, cap=cap))
         items = f.terms.items()
         # The constant term of h maps f's distinct terms to distinct terms.

@@ -297,5 +297,17 @@ def test_mul_affine_edge_cases():
     assert reducer.mul_affine(f, SparsePoly.zero(2)).is_zero()
     assert reducer.mul_affine(f, SparsePoly.const(2, F(4))) == f.scale(4)
     assert reducer.mul_affine(f, h) == reducer.reduce(f.mul(h))
-    with pytest.raises(ValueError):
-        reducer.mul_affine(f, SparsePoly(2, {(1, 1): F(1)}))
+    # A non-affine h falls back to multiplying and reducing.
+    quadratic = SparsePoly(2, {(1, 1): F(1), (0, 2): F(-3), (1, 0): F(2)})
+    assert reducer.mul_affine(f, quadratic) == reducer.reduce(f.mul(quadratic))
+
+
+def test_expand_with_reducer_reduces_plain_inputs():
+    # Without images the inputs are the variables themselves; x0 is not
+    # reduced mod x0 - 1 until expand reduces it, so Mul(x0, x1) is x1.
+    b = CircuitBuilder(2)
+    c = b.build(b.mul(b.input(0), b.input(1)))
+    ideal = UnivariateIdeal(((0, UnivariatePoly([F(-1), F(1)])), (1, boolean_gen())))
+    want = divide(expand(c), ideal)
+    assert want == SparsePoly.variable(2, 1)
+    assert expand(c, reducer=_Reducer(ideal)) == want
