@@ -33,7 +33,6 @@ from .circuits import (
 from .division import (
     UnivariateIdeal,
     divide,
-    divide_with_quotients,
     is_member_brute,
     power_table,
     random_zero_test,

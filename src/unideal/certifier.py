@@ -3,22 +3,27 @@
 If every p_i is squarefree, f lies in <p_1(x_1), ..., p_n(x_n)> exactly when
 it vanishes on the grid of root tuples.  A nonmembership witness is therefore
 a root tuple where f does not vanish, and it can be communicated with finite
-precision: the verifier accepts a tuple of Gaussian rationals when (a) each
-component is certifiably close to some root of its generator (the residual
-test |p_i(a_i)| < 2^-L eps^d, which is sound by the factorized lower bound
-|p(z)| >= |lc| * dist^deg) and (b) |f(tuple)| >= 2M, where M is a precomputed
-threshold separating members from nonmembers:
+precision: the verifier accepts a tuple z of Gaussian rationals when (a) each
+component is certifiably within eps of some root of its generator (the
+residual test |p_i(z_i)| < 2^-L eps^d, which is sound by the factorized lower
+bound |p(z)| >= |lc| * dist^deg) and (b) |f(z)| >= 2M, where M is a
+precomputed threshold separating members from nonmembers.
 
-    f in I  -> every near-root tuple gives |f| <= eps * B2 <= M,
-    f not in I -> some tuple gives |f| >= 3M - eps*(B4 + B2) >= 2M.
+One bound gives the gap.  With eps <= 1, every accepted z lies within eps of
+a root tuple a in each coordinate, so z stays inside the boxes |z_i| <= (root
+bound of p_i) + 1, and |f(z) - f(a)| <= eps * lip, where lip sums over the
+variables the sup of |df/dx_i| over those boxes (bounded term by term on the
+expansion of f).  Since f - R lies in the ideal for the remainder R, f(a) =
+R(a) at every root tuple, so with M = B3/3 and eps <= M/lip:
 
-B2 bounds sum_i |h_i| * |p_i|/eps via the actual division f = sum h_i p_i + R,
-B4 is an explicit Lipschitz bound on R over the root boxes, and 3M = B3 lower
-bounds the nonzero grid values of R.  B3 comes from the multiplication
-operator of R on Q[x]/I: its characteristic polynomial has exactly the grid
-values of R as roots, so a Cauchy-style lower root bound on its deflation is
-a valid separation.  All three are exact rationals; magnitudes are compared
-squared so the arithmetic never leaves Q.
+    f in I  -> f(a) = 0, so every near-root tuple gives |f| <= eps*lip <= M,
+    f not in I -> some a has |f(a)| = |R(a)| >= B3 = 3M, so |f| >= 2M there.
+
+B3 lower bounds the nonzero grid values of R.  It comes from the
+multiplication operator of R on Q[x]/I: its characteristic polynomial has
+exactly the grid values of R as roots, so a Cauchy-style lower root bound on
+its deflation is a valid separation.  Both bounds are exact rationals;
+magnitudes are compared squared so the arithmetic never leaves Q.
 
 Root approximation itself is numeric (Durand-Kerner at escalating mpmath
 precision) but never trusted: every approximation is certified a posteriori
@@ -35,7 +40,7 @@ from fractions import Fraction
 import mpmath
 
 from .circuits import Circuit, expand
-from .division import UnivariateIdeal, divide, divide_with_quotients
+from .division import UnivariateIdeal, _Reducer
 from .poly import SparsePoly, UnivariatePoly, charpoly, discriminant, poly_gcd
 from .linalg import Matrix
 
@@ -52,6 +57,12 @@ __all__ = [
     "verify_certificate",
     "search_nonmembership",
 ]
+
+# Work guards: the monomial cap of the expansion of f, and the largest root
+# grid whose residue-basis charpoly (threshold) or tuple sweep (search) runs.
+EXPAND_CAP = 10**6
+CHARPOLY_GUARD = 2048
+GRID_GUARD = 10**5
 
 
 class NotSquarefree(ValueError):
@@ -157,14 +168,13 @@ class PrecisionBudget:
     n: int
     eps: Fraction
     M: Fraction
-    b2: Fraction = Fraction(0)
     b3: Fraction = Fraction(0)
-    b4: Fraction = Fraction(0)
+    lip: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.eps <= 0 or self.M <= 0:
             raise ValueError("eps and M must be positive")
-        if self.eps * (self.b4 + self.b2) > self.M:
+        if self.eps * self.lip > self.M:
             raise ValueError("eps too large for the decision gap")
 
 
@@ -343,32 +353,15 @@ def _durand_kerner(p: UnivariatePoly, prec: int):
             return None
 
 
-def _abs_sum_over_box(h: SparsePoly, boxes) -> Fraction:
-    total = Fraction(0)
-    for e, c in h.terms.items():
-        v = abs(Fraction(c))
-        for i, exp in enumerate(e):
-            if exp:
-                v *= boxes[i] ** exp
-        total += v
-    return total
-
-
-def compute_threshold(
-    f: Circuit | SparsePoly,
-    ideal: UnivariateIdeal,
-    eps: Fraction | None = None,
-    expand_cap: int = 10**6,
-    charpoly_guard: int = 2048,
-) -> PrecisionBudget:
+def compute_threshold(f: Circuit, ideal: UnivariateIdeal, eps: Fraction | None = None) -> PrecisionBudget:
     """Explicit M and eps realizing the member/nonmember gap.
 
-    Performs the actual division f = sum h_i p_i + R, bounds the h_i and the
-    Lipschitz constant of R over the root boxes, and lower-bounds the nonzero
-    grid values of R through the characteristic polynomial of multiplication
-    by R on the quotient algebra.  Sets M = B3/3 and eps <= M/(B4 + B2).
+    Bounds the Lipschitz constant `lip` of f over the root boxes, and
+    lower-bounds the nonzero grid values of the remainder R through the
+    characteristic polynomial of multiplication by R on the quotient
+    algebra.  Sets M = B3/3 and eps <= min(1, M/lip).
     """
-    fp = expand(f, expand_cap) if isinstance(f, Circuit) else f
+    fp = expand(f, EXPAND_CAP)
     n = fp.n
     gens = {v: p for v, p in ideal.generators}
     for v in range(n):
@@ -380,44 +373,35 @@ def compute_threshold(
     grid = 1
     for dd in degs:
         grid *= dd
-    if grid > charpoly_guard:
-        raise ValueError(f"root grid of size {grid} exceeds the threshold guard {charpoly_guard}")
-    r, quotients = divide_with_quotients(fp, ideal)
+    if grid > CHARPOLY_GUARD:
+        raise ValueError(f"root grid of size {grid} exceeds the threshold guard {CHARPOLY_GUARD}")
     boxes = [root_magnitude_bounds(gens[v])[1] + 1 for v in range(n)]
-    b2 = Fraction(0)
-    for v, h in quotients.items():
-        p = gens[v]
-        deriv_bound = sum(
-            j * abs(Fraction(c)) * boxes[v] ** (j - 1)
-            for j, c in enumerate(p.coeffs)
-            if j >= 1 and c
-        )
-        b2 += _abs_sum_over_box(h, boxes) * deriv_bound
-    b4 = Fraction(0)
-    for e, c in r.terms.items():
-        ac = abs(Fraction(c))
-        for i, exp in enumerate(e):
+    # sum_i sup |df/dx_i| <= sum over terms c x^e of |c| prod(box^e) * sum_i e_i / box_i
+    lip = Fraction(0)
+    for e, c in fp.terms.items():
+        size = abs(Fraction(c))
+        for box, exp in zip(boxes, e):
+            size *= box**exp
+        for box, exp in zip(boxes, e):
             if exp:
-                v = ac * exp * boxes[i] ** (exp - 1)
-                for j, oexp in enumerate(e):
-                    if j != i and oexp:
-                        v *= boxes[j] ** oexp
-                b4 += v
-    b3 = _grid_value_lower_bound(r, ideal, degs, grid)
+                lip += size * exp / box
+    reducer = _Reducer(ideal)
+    b3 = _grid_value_lower_bound(reducer.reduce(fp), reducer, degs, grid)
     m = b3 / 3
-    eps_max = Fraction(1) if b2 + b4 == 0 else min(Fraction(1), m / (b2 + b4))
+    eps_max = Fraction(1) if lip == 0 else min(Fraction(1), m / lip)
     eps_out = eps_max if eps is None else min(Fraction(eps), eps_max)
     L = _bit_bound(list(fp.terms.values()) + [c for p in gens.values() for c in p.coeffs])
     d = max([p.degree() for p in gens.values()] + [max(fp.degree(), 1)])
-    return PrecisionBudget(L=L, d=d, n=n, eps=eps_out, M=m, b2=b2, b3=b3, b4=b4)
+    return PrecisionBudget(L=L, d=d, n=n, eps=eps_out, M=m, b3=b3, lip=lip)
 
 
-def _grid_value_lower_bound(r: SparsePoly, ideal: UnivariateIdeal, degs, grid: int) -> Fraction:
+def _grid_value_lower_bound(r: SparsePoly, reducer: _Reducer, degs, grid: int) -> Fraction:
     """Lower bound on |R| over grid tuples where R does not vanish.
 
     The multiplication-by-R operator on the residue basis has characteristic
     polynomial prod over tuples of (w - R(tuple)); a lower root bound on its
-    deflation bounds every nonzero grid value from below.
+    deflation bounds every nonzero grid value from below.  Its columns are
+    the reductions of x^e * R, all through the one `reducer` of the ideal.
     """
     if r.is_zero():
         return Fraction(1)
@@ -427,7 +411,7 @@ def _grid_value_lower_bound(r: SparsePoly, ideal: UnivariateIdeal, degs, grid: i
     cols = []
     for e in basis:
         shifted = SparsePoly(n, {tuple(a + b for a, b in zip(e, ee)): c for ee, c in r.terms.items()})
-        reduced = divide(shifted, ideal)
+        reduced = reducer.reduce(shifted)
         col = [Fraction(0)] * grid
         for ee, c in reduced.terms.items():
             col[index[ee]] = Fraction(c)
@@ -466,12 +450,7 @@ def verify_certificate(
     return _as_gaussian(value).abs2() >= (2 * budget.M) ** 2
 
 
-def search_nonmembership(
-    f: Circuit,
-    ideal: UnivariateIdeal,
-    budget: PrecisionBudget | None = None,
-    grid_guard: int = 10**5,
-):
+def search_nonmembership(f: Circuit, ideal: UnivariateIdeal, budget: PrecisionBudget | None = None):
     """Decide membership by sweeping all approximate root tuples.
 
     Returns ("nonmember", certificate) on the first tuple with |f| >= 2M, or
@@ -485,8 +464,8 @@ def search_nonmembership(
     grid = 1
     for v in range(budget.n):
         grid *= gens[v].degree()
-    if grid > grid_guard:
-        raise ValueError(f"root grid of size {grid} exceeds the search guard {grid_guard}")
+    if grid > GRID_GUARD:
+        raise ValueError(f"root grid of size {grid} exceeds the search guard {GRID_GUARD}")
     thr_sq = _residual_threshold_sq(budget)
     per_var = [approximate_roots(gens[v], budget.eps, threshold_sq=thr_sq) for v in range(budget.n)]
     m_sq = budget.M**2

@@ -77,11 +77,13 @@ def _positive_trials(trials: int) -> int:
     return trials
 
 
-def _is_power_ideal(ideal) -> bool:
-    for _, p in ideal.generators:
-        if any(c for c in p.coeffs[:-1]) or p.lc() != 1:
-            return False
-    return True
+def _power_ideal_error(ideal, n: int) -> str | None:
+    """Why the ideal is not <x_0^e_0, ..., x_{n-1}^e_{n-1}>, or None if it is."""
+    if any(any(p.coeffs[:-1]) or p.lc() != 1 for _, p in ideal.generators):
+        return "powers mode needs every generator to be a power of its variable"
+    if sorted(v for v, _ in ideal.generators) != list(range(n)):
+        return "powers mode needs one generator per circuit variable"
+    return None
 
 
 def _cmd_member(args) -> int:
@@ -94,7 +96,7 @@ def _cmd_member(args) -> int:
     if mode == "auto":
         if forms is not None:
             mode = "lowrank"
-        elif _is_power_ideal(ideal):
+        elif _power_ideal_error(ideal, circuit.n) is None:
             mode = "powers"
         else:
             mode = "brute"
@@ -115,9 +117,10 @@ def _cmd_member(args) -> int:
         })
         return 0
     if mode == "powers":
+        error = _power_ideal_error(ideal, circuit.n)
+        if error is not None:
+            raise ValueError(error)
         exponents = tuple(p.degree() for _, p in sorted(ideal.generators))
-        if len(exponents) != circuit.n:
-            raise ValueError("powers mode needs one generator per circuit variable")
         k = syntactic_degree(circuit)
         spec = PowerIdealSpec(exponents, k)
         not_member = membership_powers(circuit, spec, rng=rng)
@@ -194,7 +197,7 @@ def _power_ideal_bound(spec: PowerIdealSpec, trials) -> str:
     """The IN-IDEAL error bound of `membership_powers(..., trials=trials)`:
     the worst per-degree coverage failure at the colorings it used."""
     worst = max(
-        (float(coverage_failure_bound(j, spec.m, trials if trials is not None else _auto_trials(j, spec.m, 20)))
+        (float(coverage_failure_bound(j, spec.m, trials if trials is not None else _auto_trials(j, spec.m)))
          for j in range(1, min(spec.k, spec.m) + 1)),
         default=0.0,
     )

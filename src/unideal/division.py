@@ -15,14 +15,13 @@ import random
 from dataclasses import dataclass
 
 from .circuits import Circuit, expand
-from .fields import GF, QQ, FieldMismatch
-from .poly import SparsePoly, UnivariatePoly, _acc, _integral, _inverse, _mod_terms, _same_modulus
+from .fields import GF, QQ, FieldMismatch, _inverse
+from .poly import SparsePoly, UnivariatePoly, _acc, _integral, _mod_terms, _same_modulus
 
 __all__ = [
     "UnivariateIdeal",
     "power_table",
     "divide",
-    "divide_with_quotients",
     "is_member_brute",
     "random_zero_test",
 ]
@@ -185,48 +184,6 @@ class _Reducer:
 def divide(f: SparsePoly, ideal: UnivariateIdeal) -> SparsePoly:
     """The unique remainder R with f = R (mod ideal) and deg_{x_i} R < deg p_i."""
     return _Reducer(ideal, f.p).reduce(f)
-
-
-def divide_with_quotients(f: SparsePoly, ideal: UnivariateIdeal):
-    """Remainder plus explicit quotients: f == sum_i h_i * p_i(x_i) + R.
-
-    Used by the certifier, which needs the actual coefficients of the h_i;
-    f has exact coefficients.
-    """
-    n = f.n
-    quotients: dict[int, SparsePoly] = {}
-    for var, p in sorted(ideal.generators):
-        if var >= n:
-            continue
-        d = p.degree()
-        top = f.deg_in(var)
-        if top < d:
-            continue
-        rem_table = power_table(p, top)
-        # power_table steps x^(e+1) mod p = x * rem_table[e] - lead[e] * p, so
-        # x^e = q_e * p + rem_table[e] with q_e = sum_{k<e} lead[k] * x^(e-1-k).
-        inv_lead = _inverse(p.lc())
-        zero = inv_lead - inv_lead
-        lead = [r.coeffs[-1] * inv_lead if r.degree() == d - 1 else zero for r in rem_table]
-        out: dict = {}
-        hq: dict = {}
-        for e, c in f.terms.items():
-            exp = e[var]
-            if exp < d:
-                _acc(out, e, c)
-                continue
-            for j, rc in enumerate(rem_table[exp].coeffs):
-                if rc:
-                    _acc(out, e[:var] + (j,) + e[var + 1 :], c * rc)
-            for j in range(exp - d + 1):
-                qc = lead[exp - 1 - j]
-                if qc:
-                    _acc(hq, e[:var] + (j,) + e[var + 1 :], c * qc)
-        f = SparsePoly.raw(n, out)
-        h = SparsePoly.raw(n, hq)
-        if h:
-            quotients[var] = quotients.get(var, SparsePoly.zero(n)) + h
-    return f, quotients
 
 
 def is_member_brute(c: Circuit, ideal: UnivariateIdeal, monomial_cap: int = 10**6) -> bool:

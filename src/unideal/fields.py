@@ -39,11 +39,13 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Miller-Rabin to the bases _SMALL_PRIMES decides primality exactly below this
 # bound (Sorenson and Webster, Math. Comp. 2017).
 _DETERMINISTIC_BOUND = 3317044064679887385961981
+# The number of random bases tried above it.
+_RANDOM_ROUNDS = 40
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin test: exact for n < 3.317e24, where the bases are the
-    primes 2..41; above it `rounds` random bases (deterministic per n)."""
+    primes 2..41; above it _RANDOM_ROUNDS random bases (deterministic per n)."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -60,7 +62,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         bases = _SMALL_PRIMES
     else:
         rng = random.Random(n)
-        bases = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        bases = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -82,6 +84,14 @@ def random_prime(bits: int, rng: random.Random) -> int:
         c = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(c):
             return c
+
+
+def _inverse(c):
+    """1 / c, exactly: an int c gives an int (c = 1 or -1) or a Fraction,
+    never a float; a Fraction or a `Mod` gives one of its own kind."""
+    if type(c) is int:
+        return c if c in (1, -1) else Fraction(1, c)
+    return 1 / c
 
 
 def residue(x, p: int) -> int:

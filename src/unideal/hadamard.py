@@ -51,6 +51,12 @@ __all__ = [
     "membership_powers",
 ]
 
+# With trials=None, membership_powers sizes each degree's colorings for a
+# coverage failure of at most 2^-FAILURE_BUDGET; it evaluates modulo random
+# PRIME_BITS-bit primes.
+FAILURE_BUDGET = 20
+PRIME_BITS = 64
+
 
 @dataclass(frozen=True)
 class PowerIdealSpec:
@@ -158,13 +164,7 @@ def build_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.Rando
 
 
 def membership_powers(
-    c: Circuit,
-    spec: PowerIdealSpec,
-    trials: int | None = None,
-    zt_trials: int = 1,
-    rng: random.Random | None = None,
-    prime_bits: int = 64,
-    failure_budget: int = 20,
+    c: Circuit, spec: PowerIdealSpec, trials: int | None = None, rng: random.Random | None = None
 ) -> bool:
     """True means f is certainly NOT in <x_i^e_i>; False means "in ideal".
 
@@ -173,8 +173,8 @@ def membership_powers(
     (a value nonzero modulo a prime is nonzero).  A wrong "in ideal" needs a
     coverage failure, an unlucky zero-test point, or a run of bad primes; with
     trials=None each coloring count is sized so the per-degree coverage
-    failure is at most 2^-failure_budget, and the other two terms are far
-    below that at 64-bit primes.
+    failure is at most 2^-FAILURE_BUDGET, and the other two terms are far
+    below that at PRIME_BITS-bit primes.
     """
     rng = rng or random.Random(0)
     k = spec.k
@@ -183,18 +183,17 @@ def membership_powers(
         if j == 0:
             dj = build_detection_circuit(PowerIdealSpec(spec.exponents, 0), 1, rng)
         else:
-            t = trials if trials is not None else _auto_trials(j, spec.m, failure_budget)
+            t = trials if trials is not None else _auto_trials(j, spec.m)
             dj = build_detection_circuit(PowerIdealSpec(spec.exponents, j), t, rng)
-        for _ in range(zt_trials):
-            for _attempt in range(4):  # fresh prime redraws on a zero result
-                p = random_prime(prime_bits, rng)
-                point = [rng.randrange(1, p) for _ in range(n)]
-                if scaled_hadamard_eval(c, dj, point, p):
-                    return True
+        for _attempt in range(4):  # fresh prime redraws on a zero result
+            p = random_prime(PRIME_BITS, rng)
+            point = [rng.randrange(1, p) for _ in range(n)]
+            if scaled_hadamard_eval(c, dj, point, p):
+                return True
     return False
 
 
-def _auto_trials(k: int, m: int, budget: int) -> int:
+def _auto_trials(k: int, m: int, budget: int = FAILURE_BUDGET) -> int:
     """Colorings so that binom(m,k) * (1-P)^t <= 2^-budget."""
     p = float(_cover_probability(k))
     need = (budget * math.log(2) + math.log(max(math.comb(m, k), 1))) / p

@@ -9,7 +9,10 @@ transform solves each level on at most nrows columns) and
 `congruence_diagonalize` (Q A Q^T = D for symmetric A, valid in
 characteristic != 2).  The scalars are those of the caller's field; where a
 routine needs a one or a zero that no division reaches it uses the int
-literals, and the one routine that needs the field itself takes it.
+literals, and the one routine that needs the field itself takes it.  Each
+pivot is inverted once, exactly (`fields._inverse`), and eliminations
+multiply by that inverse, so int entries give ints and Fractions, never
+floats.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fields import QQ, Scalar
+from .fields import QQ, Scalar, _inverse
 
 __all__ = [
     "LinearForm",
@@ -116,7 +119,7 @@ class Matrix:
                 a[col], a[piv] = a[piv], a[col]
                 det = -det
             det = det * a[col][col]
-            inv = 1 / a[col][col]
+            inv = _inverse(a[col][col])
             for r in range(col + 1, n):
                 if a[r][col]:
                     f = a[r][col] * inv
@@ -135,7 +138,7 @@ class Matrix:
             if piv is None:
                 raise ValueError("singular matrix")
             a[col], a[piv] = a[piv], a[col]
-            inv = 1 / a[col][col]
+            inv = _inverse(a[col][col])
             a[col] = [x * inv for x in a[col]]
             for r in range(n):
                 if r != col and a[r][col]:
@@ -167,15 +170,15 @@ def rank_and_row_basis(m: Matrix):
         return 0, [], Matrix([])
     if m.ncols == 0:
         return 0, [], Matrix([[] for _ in m.rows])
-    echelon: list[tuple[list, int, list]] = []  # (vector, pivot col, combo over basis)
+    echelon: list[tuple[list, int, object, list]] = []  # (vector, pivot col, its inverse, combo over basis)
     basis_rows: list[tuple] = []
     coords: list[list] = []
     for row in m.rows:
         vec = list(row)
         combo = [0] * len(basis_rows)
-        for evec, piv, ecombo in echelon:
+        for evec, piv, inv, ecombo in echelon:
             if vec[piv]:
-                f = vec[piv] / evec[piv]
+                f = vec[piv] * inv
                 vec = [x - f * y for x, y in zip(vec, evec)]
                 for t, c in enumerate(ecombo):
                     combo[t] = combo[t] + f * c
@@ -185,8 +188,8 @@ def rank_and_row_basis(m: Matrix):
         else:
             new_combo = [-c for c in combo] + [1]
             for entry in echelon:
-                entry[2].append(0)
-            echelon.append((vec, piv, new_combo))
+                entry[3].append(0)
+            echelon.append((vec, piv, _inverse(vec[piv]), new_combo))
             basis_rows.append(row)
             coords.append([0] * len(basis_rows[:-1]) + [1])
     rank = len(basis_rows)
@@ -205,19 +208,19 @@ def suffix_pivots(m: Matrix) -> list:
     independent rows, coordinates) on those at most nrows columns as on all
     of them.
     """
-    echelon: list[tuple[list, int]] = []  # (column vector, pivot row)
+    echelon: list[tuple[list, int, object]] = []  # (column vector, pivot row, its inverse)
     pivots = []
     for j in range(m.ncols - 1, -1, -1):
         if len(echelon) == m.nrows:
             break  # full rank: no column further left adds to it
         vec = [row[j] for row in m.rows]
-        for evec, piv in echelon:
+        for evec, piv, inv in echelon:
             if vec[piv]:
-                f = vec[piv] / evec[piv]
+                f = vec[piv] * inv
                 vec = [x - f * y for x, y in zip(vec, evec)]
         piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is not None:
-            echelon.append((vec, piv))
+            echelon.append((vec, piv, _inverse(vec[piv])))
             pivots.append(j)
     pivots.reverse()
     return pivots

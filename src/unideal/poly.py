@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .fields import FieldMismatch, residue
+from .fields import FieldMismatch, _inverse, residue
 from .linalg import Matrix
 
 __all__ = [
@@ -55,14 +55,6 @@ def _mod_terms(terms: dict, p) -> dict:
     if p is None:
         return terms
     return {e: r for e, c in terms.items() if (r := c % p)}
-
-
-def _inverse(c):
-    """1 / c, exactly: an int c gives an int (c = 1 or -1) or a Fraction,
-    never a float; a Fraction or a `Mod` gives one of its own kind."""
-    if type(c) is int:
-        return c if c in (1, -1) else Fraction(1, c)
-    return 1 / c
 
 
 def _integral(c):
@@ -421,7 +413,7 @@ def discriminant(p: UnivariatePoly):
         return 1
     r = resultant(p, p.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * r / p.lc()
+    return sign * r * _inverse(p.lc())
 
 
 def charpoly(m: Matrix) -> UnivariatePoly:
@@ -443,9 +435,10 @@ def charpoly(m: Matrix) -> UnivariatePoly:
             h[col + 1], h[piv] = h[piv], h[col + 1]
             for r in range(n):
                 h[r][col + 1], h[r][piv] = h[r][piv], h[r][col + 1]
+        inv = _inverse(h[col + 1][col])
         for r in range(col + 2, n):
             if h[r][col]:
-                f = h[r][col] / h[col + 1][col]
+                f = h[r][col] * inv
                 h[r] = [x - f * y for x, y in zip(h[r], h[col + 1])]
                 for t in range(n):
                     h[t][col + 1] = h[t][col + 1] + f * h[t][r]

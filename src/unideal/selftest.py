@@ -3,7 +3,9 @@
 A quick, seeded version of the checks the full pytest suite runs at scale:
 every fast path is compared against its independent brute-force oracle, and
 the three membership engines are compared with each other on low-rank inputs
-modulo power ideals, where all three apply.  Returns a list of failure
+modulo power ideals, where all three apply.  The root-certificate search is
+checked on fixed instances with integer-root generators, and each
+certificate it returns must pass the verifier.  Returns a list of failure
 descriptions; empty means healthy.
 """
 
@@ -13,6 +15,7 @@ import random
 from fractions import Fraction
 
 from .apps import Graph, has_vertex_cover_brute, permanent_lowrank, ryser_permanent, vertex_cover_lowrank
+from .certifier import compute_threshold, search_nonmembership, verify_certificate
 from .circuits import CircuitBuilder, expand, syntactic_degree
 from .division import UnivariateIdeal, divide, is_member_brute, random_zero_test
 from .fields import QQ
@@ -42,6 +45,13 @@ def _random_ideal(rng, n, max_deg):
         coeffs = [F(rng.randint(-3, 3)) for _ in range(d)] + [F(rng.choice([1, -1, 2]))]
         gens.append((i, UnivariatePoly(coeffs)))
     return UnivariateIdeal(tuple(gens))
+
+
+def _horner(b, p, x):
+    acc = b.const(p.coeffs[-1])
+    for c in reversed(p.coeffs[:-1]):
+        acc = b.add(b.mul(acc, x), b.const(c))
+    return acc
 
 
 def run_selftest(seed: int = 0) -> list:
@@ -121,6 +131,31 @@ def run_selftest(seed: int = 0) -> list:
             failures.append(f"engines disagree on instance {t}: brute={brute} powers={powers} lowrank={lowrank}")
         elif member and not brute:
             failures.append(f"constructed member {t} reported as a nonmember")
+
+    # root certificates on integer-root generators vs expand-and-divide
+    roots = [(1, -1), (0, 2), (-2, 3)]
+    gens = tuple((i, UnivariatePoly.from_roots([F(a), F(b)])) for i, (a, b) in enumerate(roots))
+    instances = []
+    for n, member in ((1, False), (2, True), (2, False), (3, True)):
+        b = CircuitBuilder(n)
+        xs = [b.input(i) for i in range(n)]
+        if n == 1:
+            out = b.add(xs[0], b.const(F(-1)))  # -2 at the root -1
+        elif not member:
+            out = b.add(b.mul(xs[0], xs[1]), xs[1], b.const(F(-2)))  # -2 at (1, 0)
+        else:  # a multiple of p_1(x_1), plus a multiple of p_0 or p_2
+            out = b.mul(_horner(b, gens[1][1], xs[1]), b.add(xs[0], xs[-1]))
+            j = n - 1 if n > 2 else 0
+            out = b.add(out, b.mul(_horner(b, gens[j][1], xs[j]), xs[0], xs[1]))
+        instances.append((b.build(out), UnivariateIdeal(gens[:n]), member))
+    for t, (c, ideal, member) in enumerate(instances):
+        budget = compute_threshold(c, ideal)
+        decision, cert = search_nonmembership(c, ideal, budget)
+        brute = is_member_brute(c, ideal)
+        if (decision == "member") != brute or brute != member:
+            failures.append(f"certifier mismatch on instance {t}: search={decision} brute={brute}")
+        elif cert is not None and not verify_certificate(c, ideal, cert, budget):
+            failures.append(f"certificate of instance {t} rejected by the verifier")
 
     # division properties
     for t in range(15):

@@ -112,7 +112,7 @@ def test_compute_threshold_worked_example():
     budget = compute_threshold(c, ideal)
     assert budget.b3 == 1
     assert budget.M == F(1, 3)
-    assert budget.eps * (budget.b2 + budget.b4) <= budget.M
+    assert budget.eps * budget.lip <= budget.M
     # gap realized at both (approximate) roots
     for r in approximate_roots(upoly(-4, 0, 1), budget.eps):
         v2 = _poly_abs2(upoly(-1, 1), r)
@@ -140,7 +140,59 @@ def test_compute_threshold_eps_halving():
     halved = compute_threshold(c, ideal, eps=full.eps / 2)
     assert halved.M == full.M
     assert halved.eps == full.eps / 2
-    assert halved.eps * (halved.b2 + halved.b4) <= halved.M
+    assert halved.eps * halved.lip <= halved.M
+
+
+# Unit directions with rational components, for complex offsets from a root.
+UNIT_DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)),
+                   (F(-3, 5), F(-4, 5)), (F(4, 5), F(-3, 5))]
+
+
+def near_tuples(root_tuple, eps):
+    """Every tuple whose coordinates sit at offset 0 or just below eps, in any
+    of the unit directions, from the given exact root tuple."""
+    radius = eps * (1 - F(1, 1024))
+    offsets = [GaussianRational(F(0))] + [GaussianRational(radius * re, radius * im) for re, im in UNIT_DIRECTIONS]
+    for offs in itertools.product(offsets, repeat=len(root_tuple)):
+        yield [GaussianRational(F(a)) + o for a, o in zip(root_tuple, offs)]
+
+
+def test_lipschitz_gap_holds_near_every_root_tuple():
+    # p0 = (x - 1)(x + 2) and p1 = x(x - 3) have integer roots, so the root
+    # tuples are exact and the offsets are the only approximation.
+    p0, p1 = upoly(-2, 1, 1), upoly(0, -3, 1)
+    ideal = UnivariateIdeal(((0, p0), (1, p1)))
+    root_tuples = list(itertools.product((1, -2), (0, 3)))
+
+    def circuit(member):
+        b = CircuitBuilder(2)
+        x0, x1 = b.input(0), b.input(1)
+        # p0(x0) * (x1 - 5) + 2 * p1(x1) * x0^2, plus x0 - x1 for the nonmember
+        out = b.add(
+            b.mul(horner_circuit(b, p0, x0), b.add(x1, b.const(F(-5)))),
+            b.mul(b.const(F(2)), horner_circuit(b, p1, x1), b.power(x0, 2)),
+        )
+        if not member:
+            out = b.add(out, x0, b.mul(b.const(F(-1)), x1))
+        return b.build(out)
+
+    member, nonmember = circuit(True), circuit(False)
+    assert is_member_brute(member, ideal) and not is_member_brute(nonmember, ideal)
+
+    budget = compute_threshold(member, ideal)
+    assert budget.lip > 0 and budget.eps * budget.lip <= budget.M
+    for a in root_tuples:
+        for z in near_tuples(a, budget.eps):
+            assert GaussianRational(F(0)).__add__(member.evaluate(z)).abs2() <= budget.M**2
+
+    budget = compute_threshold(nonmember, ideal)
+    assert budget.lip > 0 and budget.eps * budget.lip <= budget.M
+    separated = [
+        a for a in root_tuples
+        if all(GaussianRational(F(0)).__add__(nonmember.evaluate(z)).abs2() >= 4 * budget.M**2
+               for z in near_tuples(a, budget.eps))
+    ]
+    assert separated
 
 
 def test_compute_threshold_rejects_repeated_roots():

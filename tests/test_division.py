@@ -10,7 +10,6 @@ from unideal.division import (
     UnivariateIdeal,
     _Reducer,
     divide,
-    divide_with_quotients,
     is_member_brute,
     power_table,
     random_zero_test,
@@ -117,27 +116,6 @@ def test_divide_degree_contract():
             assert r.deg_in(var) < p.degree()
 
 
-def test_divide_with_quotients_reconstructs():
-    rng = random.Random(4)
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        ideal = random_ideal(rng, n, 3)
-        f = random_sparse(rng, n)
-        r, hs = divide_with_quotients(f, ideal)
-        assert r == divide(f, ideal)
-        total = r
-        for var, h in hs.items():
-            p = dict(ideal.generators)[var]
-            pv = SparsePoly.zero(n)
-            for j, c in enumerate(p.coeffs):
-                if c:
-                    e = [0] * n
-                    e[var] = j
-                    pv = pv + SparsePoly(n, {tuple(e): c})
-            total = total + h * pv
-        assert total == f
-
-
 def test_member_brute_power_ideal():
     b = CircuitBuilder(1)
     c = b.build(b.mul(b.input(0), b.input(0)))
@@ -230,12 +208,6 @@ def test_int_leading_coefficients_divide_exactly():
     assert UnivariatePoly([3, -1]).monic().coeffs == (-3, 1)
     q, rem = UnivariatePoly([1, 0, 0, 1]).divmod(UnivariatePoly([1, 2]))
     assert q.coeffs == (F(1, 8), F(-1, 4), F(1, 2)) and rem.coeffs == (F(7, 8),)
-    f = SparsePoly(2, {(3, 1): F(2), (1, 2): F(1)})
-    rem, quotients = divide_with_quotients(f, UnivariateIdeal(((0, UnivariatePoly([1, 0, 3])),)))
-    assert all(type(c) is F for h in quotients.values() for c in h.terms.values())
-    assert rem == divide(f, UnivariateIdeal(((0, UnivariatePoly([1, 0, 3])),)))
-    back = rem + quotients[0] * SparsePoly(2, {(0, 0): 1, (2, 0): 3})
-    assert back == f
 
 
 # Fields of the fused-kernel check: QQ with int and with Fraction scalars, and

@@ -113,6 +113,27 @@ def test_cli_member_auto_dispatches_powers(workdir, capsys):
     assert "decision: NOT-MEMBER" in out
 
 
+@pytest.mark.parametrize(
+    "circuit, ideal, decision",
+    [
+        ("vars 2\nin 1\nout 0\n", "var 0 : 0 1\nvar 5 : 0 1\n", "NOT-MEMBER"),  # x1 mod <x0, x5>
+        ("vars 2\nin 0\nin 1\nmul 0 0\nmul 2 1\nout 3\n", "var 0 : 0 0 1\n", "MEMBER"),  # x0^2 x1 mod <x0^2>
+    ],
+    ids=["x5-outside-the-circuit", "x1-without-generator"],
+)
+def test_cli_member_auto_powers_needs_every_circuit_variable(workdir, capsys, circuit, ideal, decision):
+    (workdir / "c.txt").write_text(circuit)
+    (workdir / "i.txt").write_text(ideal)
+    argv = ["member", "--circuit", str(workdir / "c.txt"), "--ideal", str(workdir / "i.txt")]
+    code, out = run_cli(capsys, *argv, "--mode", "brute")
+    assert code == 0 and f"decision: {decision}\n" in out
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and f"decision: {decision}\n" in out
+    assert "dispatch=auto->expand-and-divide" in out
+    code, out, err = run_cli_err(capsys, *argv, "--mode", "powers")
+    assert code == 2 and err == "error: powers mode needs one generator per circuit variable\n"
+
+
 def test_cli_vc_and_error_bound(workdir, capsys):
     code, out = run_cli(
         capsys, "vc", "--graph", str(workdir / "c4.txt"), "--k", "2", "--seed", "1",
@@ -189,11 +210,14 @@ def run_cli_err(capsys, *argv) -> tuple:
          "lowrank mode needs --forms"),
         (["member", "--circuit", "mlc.txt", "--ideal", "x0sq.txt", "--mode", "powers"],
          "powers mode needs one generator per circuit variable"),
+        (["member", "--circuit", "mlc.txt", "--ideal", "ix.txt", "--mode", "powers"],
+         "powers mode needs every generator to be a power of its variable"),
         (["mlmd", "--circuit", "mlc.txt", "--exponents", "2"], "need one exponent per circuit variable"),
         (["reduce", "indep-set", "--in", "c4.txt"], "indep-set reduction needs --k"),
         (["reduce", "coloring", "--in", "c4.txt"], "coloring instance needs --k"),
     ],
-    ids=["member-lowrank-forms", "member-powers-generators", "mlmd-exponents", "indep-set-k", "coloring-k"],
+    ids=["member-lowrank-forms", "member-powers-generators", "member-powers-not-powers", "mlmd-exponents",
+         "indep-set-k", "coloring-k"],
 )
 def test_cli_usage_errors_exit_2(workdir, capsys, monkeypatch, argv, message):
     (workdir / "x0sq.txt").write_text("var 0 : 0 0 1\n")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from unideal.certifier import separation_bound
 from unideal.fields import GF, Mod
 from unideal.linalg import (
     Matrix,
@@ -10,6 +11,7 @@ from unideal.linalg import (
     rank_and_row_basis,
     suffix_pivots,
 )
+from unideal.poly import UnivariatePoly, charpoly, discriminant
 
 F = Fraction
 
@@ -164,3 +166,36 @@ def test_matrix_inverse_and_det():
         if m.det() == 0:
             continue
         assert m * m.inverse() == Matrix.identity(n)
+
+
+def test_int_entries_eliminate_exactly():
+    # Pivots other than +-1 used to turn int entries into floats: the
+    # discriminant of 2x^2 + 3x + 1 came out as 1.0000000000000004.
+    def exact(values):
+        return all(type(v) in (int, F) for v in values)
+
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[-1] = [3 * a - 2 * b for a, b in zip(rows[0], rows[1])]
+        ints, fracs = Matrix(rows), frac_matrix(rows)
+        det = ints.det()
+        assert det == fracs.det() and exact([det])
+        rank, basis, coords = rank_and_row_basis(ints)
+        assert (rank, basis, coords) == rank_and_row_basis(fracs)
+        assert exact(c for row in coords.rows for c in row)
+        assert suffix_pivots(ints) == suffix_pivots(fracs)
+        chi = charpoly(ints)
+        assert chi == charpoly(fracs) and exact(chi.coeffs)
+        if det:
+            inv = ints.inverse()
+            assert inv == fracs.inverse() and exact(c for row in inv.rows for c in row)
+        else:
+            singular += 1
+    assert singular >= 5
+    p_int, p_frac = UnivariatePoly([1, 3, 2]), UnivariatePoly([F(1), F(3), F(2)])
+    assert discriminant(p_int) == discriminant(p_frac) == 1 and exact([discriminant(p_int)])
+    assert separation_bound(p_int) == separation_bound(p_frac)
