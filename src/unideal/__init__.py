@@ -34,7 +34,6 @@ from .division import (
     UnivariateIdeal,
     divide,
     is_member_brute,
-    power_table,
     random_zero_test,
 )
 from .lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval

@@ -37,6 +37,7 @@ __all__ = [
     "Graph",
     "ryser_permanent",
     "permanent_lowrank",
+    "vc_degrees",
     "build_vc_instance",
     "vertex_cover_lowrank",
     "has_vertex_cover_brute",
@@ -167,11 +168,19 @@ def permanent_lowrank(a: Matrix, field=QQ):
     return RemEvaluator(inp, ideal, field).eval([1] * n) / scale
 
 
+def vc_degrees(g: Graph, k: int, tight: bool = False) -> tuple[int, int]:
+    """(S, deg f) of the cover polynomial: S quadratic factors q - s and
+    n - k linear factors, so deg f = 2S + n - k."""
+    s_range = len(g.edges) if tight else g.n * (g.n - 1) // 2
+    return s_range, 2 * s_range + (g.n - k)
+
+
 def build_vc_instance(g: Graph, k: int, tight: bool = False):
     """Low-rank input, boolean ideal and degree bound for the cover polynomial."""
     n = g.n
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
+    s_range, deg_bound = vc_degrees(g, k, tight)
     gram = [[Fraction(0)] * n for _ in range(n)]
     for u, v in g.edges:
         gram[u][v] = Fraction(1, 2)
@@ -185,7 +194,6 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False):
         LinearForm(tuple(qinv[t, i] for t in range(n))) for i, _ in diag
     ]
     forms.append(LinearForm((Fraction(1),) * n))
-    s_range = len(g.edges) if tight else n * (n - 1) // 2
     b = CircuitBuilder(r + 1)
     sq_ids = [b.mul(b.input(i), b.input(i)) for i in range(r)]
     quad_terms = []
@@ -201,7 +209,6 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False):
     outer = b.build(b.product(factor_ids))
     boolean = UnivariatePoly([Fraction(0), Fraction(-1), Fraction(1)])
     ideal = UnivariateIdeal(tuple((i, boolean) for i in range(n)))
-    deg_bound = 2 * s_range + (n - k)
     return LowRankInput(outer, tuple(forms), deg_bound), ideal, deg_bound
 
 
@@ -214,7 +221,8 @@ def vertex_cover_lowrank(
     """Randomized decision "G has a vertex cover of size k".
 
     One-sided: True is always correct; a False answer is wrong with
-    probability at most (deg_bound / (100 * deg_bound))^trials = 100^-trials.
+    probability at most (min(n, deg_bound) / (100 * deg_bound))^trials: the
+    remainder is multilinear, of degree at most min(n, deg_bound).
 
     The whole test runs over GF(p) with p = VC_PRIME = 2^61 - 1: the
     evaluator maps the instance's rational scalars into GF(p), a ring
@@ -225,7 +233,7 @@ def vertex_cover_lowrank(
     so when p exceeds that, f vanishes mod p at exactly the 0/1 points where
     it vanishes, and R_p = 0 exactly when the exact remainder is.  When p
     also exceeds the sample-set size 100 * deg_bound, Schwartz-Zippel over
-    GF(p) gives the 100^-trials bound.  The test falls back to exact
+    GF(p) gives that bound.  The test falls back to exact
     arithmetic over QQ when p is not larger than max(C(n,2), n,
     100 * deg_bound), or when a denominator vanishes mod p (FieldMismatch);
     the points drawn from `rng` are the same either way.

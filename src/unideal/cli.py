@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import io as uio
-from .apps import permanent_lowrank, ryser_permanent, vertex_cover_lowrank
+from .apps import permanent_lowrank, ryser_permanent, vc_degrees, vertex_cover_lowrank
 from .certifier import Undecided, compute_threshold, search_nonmembership, verify_certificate
 from .circuits import syntactic_degree
 from .division import is_member_brute, random_zero_test
@@ -103,12 +103,15 @@ def _cmd_member(args) -> int:
     if mode == "lowrank":
         if forms is None:
             raise ValueError("lowrank mode needs --forms")
-        d = max(syntactic_degree(circuit), max(p.degree() for _, p in ideal.generators))
+        sd = syntactic_degree(circuit)
+        d = max(sd, max(p.degree() for _, p in ideal.generators))
         inp = LowRankInput(circuit, forms, d)
         ev = RemEvaluator(inp, ideal)
         n = inp.n
         nonzero = random_zero_test(ev.eval, n, d, args.trials, rng, field=QQ)
-        err = 0 if nonzero else float(Fraction(d, max(1, 100 * d)) ** args.trials)
+        # The remainder has degree < deg p_i in each x_i, and at most the circuit's.
+        deg_rem = min(sd, sum(p.degree() - 1 for _, p in ideal.generators))
+        err = 0 if nonzero else float(Fraction(deg_rem, max(1, 100 * d)) ** args.trials)
         _emit(args, {
             "decision": "NOT-MEMBER" if nonzero else "MEMBER",
             "algorithm": f"dispatch={args.mode}->lowrank remainder evaluation + zero test",
@@ -181,7 +184,8 @@ def _cmd_vc(args) -> int:
     rng = random.Random(args.seed)
     t0 = time.perf_counter()
     has = vertex_cover_lowrank(graph, args.k, args.trials, rng, tight=args.tight)
-    err = 0 if has else float(Fraction(1, 100) ** args.trials)
+    _, deg_bound = vc_degrees(graph, args.k, args.tight)
+    err = 0 if has else float(Fraction(min(graph.n, deg_bound), max(1, 100 * deg_bound)) ** args.trials)
     _emit(args, {
         "decision": "HAS-VC" if has else "NO-VC",
         "algorithm": "low-rank remainder evaluation on the cover polynomial"

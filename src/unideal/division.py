@@ -2,11 +2,13 @@
 
 Because each generator involves a single distinct variable, the leading
 monomials are pairwise coprime, the generators form a Groebner basis, and the
-remainder is unique no matter in which order the variables are reduced.  The
-reducer processes variables in ascending index order and caches the table of
-x^e mod p(x) per variable, which is all the structure the rest of the package
-needs: `divide` is the brute-force oracle that every fast path is tested
-against.
+remainder is unique no matter in which order the variables are reduced.  So
+reduction is univariate division by p_v in each variable, which needs one
+fold row per generator: the coefficients of x_v^deg(p_v) mod p_v.  `_Reducer`
+computes the rows once and folds through them both in `reduce` (division
+from the top degree down) and in the walk's fused multiply-and-reduce step
+`mul_affine`; `divide` is the brute-force oracle that every fast path is
+tested against.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import random
 from dataclasses import dataclass
 
 from .circuits import Circuit, expand
-from .fields import GF, QQ, FieldMismatch, _inverse
+from .fields import QQ, FieldMismatch, _inverse, residue
 from .poly import SparsePoly, UnivariatePoly, _acc, _integral, _mod_terms, _same_modulus
 
 __all__ = [
     "UnivariateIdeal",
-    "power_table",
     "divide",
     "is_member_brute",
     "random_zero_test",
@@ -63,49 +64,28 @@ class UnivariateIdeal:
         return UnivariateIdeal(tuple(gens))
 
 
-def power_table(p: UnivariatePoly, max_e: int):
-    """table[e] = x^e mod p(x) for e = 0..max_e, each of degree < deg(p)."""
-    if p.degree() < 1:
-        raise ValueError("modulus must be nonconstant")
-    inv_lead = _inverse(p.lc())
-    one = p.lc() * inv_lead
-    table = [UnivariatePoly([one])]
-    d = p.degree()
-    for _ in range(max_e):
-        prev = table[-1]
-        shifted = list((one - one,) + prev.coeffs)
-        if len(shifted) == d + 1:
-            c = shifted[-1] * inv_lead
-            shifted = [a - c * b for a, b in zip(shifted[:-1], p.coeffs[:-1])]
-        table.append(UnivariatePoly(shifted))
-    return table
-
-
 class _Reducer:
-    """Caches power tables per variable for repeated reductions.
+    """Reduction modulo the ideal through one fold row per generator.
 
-    With a modulus p it reduces residue polynomials: the generators are
-    mapped into GF(p) once (`UnivariateIdeal.over`), and the tables hold
-    plain-int residues.  Without one the tables hold exact scalars, each
-    integral one as an int, so the tables of monic integer generators hold
-    ints and reducing a polynomial with int coefficients builds no Fraction.
+    The row of p_v (degree d, leading coefficient lc) holds the coefficients
+    of x_v^d mod p_v, that is -p_v[j] / lc for j < d, computed once here.
+    With a modulus p they are plain-int residues, and a generator whose
+    leading coefficient vanishes mod p raises FieldMismatch.  Without one
+    they are exact scalars, each integral one as an int, so the rows of
+    monic integer generators hold ints and reducing a polynomial with int
+    coefficients builds no Fraction.
     """
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
         self.p = p
-        self.gens = dict(ideal.generators if p is None else ideal.over(GF(p)).generators)
-        self.tables: dict[int, list] = {}
-
-    def _table(self, var: int, need: int):
-        t = self.tables.get(var)
-        if t is None or len(t) <= need:
-            rows = [r.coeffs for r in power_table(self.gens[var], need)]
-            if self.p is not None:
-                rows = [tuple(c.value for c in r) for r in rows]
-            else:
-                rows = [tuple(map(_integral, r)) for r in rows]
-            t = self.tables[var] = rows
-        return t
+        scalar = _integral if p is None else (lambda c: residue(c, p))
+        self.rows: dict[int, tuple] = {}
+        for var, g in sorted(ideal.generators):
+            lc = scalar(g.lc())
+            if not lc:
+                raise FieldMismatch(f"leading coefficient of generator {var} vanishes mod {p}")
+            inv = _inverse(lc)
+            self.rows[var] = tuple(scalar(-c * inv) for c in g.coeffs[:-1])
 
     def mul_affine(self, f: SparsePoly, h: SparsePoly, cap: int | None = None) -> SparsePoly:
         """reduce(f.mul(h, cap=cap)) for a reduced f.
@@ -113,11 +93,11 @@ class _Reducer:
         When h has total degree at most 1 this is one pass over the pairs of
         terms: a product of a reduced term of f and a term c * x_v of h can
         leave the residue grid only in x_v, and only as x_v^deg(p_v), so it
-        is folded through the one table row x_v^deg(p_v) mod p_v as it
-        forms; the sums are reduced mod p once, at the end.  h need not be
-        reduced.  For any other h, and when len(f) * len(h) exceeds `cap`
-        (where `mul` may raise CapExceeded partway), this is
-        `reduce(f.mul(h, cap=cap))`, so it raises exactly when `mul` would.
+        is folded through the row of p_v as it forms; the sums are reduced
+        mod p once, at the end.  h need not be reduced.  For any other h,
+        and when len(f) * len(h) exceeds `cap` (where `mul` may raise
+        CapExceeded partway), this is `reduce(f.mul(h, cap=cap))`, so it
+        raises exactly when `mul` would.
         """
         p = _same_modulus(f, h)
         if (cap is not None and len(f.terms) * len(h.terms) > cap) or any(sum(e) > 1 for e in h.terms):
@@ -131,10 +111,9 @@ class _Reducer:
             if not any(e):
                 continue
             v = e.index(1)
-            top = fold = 0  # a variable without a generator never folds
-            if v in self.gens:
-                top = self.gens[v].degree()
-                fold = [(j, rc) for j, rc in enumerate(self._table(v, top)[top]) if rc]
+            row = self.rows.get(v, ())  # a variable without a generator never folds
+            top = len(row)
+            fold = [(j, rc) for j, rc in enumerate(row) if rc]
             for e1, c1 in items:
                 c = c1 * c2
                 e2 = list(e1)
@@ -154,30 +133,39 @@ class _Reducer:
         return SparsePoly.raw(f.n, _mod_terms(out, p), p)
 
     def reduce(self, f: SparsePoly) -> SparsePoly:
-        for var in sorted(self.gens):
-            if var >= f.n:
+        """The remainder of f, dividing by one generator at a time.
+
+        Each variable is divided from its top degree down: all terms at
+        x_v^k with k >= d = deg(p_v) fold together through the row onto
+        x_v^(k-d) .. x_v^(k-1), and what lands at a power still >= d is
+        merged there and folds when its level comes, so each merged term
+        folds once.
+        """
+        p = f.p
+        for var, row in self.rows.items():
+            d = len(row)
+            if var >= f.n or f.deg_in(var) < d:
                 continue
-            d = self.gens[var].degree()
-            top = f.deg_in(var)
-            if top < d:
-                continue
-            table = self._table(var, top)
+            fold = [(j, rc) for j, rc in enumerate(row) if rc]
             out: dict = {}
-            get = out.get
+            high: dict[int, dict] = {}  # power of x_v -> {(head, tail): coefficient}
             for e, c in f.terms.items():
-                if e[var] < d:
-                    pairs = ((e, c),)
+                k = e[var]
+                if k < d:
+                    out[e] = c
                 else:
-                    head, tail = e[:var], e[var + 1 :]
-                    pairs = [(head + (j,) + tail, c * rc) for j, rc in enumerate(table[e[var]]) if rc]
-                for e2, c2 in pairs:
-                    acc = get(e2)
-                    new = c2 if acc is None else acc + c2
-                    if new:
-                        out[e2] = new
-                    elif acc is not None:
-                        del out[e2]
-            f = SparsePoly.raw(f.n, _mod_terms(out, f.p), f.p)
+                    high.setdefault(k, {})[e[:var], e[var + 1 :]] = c
+            for k in range(max(high), d - 1, -1):
+                for (head, tail), c in high.pop(k, {}).items():
+                    if p is not None:
+                        c %= p  # keep repeated folds from growing the ints
+                    for j, rc in fold:
+                        k2 = k - d + j
+                        if k2 >= d:
+                            _acc(high.setdefault(k2, {}), (head, tail), c * rc)
+                        else:
+                            _acc(out, head + (k2,) + tail, c * rc)
+            f = SparsePoly.raw(f.n, _mod_terms(out, p), p)
         return f
 
 

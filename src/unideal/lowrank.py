@@ -31,8 +31,8 @@ input scalar is mapped into it once, at construction, and the split (step 1)
 runs on field scalars.  Over GF(p) its output, the level-0 expansion and the
 reducers are plain-int residues, and every `eval` walks on residue
 polynomials (see `poly.SparsePoly`).  Over QQ the walk holds every integral
-scalar as a Python int (the outer circuit's scalars, the hats, the reducer
-tables and the point) and only the others as Fractions, so an integral
+scalar as a Python int (the outer circuit's scalars, the hats, the reducers'
+fold rows and the point) and only the others as Fractions, so an integral
 input with monic generators walks on ints alone.  Each product in the walk
 is a reduced polynomial times an affine form, formed and reduced in one
 pass by `division._Reducer.mul_affine`.
@@ -49,7 +49,7 @@ from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, m
 from .division import UnivariateIdeal, _Reducer
 from .fields import QQ, residue
 from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
-from .poly import SparsePoly, _integral
+from .poly import SparsePoly, _add_into, _integral
 
 __all__ = ["LowRankInput", "rem_eval", "RemEvaluator", "inline_forms"]
 
@@ -231,29 +231,22 @@ def _walk_scalar(field):
 
 def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePoly:
     """g(hat_1, ..., hat_m) with reduction interleaved (Horner per variable);
-    each step multiplies a reduced polynomial by an affine hat."""
+    each step multiplies a reduced polynomial by an affine hat and adds the
+    next slice into the product in place."""
     m, p = g.n, g.p
     if m == 0:
-        c = g.terms.get((), None)
-        return SparsePoly.zero(w, p) if c is None else SparsePoly.const(w, c, p)
-    if not g.terms:
-        return SparsePoly.zero(w, p)
+        c = g.terms.get(())
+        return SparsePoly.raw(w, {} if c is None else {(0,) * w: c}, p)
     h = hats[m - 1]
     slices: dict[int, dict] = {}
     for e, c in g.terms.items():
         slices.setdefault(e[m - 1], {})[e[:-1]] = c
-    top = max(slices)
-    result = None
-    for e in range(top, -1, -1):
-        part = None
+    result = SparsePoly.zero(w, p)
+    for e in range(max(slices, default=-1), -1, -1):
+        result = reducer.mul_affine(result, h, cap)  # a fresh dict
         if e in slices:
             part = _compose_reduced(SparsePoly.raw(m - 1, slices[e], p), hats, w, reducer, cap)
-        if result is None:
-            result = part if part is not None else SparsePoly.zero(w, p)
-        else:
-            result = reducer.mul_affine(result, h, cap)
-            if part is not None:
-                result = result + part
+            _add_into(result.terms, part.terms, p)
     return result
 
 

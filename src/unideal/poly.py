@@ -50,6 +50,20 @@ def _acc(out: dict, e, c):
         del out[e]
 
 
+def _add_into(out: dict, terms: dict, p) -> dict:
+    """out += terms in place, for the terms of polynomials of modulus p
+    (residues in [0, p) when p is set, so each sum is reduced as it forms)."""
+    for e, c in terms.items():
+        new = out.get(e, 0) + c
+        if p is not None and new >= p:
+            new -= p
+        if new:
+            out[e] = new
+        else:  # c is nonzero, so e was in out
+            del out[e]
+    return out
+
+
 def _mod_terms(terms: dict, p) -> dict:
     """Reduce accumulated residue terms mod p; exact terms pass through."""
     if p is None:
@@ -131,15 +145,7 @@ class SparsePoly:
     def __add__(self, other):
         if isinstance(other, SparsePoly):
             p = _same_modulus(self, other)
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                acc = out.get(e)
-                new = c if acc is None else acc + c
-                if new:
-                    out[e] = new
-                elif acc is not None:
-                    del out[e]
-            return SparsePoly.raw(self.n, _mod_terms(out, p), p)
+            return SparsePoly.raw(self.n, _add_into(dict(self.terms), other.terms, p), p)
         return NotImplemented
 
     def __sub__(self, other):

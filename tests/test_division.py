@@ -11,10 +11,9 @@ from unideal.division import (
     _Reducer,
     divide,
     is_member_brute,
-    power_table,
     random_zero_test,
 )
-from unideal.fields import GF, QQ
+from unideal.fields import GF, QQ, FieldMismatch
 from unideal.poly import CapExceeded, SparsePoly, UnivariatePoly
 
 F = Fraction
@@ -28,24 +27,31 @@ def square_gen():
     return UnivariatePoly([F(0), F(0), F(1)])  # x^2
 
 
-def test_power_table_idempotent_variable():
+def x_power(e):
+    return SparsePoly(1, {(e,): F(1)})
+
+
+def single(p):
+    return UnivariateIdeal(((0, p),))
+
+
+def test_divide_powers_idempotent_variable():
     # x^2 - x: x^e = x for every e >= 1
-    t = power_table(boolean_gen(), 5)
-    assert t[0] == UnivariatePoly([F(1)])
+    ideal = single(boolean_gen())
+    assert divide(x_power(0), ideal) == SparsePoly.const(1, F(1))
     for e in range(1, 6):
-        assert t[e] == UnivariatePoly([F(0), F(1)])
+        assert divide(x_power(e), ideal) == x_power(1)
 
 
-def test_power_table_nilpotent():
-    t = power_table(square_gen(), 3)
-    assert t[2].is_zero() and t[3].is_zero()
+def test_divide_powers_nilpotent():
+    ideal = single(square_gen())
+    assert divide(x_power(2), ideal).is_zero() and divide(x_power(3), ideal).is_zero()
 
 
-def test_power_table_below_degree_unchanged():
-    p = UnivariatePoly([F(1), F(2), F(0), F(1)])
-    t = power_table(p, 2)
-    assert t[1] == UnivariatePoly([F(0), F(1)])
-    assert t[2] == UnivariatePoly([F(0), F(0), F(1)])
+def test_divide_powers_below_degree_unchanged():
+    ideal = single(UnivariatePoly([F(1), F(2), F(0), F(1)]))
+    assert divide(x_power(1), ideal) == x_power(1)
+    assert divide(x_power(2), ideal) == x_power(2)
 
 
 def test_divide_hand_example():
@@ -199,15 +205,70 @@ def test_int_leading_coefficients_divide_exactly():
     r = divide(SparsePoly(1, {(3,): F(1)}), ideal)
     assert r == SparsePoly(1, {(1,): F(-1, 3)})
     assert all(type(c) is F for c in r.terms.values())
-    table = power_table(UnivariatePoly([1, 0, 3]), 4)
-    assert table[2] == UnivariatePoly([F(-1, 3)]) and table[4] == UnivariatePoly([F(1, 9)])
-    assert all(type(c) in (int, F) for row in table for c in row.coeffs)
-    monic_table = power_table(UnivariatePoly([2, -1, 1]), 5)
-    assert all(type(c) is int for row in monic_table for c in row.coeffs)
+    ideal = single(UnivariatePoly([1, 0, 3]))
+    assert divide(x_power(2), ideal) == SparsePoly.const(1, F(-1, 3))
+    ninth = divide(x_power(4), ideal)
+    assert ninth == SparsePoly.const(1, F(1, 9)) and type(ninth.coeff((0,))) is F
+    monic = single(UnivariatePoly([2, -1, 1]))
+    assert _Reducer(monic).rows == {0: (-2, 1)}
+    for e in range(6):
+        r = divide(SparsePoly(1, {(e,): 1}), monic)
+        assert all(type(c) is int for c in r.terms.values())
     assert UnivariatePoly([1, 2, 4]).monic().coeffs == (F(1, 4), F(1, 2), 1)
     assert UnivariatePoly([3, -1]).monic().coeffs == (-3, 1)
     q, rem = UnivariatePoly([1, 0, 0, 1]).divmod(UnivariatePoly([1, 2]))
     assert q.coeffs == (F(1, 8), F(-1, 4), F(1, 2)) and rem.coeffs == (F(7, 8),)
+
+
+def test_divide_matches_sympy_reduced():
+    # An oracle that shares no code with `divide`: sympy's multivariate
+    # division by the generators, which form a Groebner basis.  Exponents
+    # reach 3 deg(p_v), so a term folds through several powers of its
+    # variable; over GF(p) the QQ remainder is mapped mod p.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    moduli = (7, 2**61 - 1)
+    checked = dict.fromkeys(moduli, 0)
+    kinds = set()
+    for trial in range(40):
+        n = rng.randint(1, 3)
+        fraction = trial % 2 == 1
+
+        def scalar(nonzero=False):
+            a = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]) if nonzero else rng.randint(-4, 4)
+            return F(a, rng.randint(1, 5)) if fraction else a
+
+        gens = {}
+        for v in range(n):
+            d = rng.randint(1, 3)
+            lc = scalar(True) if fraction else rng.choice([1, -1, 2, 3])
+            gens[v] = UnivariatePoly([scalar() for _ in range(d)] + [lc])
+            kinds.update({"linear"} if d == 1 else set(), {"monic"} if lc == 1 else {"non-monic"})
+        ideal = UnivariateIdeal.from_dict(gens)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            terms[tuple(rng.randint(0, 3 * gens[v].degree()) for v in range(n))] = scalar(True)
+
+        xs = sympy.symbols(f"x0:{n}")
+        q = lambda c: sympy.Rational(F(c).numerator, F(c).denominator)
+        fs = sum(q(c) * sympy.Mul(*[x**k for x, k in zip(xs, e)]) for e, c in terms.items())
+        basis = [sum(q(c) * xs[v] ** k for k, c in enumerate(p.coeffs)) for v, p in gens.items()]
+        _, rem = sympy.reduced(fs, basis, *xs)
+        want = {e: F(int(c.p), int(c.q)) for e, c in sympy.Poly(rem, *xs).terms() if c}
+
+        got = divide(SparsePoly(n, terms), ideal)
+        assert got == SparsePoly(n, want)
+        assert all(type(c) in (int, F) for c in got.terms.values())
+        for p in moduli:
+            try:
+                f_p, want_p = SparsePoly(n, terms, p), SparsePoly(n, want, p)
+                got_p = divide(f_p, ideal)
+            except FieldMismatch:  # a denominator or leading coefficient vanishes mod p
+                continue
+            assert got_p == want_p
+            checked[p] += 1
+    assert kinds == {"linear", "monic", "non-monic"}
+    assert checked[7] >= 20 and checked[2**61 - 1] == 40
 
 
 # Fields of the fused-kernel check: QQ with int and with Fraction scalars, and

@@ -146,7 +146,21 @@ def test_cli_vc_and_error_bound(workdir, capsys):
         "--trials", "20",
     )
     assert code == 0
-    assert "decision: NO-VC" in out and "error_bound: 1e-40" in out
+    # (min(n, deg) / (100 deg))^trials with n = 4 and deg = 2 C(4, 2) + 3 = 15.
+    assert "decision: NO-VC" in out and "error_bound: 3.31e-52" in out
+
+
+def test_cli_member_lowrank_error_bound(workdir, capsys):
+    # z0 z1 with z0 = z1 = x0 is x0^2, a member of <x0^2>.  The remainder has
+    # degree < 2 in x0, so the bound is (min(2, 1) / (100 * 2))^4.
+    (workdir / "x0.txt").write_text("form 1\nform 1\n")
+    (workdir / "sq0.txt").write_text("var 0 : 0 0 1\n")
+    code, out = run_cli(
+        capsys, "member", "--circuit", str(workdir / "mlc.txt"), "--ideal", str(workdir / "sq0.txt"),
+        "--forms", str(workdir / "x0.txt"), "--trials", "4",
+    )
+    assert code == 0
+    assert "decision: MEMBER" in out and "error_bound: 6.25e-10" in out
 
 
 def test_cli_determinism(workdir, capsys):

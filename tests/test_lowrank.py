@@ -439,7 +439,7 @@ def test_integral_input_walks_on_ints():
     assert all(type(c) is int for c in ev._base.terms.values())
     for lvl in ev.levels:
         assert all(type(c) is int for hat in lvl.hats for c in hat.terms.values())
-        rows = [c for t in lvl.reducer.tables.values() for row in t for c in row]
+        rows = [c for row in lvl.reducer.rows.values() for c in row]
         assert rows and all(type(c) is int for c in rows)
 
 
