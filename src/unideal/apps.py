@@ -237,6 +237,13 @@ def vertex_cover_lowrank(
     arithmetic over QQ when p is not larger than max(C(n,2), n,
     100 * deg_bound), or when a denominator vanishes mod p (FieldMismatch);
     the points drawn from `rng` are the same either way.
+
+    The evaluator is prepared once and compiled once
+    (`RemEvaluator.schedule`), so each of the up to `trials` points costs
+    one sparse matrix-vector product per level instead of a sparse walk.
+    The points are drawn one at a time from `rng`, in the order the walk
+    drew them, and the test stops at the first nonzero value, so a YES
+    answer usually pays the compile and one run.
     """
     rng = rng or random.Random(0)
     inp, ideal, deg_bound = build_vc_instance(g, k, tight=tight)
@@ -246,7 +253,7 @@ def vertex_cover_lowrank(
     except FieldMismatch:
         field = QQ
         evaluator = RemEvaluator(inp, ideal, field)
-    return random_zero_test(evaluator.eval, g.n, deg_bound, trials, rng, field=field)
+    return random_zero_test(evaluator.schedule(), g.n, deg_bound, trials, rng, field=field)
 
 
 def has_vertex_cover_brute(g: Graph, k: int) -> bool:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 expansion cap exceeded, 4 undecided.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import random
 import sys
@@ -77,6 +78,18 @@ def _positive_trials(trials: int) -> int:
     return trials
 
 
+def _format_bound(x: Fraction) -> str:
+    """An exact error bound to 3 significant digits, as `f"{float(x):.3g}"`
+    prints it; a bound below the normal float range, where the float would
+    underflow to 0, is rounded from the exact value instead."""
+    f = float(x)
+    if f >= sys.float_info.min or not x:
+        return f"{f:.3g}"
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emin = 3, decimal.MIN_EMIN
+        return f"{decimal.Decimal(x.numerator) / x.denominator:.3g}"
+
+
 def _power_ideal_error(ideal, n: int) -> str | None:
     """Why the ideal is not <x_0^e_0, ..., x_{n-1}^e_{n-1}>, or None if it is."""
     if any(any(p.coeffs[:-1]) or p.lc() != 1 for _, p in ideal.generators):
@@ -108,15 +121,15 @@ def _cmd_member(args) -> int:
         inp = LowRankInput(circuit, forms, d)
         ev = RemEvaluator(inp, ideal)
         n = inp.n
-        nonzero = random_zero_test(ev.eval, n, d, args.trials, rng, field=QQ)
+        nonzero = random_zero_test(ev.schedule(), n, d, args.trials, rng, field=QQ)
         # The remainder has degree < deg p_i in each x_i, and at most the circuit's.
         deg_rem = min(sd, sum(p.degree() - 1 for _, p in ideal.generators))
-        err = 0 if nonzero else float(Fraction(deg_rem, max(1, 100 * d)) ** args.trials)
+        err = 0 if nonzero else Fraction(deg_rem, max(1, 100 * d)) ** args.trials
         _emit(args, {
             "decision": "NOT-MEMBER" if nonzero else "MEMBER",
             "algorithm": f"dispatch={args.mode}->lowrank remainder evaluation + zero test",
             "trials": args.trials,
-            "error_bound": f"{err:.3g}" if err else "0 (one-sided)",
+            "error_bound": _format_bound(err) if err else "0 (one-sided)",
         })
         return 0
     if mode == "powers":
@@ -185,13 +198,13 @@ def _cmd_vc(args) -> int:
     t0 = time.perf_counter()
     has = vertex_cover_lowrank(graph, args.k, args.trials, rng, tight=args.tight)
     _, deg_bound = vc_degrees(graph, args.k, args.tight)
-    err = 0 if has else float(Fraction(min(graph.n, deg_bound), max(1, 100 * deg_bound)) ** args.trials)
+    err = 0 if has else Fraction(min(graph.n, deg_bound), max(1, 100 * deg_bound)) ** args.trials
     _emit(args, {
         "decision": "HAS-VC" if has else "NO-VC",
         "algorithm": "low-rank remainder evaluation on the cover polynomial"
         + (" (tight edge range)" if args.tight else ""),
         "trials": args.trials,
-        "error_bound": "0 (one-sided)" if has else f"{err:.3g}",
+        "error_bound": "0 (one-sided)" if has else _format_bound(err),
         "timings": f"{time.perf_counter() - t0:.6f}s",
     })
     return 0
@@ -201,11 +214,11 @@ def _power_ideal_bound(spec: PowerIdealSpec, trials) -> str:
     """The IN-IDEAL error bound of `membership_powers(..., trials=trials)`:
     the worst per-degree coverage failure at the colorings it used."""
     worst = max(
-        (float(coverage_failure_bound(j, spec.m, trials if trials is not None else _auto_trials(j, spec.m)))
+        (coverage_failure_bound(j, spec.m, trials if trials is not None else _auto_trials(j, spec.m))
          for j in range(1, min(spec.k, spec.m) + 1)),
-        default=0.0,
+        default=Fraction(0),
     )
-    return f"<= {worst:.3g} coverage + zero-test/prime terms"
+    return f"<= {_format_bound(worst)} coverage + zero-test/prime terms"
 
 
 def _cmd_mlmd(args) -> int:

@@ -21,9 +21,22 @@ touching more than 2r variables at a time:
   4. recurse on the surviving fresh variables, which stand for the
      independent rest-forms, against the ideal on the remaining variables.
 
-The per-level splits and the first level's expansion do not depend on alpha,
-so `RemEvaluator` computes them once (the splits in O(r^2 n + depth r^3)
-scalar operations) and each `eval` runs steps 2-4 from the second level on;
+Only step 3 reads alpha.  The per-level splits and the first level's
+expansion are computed once by `RemEvaluator` (the splits in
+O(r^2 n + depth r^3) scalar operations), and the composition of step 2 is
+linear in the incoming polynomial, so it is a fixed matrix per level.  There
+are two ways to run steps 2-4:
+
+  - `RemEvaluator.schedule()` compiles every level's matrix once, on
+    supports computed without cancellation, and returns a callable that
+    costs one sparse matrix-vector product per level and point.  The zero
+    tests (`vc`, `member --mode lowrank`), which evaluate one evaluator at
+    up to 20 points, run on it.
+  - `RemEvaluator.eval` walks the levels sparsely at one point, composing by
+    Horner's rule.  Compiling costs about as much as one walk and a run adds
+    to it, so single-point callers (`rem_eval`, `apps.permanent_lowrank`)
+    walk; the walk is also the oracle the schedule is tested against.
+
 `rem_eval` is the one-shot wrapper.
 
 The evaluator works over the field the caller states, QQ or GF(p).  Every
@@ -40,10 +53,12 @@ pass by `division._Reducer.mul_affine`.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, map_scalars
 from .division import UnivariateIdeal, _Reducer
@@ -96,9 +111,11 @@ class RemEvaluator:
     most r pivot columns past its consumed variables: O(r^2 n + depth r^3)
     scalar operations in all.  It then expands the outer circuit over the
     first level's local variables with interleaved reduction.  Each `eval`
-    walks the levels: compose with the level's local forms, multiplying by
-    one affine hat and reducing in one pass per Horner step, then substitute
-    the point's consumed coordinates.  Every product is capped at
+    walks the levels at one point: compose with the level's local forms,
+    multiplying by one affine hat and reducing in one pass per Horner step,
+    then substitute the point's consumed coordinates.  `schedule` does the
+    composition once for all points and returns the compiled evaluation,
+    which pays off from the second point on.  Every product is capped at
     (d+1)^(2r) terms.
 
     `field` is QQ (the default) or a `fields.GF(p)`.  Every scalar of the
@@ -107,9 +124,10 @@ class RemEvaluator:
     here, so a scalar with no image there (a `Mod` under QQ, another
     modulus, a denominator that vanishes mod p) or a generator leading
     coefficient that vanishes mod p raises FieldMismatch.  Over GF(p) the
-    levels, the reducers and the expansion are residues and `eval` returns a
-    `Mod`; over QQ they hold integral scalars as ints, the point is mapped
-    the same way, and `eval` returns the exact value as a Fraction.
+    levels, the reducers and the expansion are residues and `eval` (and the
+    schedule) returns a `Mod`; over QQ they hold integral scalars as ints,
+    the point is mapped the same way, and the exact value comes back as a
+    Fraction.
     """
 
     def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=QQ):
@@ -219,6 +237,123 @@ class RemEvaluator:
         if g.n != 0:
             raise AssertionError("recursion left live variables")
         return self.field(g.terms.get((), 0))
+
+    def schedule(self):
+        """Compile the walk once; returns alpha -> (f mod I)(alpha) as `eval`.
+
+        Only the substitution of alpha depends on the point.  Each level
+        composes its incoming polynomial, sum_a v[a] z^a, with the hats, and
+        reduction is linear, so the level is a fixed matrix: column a is
+        reduce(prod_j hat_j^a_j), built by one `mul_affine` from column
+        a - e_j and memoised (`_columns`).  The incoming monomials a are the
+        tails that any column of the previous level can leave (no
+        cancellation is assumed, so they serve every point), and the rows
+        are the output monomials, each a (consumed exponents, tail) pair.  A
+        point then costs one sparse product per level, reduced mod p once
+        per tail, and the consumed powers of alpha.
+
+        Over QQ `_columns` scales the hats to integers, and any denominator
+        left in a level's entries (a fractional outer circuit, non-monic
+        generators) is cleared by the lcm of the entries' denominators.  Each
+        scale multiplies the level's output by a constant, so their product
+        is divided out once at the end, and a point with integer coordinates
+        runs on ints.
+        """
+        if not self.levels:  # constant forms: the expansion is the value
+            return self.eval
+        p, exact = self.p, self.p is None
+        compiled = []  # per level: (offset, s, consumed exponents, rows, tail count)
+        total = 1      # the product of the scales
+        support = [()] # the incoming monomials; level 0 takes the expansion as is
+        for lvl in self.levels:
+            if lvl is self.levels[0]:
+                cols, weights = [self._base], [1]
+            else:
+                cols, weights, scale = _columns(lvl, support, self.cap, exact)
+                total *= scale
+            entries: dict = {}
+            for a, (col, wt) in enumerate(zip(cols, weights)):
+                for e, c in col.terms.items():
+                    entries.setdefault((e[: lvl.s], e[lvl.s :]), []).append((a, c * wt))
+            if exact:
+                scale = math.lcm(*(c.denominator for row in entries.values() for _, c in row))
+                total *= scale
+                if scale != 1:
+                    entries = {k: [(a, _integral(c * scale)) for a, c in row] for k, row in entries.items()}
+            consumed: dict = {}
+            tails: dict = {}
+            rows = []
+            for (c, t), row in entries.items():
+                srcs, coeffs = zip(*row)
+                rows.append((consumed.setdefault(c, len(consumed)), tails.setdefault(t, len(tails)), srcs, coeffs))
+            compiled.append((lvl.offset, lvl.s, list(consumed), rows, len(tails)))
+            support = list(tails)
+        if any(support):
+            raise AssertionError("recursion left live variables")
+        n, scalar, field = self.inp.n, self._scalar, self.field
+
+        def run(alpha):
+            if len(alpha) != n:
+                raise ValueError("point length mismatch")
+            alpha = [scalar(x) for x in alpha]
+            v = [1]
+            for offset, s, consumed, rows, ntails in compiled:
+                pts = alpha[offset : offset + s]
+                monos = []
+                for c in consumed:
+                    m = 1
+                    for x, k in zip(pts, c):
+                        if k:
+                            m *= pow(x, k, p)
+                    monos.append(m if p is None else m % p)
+                out = [0] * ntails
+                get = v.__getitem__
+                for ci, ti, srcs, coeffs in rows:
+                    out[ti] += sum(map(mul, coeffs, map(get, srcs))) * monos[ci]
+                v = out if p is None else [x % p for x in out]
+            value = v[0] if v else 0
+            return field(Fraction(value, total) if exact else value)
+
+        return run
+
+
+def _columns(lvl: _Level, support, cap: int, exact: bool):
+    """The columns reduce(prod_j hat_j^a_j) of one level, for the incoming
+    monomials a in `support`, with each column's weight and the level's scale.
+
+    Column a is column a - e_j (j the last variable of a) times hat_j, one
+    fused `mul_affine` each, memoised down to the constant 1.  Over QQ each
+    hat is first scaled to integer coefficients by the lcm D_j of its
+    denominators, as `apps._permanent_input` scales its rows: the column of
+    a is then D^a times the true one, so it gets the weight D^(top - a),
+    with top_j the largest a_j in `support`, and the level's output comes
+    out D^top times the true one.
+    """
+    hats, w, reducer = lvl.hats, lvl.w, lvl.reducer
+    dens = [1] * len(hats)
+    if exact:
+        dens = [math.lcm(*(c.denominator for c in h.terms.values())) for h in hats]
+        hats = [
+            SparsePoly.raw(w, {e: _integral(c * d) for e, c in h.terms.items()}) if d != 1 else h
+            for h, d in zip(hats, dens)
+        ]
+    memo = {(0,) * len(hats): SparsePoly.raw(w, {(0,) * w: 1}, reducer.p)}
+    cols = []
+    for a in support:
+        chain = []
+        while a not in memo:
+            j = max(i for i, k in enumerate(a) if k)
+            chain.append((a, j))
+            a = a[:j] + (a[j] - 1,) + a[j + 1 :]
+        col = memo[a]
+        for b, j in reversed(chain):
+            col = memo[b] = reducer.mul_affine(col, hats[j], cap)
+        cols.append(col)
+    if not exact:
+        return cols, [1] * len(cols), 1
+    top = [max((a[j] for a in support), default=0) for j in range(len(hats))]
+    weights = [math.prod(d ** (t - k) for d, t, k in zip(dens, top, a)) for a in support]
+    return cols, weights, math.prod(d**t for d, t in zip(dens, top))
 
 
 def _walk_scalar(field):

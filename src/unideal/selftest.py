@@ -3,10 +3,11 @@
 A quick, seeded version of the checks the full pytest suite runs at scale:
 every fast path is compared against its independent brute-force oracle, and
 the three membership engines are compared with each other on low-rank inputs
-modulo power ideals, where all three apply.  The root-certificate search is
-checked on fixed instances with integer-root generators, and each
-certificate it returns must pass the verifier.  Returns a list of failure
-descriptions; empty means healthy.
+modulo power ideals, where all three apply.  The compiled schedule that the
+vertex-cover zero test runs is compared with the sparse walk on the same
+instances.  The root-certificate search is checked on fixed instances with
+integer-root generators, and each certificate it returns must pass the
+verifier.  Returns a list of failure descriptions; empty means healthy.
 """
 
 from __future__ import annotations
@@ -14,11 +15,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .apps import Graph, has_vertex_cover_brute, permanent_lowrank, ryser_permanent, vertex_cover_lowrank
+from .apps import (
+    VC_PRIME,
+    Graph,
+    build_vc_instance,
+    has_vertex_cover_brute,
+    permanent_lowrank,
+    ryser_permanent,
+    vertex_cover_lowrank,
+)
 from .certifier import compute_threshold, search_nonmembership, verify_certificate
 from .circuits import CircuitBuilder, expand, syntactic_degree
 from .division import UnivariateIdeal, divide, is_member_brute, random_zero_test
-from .fields import QQ
+from .fields import GF, QQ
 from .hadamard import PowerIdealSpec, membership_powers
 from .linalg import LinearForm, Matrix
 from .lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
@@ -125,7 +134,7 @@ def run_selftest(seed: int = 0) -> list:
         brute = is_member_brute(c, ideal)
         powers = not membership_powers(c, PowerIdealSpec(exps, syntactic_degree(c)), rng=random.Random(seed + t))
         lowrank = not random_zero_test(
-            RemEvaluator(inp, ideal).eval, n, inp.degree_bound, 5, random.Random(seed + t), field=QQ
+            RemEvaluator(inp, ideal).schedule(), n, inp.degree_bound, 5, random.Random(seed + t), field=QQ
         )
         if not brute == powers == lowrank:
             failures.append(f"engines disagree on instance {t}: brute={brute} powers={powers} lowrank={lowrank}")
@@ -184,5 +193,15 @@ def run_selftest(seed: int = 0) -> list:
             got = vertex_cover_lowrank(g, k, 20, random.Random(seed + k))
             if got != has_vertex_cover_brute(g, k):
                 failures.append(f"vertex cover mismatch on {name} k={k}")
+            # the compiled schedule the zero test runs vs the sparse walk
+            inp, ideal, deg = build_vc_instance(g, k)
+            for field in (QQ, GF(VC_PRIME)):
+                ev = RemEvaluator(inp, ideal, field)
+                run = ev.schedule()
+                for _ in range(3):
+                    alpha = [rng.randint(0, 100 * deg) for _ in range(g.n)]
+                    if run(alpha) != ev.eval(alpha):
+                        failures.append(f"schedule mismatch on {name} k={k} over {field}")
+                        break
 
     return failures

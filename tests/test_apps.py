@@ -283,3 +283,31 @@ def test_vc_falls_back_to_qq_on_a_vanishing_denominator(monkeypatch):
             assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
     assert set(calls) == {(GF(2**61 - 1), False), (QQ, True)}
     assert calls.count((QQ, True)) == sum(g.n + 1 for g in VC_FAMILY)
+
+
+@pytest.mark.parametrize("prime", [2**61 - 1, 101], ids=["mersenne", "qq-fallback"])
+def test_vc_schedule_keeps_the_rng_stream(monkeypatch, prime):
+    # The zero test on the compiled schedule draws the same points from the
+    # same stream as the walk and stops at the same one: the same decisions,
+    # and the rng left in the same state.
+    monkeypatch.setattr(apps, "VC_PRIME", prime)
+    cases = [(g, k, seed) for g in VC_FAMILY for k in range(g.n + 1) for seed in (0, 1)]
+
+    def runs():
+        out = []
+        for g, k, seed in cases:
+            rng = random.Random(seed)
+            out.append((vertex_cover_lowrank(g, k, 20, rng, tight=seed == 1), rng.getstate()))
+        return out
+
+    def no_walk(self, alpha):
+        raise AssertionError("the zero test walked")
+
+    with monkeypatch.context() as m:
+        m.setattr(apps.RemEvaluator, "eval", no_walk)
+        compiled = runs()
+    monkeypatch.setattr(apps.RemEvaluator, "schedule", lambda self: self.eval)
+    assert compiled == runs()
+    decisions = [has for has, _ in compiled]
+    assert decisions == [has_vertex_cover_brute(g, k) for g, k, _ in cases]
+    assert True in decisions and False in decisions

@@ -163,6 +163,97 @@ def test_cli_member_lowrank_error_bound(workdir, capsys):
     assert "decision: MEMBER" in out and "error_bound: 6.25e-10" in out
 
 
+def test_cli_vc_error_bound_below_float_range(workdir, capsys):
+    # (4 / 1500)^140 is about 4.32e-361; as a float it underflowed to "0".
+    argv = ["vc", "--graph", str(workdir / "c4.txt"), "--k", "1", "--seed", "1", "--trials", "140"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert "decision: NO-VC" in out and "error_bound: 4.32e-361\n" in out
+    code, out = run_cli(capsys, *argv, "--json")
+    assert json.loads(out)["error_bound"] == "4.32e-361"
+
+
+def test_cli_member_lowrank_error_bound_below_float_range(workdir, capsys):
+    # (1 / 200)^200 is about 6.22e-461; as a float it underflowed and the
+    # MEMBER answer printed "0 (one-sided)".
+    (workdir / "x0.txt").write_text("form 1\nform 1\n")
+    (workdir / "sq0.txt").write_text("var 0 : 0 0 1\n")
+    code, out = run_cli(
+        capsys, "member", "--circuit", str(workdir / "mlc.txt"), "--ideal", str(workdir / "sq0.txt"),
+        "--forms", str(workdir / "x0.txt"), "--trials", "200",
+    )
+    assert code == 0
+    assert "decision: MEMBER" in out and "error_bound: 6.22e-461\n" in out
+
+
+def test_cli_member_lowrank_schedule_keeps_the_rng_stream(workdir, capsys, monkeypatch):
+    # `member --mode lowrank` on the compiled schedule prints what the same
+    # run through `RemEvaluator.eval` prints, and leaves its rng in the same
+    # state: the same points, drawn from the same stream, up to the same stop.
+    import unideal.cli as cli
+    from unideal.lowrank import RemEvaluator
+
+    files = {
+        "x0.txt": "form 1\nform 1\n",
+        "x0x1.txt": "form 1 1\nform 1 0\n",
+        "frac.txt": "form 1/2 1 + 1\nform 2/3 -1\n",
+        "sq0.txt": "var 0 : 0 0 1\n",
+        "lin.txt": "var 0 : 0 1\nvar 1 : 0 1\n",
+        "nonmonic.txt": "var 0 : 1 0 2\nvar 1 : 0 3 1/2\n",
+    }
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    cases = [("x0.txt", "sq0.txt"), ("x0x1.txt", "sq.txt"), ("x0x1.txt", "lin.txt"), ("frac.txt", "nonmonic.txt")]
+    real = cli.random_zero_test
+    states = []
+
+    def spy(r_eval, n, d, trials, rng, field):
+        nonzero = real(r_eval, n, d, trials, rng, field=field)
+        states.append(rng.getstate())
+        return nonzero
+
+    monkeypatch.setattr(cli, "random_zero_test", spy)
+
+    def runs():
+        return [
+            run_cli(capsys, "member", "--circuit", str(workdir / "mlc.txt"), "--ideal", str(workdir / ideal),
+                    "--forms", str(workdir / forms), "--mode", "lowrank", "--seed", str(seed), "--json")
+            for forms, ideal in cases for seed in (0, 5)
+        ]
+
+    def no_walk(self, alpha):
+        raise AssertionError("the zero test walked")
+
+    with monkeypatch.context() as m:
+        m.setattr(RemEvaluator, "eval", no_walk)
+        compiled = runs()
+    with monkeypatch.context() as m:
+        m.setattr(RemEvaluator, "schedule", lambda self: self.eval)
+        walked = runs()
+    assert compiled == walked
+    assert states[: len(compiled)] == states[len(compiled) :]
+    decisions = [json.loads(out)["decision"] for _, out in compiled]
+    assert {"MEMBER", "NOT-MEMBER"} == set(decisions)
+
+
+def test_format_bound_matches_float_formatting():
+    from unideal.cli import _format_bound, _power_ideal_bound
+    from unideal.hadamard import PowerIdealSpec
+
+    rng = random.Random(23)
+    for _ in range(200):
+        x = F(rng.randint(1, 10**6), rng.randint(1, 10**6)) ** rng.randint(1, 50)
+        assert _format_bound(x) == f"{float(x):.3g}"
+    assert _format_bound(F(0)) == "0"
+    # Below the normal range the float loses digits (5e-324 is the smallest
+    # subnormal, printed 4.94e-324); the exact value keeps them.
+    assert _format_bound(F(5, 10**324)) == "5e-324"
+    assert _format_bound(F(12345, 10**404)) == "1.23e-400"
+    # The IN-IDEAL bound of `mlmd --trials 2000` on three cubes, degree 3.
+    spec = PowerIdealSpec((3, 3, 3), 3)
+    assert _power_ideal_bound(spec, 2000) == "<= 2.03e-567 coverage + zero-test/prime terms"
+
+
 def test_cli_determinism(workdir, capsys):
     args = ("vc", "--graph", str(workdir / "c4.txt"), "--k", "1", "--seed", "3", "--json")
     _, out1 = run_cli(capsys, *args)

@@ -460,3 +460,67 @@ def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
         rem_eval(*cases[0])
     for (inp, ideal, alpha), value in zip(cases, want):
         assert divide(expand(inline_forms(inp)), ideal).evaluate(alpha) == value
+
+
+def test_schedule_matches_walk_and_oracle():
+    # The compiled schedule against the walk and expand-and-divide at random
+    # points, over QQ on rational instances with non-monic generators (so
+    # the hats of deeper levels carry denominators and get scaled) and over
+    # GF(p), with zero coordinates among the points.
+    rng = random.Random(24)
+    cases = []
+    for _ in range(30):
+        inp, ideal, _ = random_lowrank_instance(rng)
+        cases += [(inp, ideal), rational_instance(rng, inp, ideal)]
+    for n, lo, hi in [(5, 2, 3), (8, 1, 3)]:
+        inp, ideal = gate_mix_instance(rng, n, lo, hi)
+        cases += [(inp, ideal), rational_instance(rng, inp, ideal)]
+    scaled = 0
+    for inp, ideal in cases:
+        remainder = divide(expand(inline_forms(inp)), ideal)
+        evs = [RemEvaluator(inp, ideal)] + [RemEvaluator(inp, ideal, GF(p)) for p in (10007, 2**61 - 1)]
+        runs = [ev.schedule() for ev in evs]
+        for _ in range(4):
+            alpha = [F(rng.choice([0, 0, rng.randint(-4, 4), F(rng.randint(-4, 4), 3)])) for _ in range(inp.n)]
+            want = remainder.evaluate(alpha)
+            for ev, run in zip(evs, runs):
+                got = run(alpha)
+                assert got == ev.eval(alpha) == ev.field(want)
+                assert type(got) is (F if ev.field == QQ else Mod)
+        scaled += any(c.denominator > 1 for lvl in evs[0].levels[1:] for h in lvl.hats for c in h.terms.values())
+    assert scaled > 0
+    assert any(p.lc() != 1 for _, ideal in cases for _, p in ideal.generators)
+
+
+def test_schedule_edge_cases():
+    # No levels (constant forms), a zero remainder, n = 1, and the point
+    # length check.
+    b = CircuitBuilder(2)
+    outer = b.build(b.add(b.mul(b.input(0), b.input(1), b.const(F(2, 3))), b.const(F(1))))
+    inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5, 2))), 2)
+    for field in (QQ, GF(10007)):
+        ev = RemEvaluator(inp, square_ideal(0), field)
+        assert ev.depth == 0 and ev.schedule()([]) == ev.eval([]) == field(6)
+    b = CircuitBuilder(2)
+    zero = LowRankInput(b.build(b.const(F(0))), (LinearForm((F(1), F(0))), LinearForm((F(1), F(1)))), 1)
+    b = CircuitBuilder(2)
+    member = LowRankInput(b.build(b.mul(b.input(0), b.input(0), b.input(1))), zero.forms, 3)
+    for inp in (zero, member):
+        for field in (QQ, GF(7)):
+            ev = RemEvaluator(inp, square_ideal(2), field)
+            run = ev.schedule()
+            for alpha in ([0, 0], [3, 0], [F(1, 2), 5]):
+                assert run(alpha) == ev.eval(alpha) == field(0)
+    b = CircuitBuilder(1)
+    z = b.input(0)
+    outer = b.build(b.add(b.mul(z, z, z), b.mul(b.const(F(-1, 2)), z)))
+    inp = LowRankInput(outer, (LinearForm((F(2, 3),), F(1)),), 3)
+    ideal = UnivariateIdeal(((0, UnivariatePoly([F(1), F(0), F(3)])),))
+    remainder = divide(expand(inline_forms(inp)), ideal)
+    for field in (QQ, GF(10007)):
+        ev = RemEvaluator(inp, ideal, field)
+        run = ev.schedule()
+        for x in (0, 1, F(-7, 5), 12):
+            assert run([x]) == ev.eval([x]) == field(remainder.evaluate([F(x)]))
+        with pytest.raises(ValueError):
+            run([1, 2])
