@@ -252,12 +252,11 @@ class RemEvaluator:
         point then costs one sparse product per level, reduced mod p once
         per tail, and the consumed powers of alpha.
 
-        Over QQ `_columns` scales the hats to integers, and any denominator
-        left in a level's entries (a fractional outer circuit, non-monic
-        generators) is cleared by the lcm of the entries' denominators.  Each
-        scale multiplies the level's output by a constant, so their product
-        is divided out once at the end, and a point with integer coordinates
-        runs on ints.
+        Over QQ any denominator in a level's entries (fractional forms or
+        outer circuit, non-monic generators) is cleared by the lcm of the
+        entries' denominators.  Each such scale multiplies the level's output
+        by a constant, so their product is divided out once at the end, and
+        a point with integer coordinates runs on ints.
         """
         if not self.levels:  # constant forms: the expansion is the value
             return self.eval
@@ -266,15 +265,11 @@ class RemEvaluator:
         total = 1      # the product of the scales
         support = [()] # the incoming monomials; level 0 takes the expansion as is
         for lvl in self.levels:
-            if lvl is self.levels[0]:
-                cols, weights = [self._base], [1]
-            else:
-                cols, weights, scale = _columns(lvl, support, self.cap, exact)
-                total *= scale
+            cols = [self._base] if lvl is self.levels[0] else _columns(lvl, support, self.cap)
             entries: dict = {}
-            for a, (col, wt) in enumerate(zip(cols, weights)):
+            for a, col in enumerate(cols):
                 for e, c in col.terms.items():
-                    entries.setdefault((e[: lvl.s], e[lvl.s :]), []).append((a, c * wt))
+                    entries.setdefault((e[: lvl.s], e[lvl.s :]), []).append((a, c))
             if exact:
                 scale = math.lcm(*(c.denominator for row in entries.values() for _, c in row))
                 total *= scale
@@ -317,27 +312,15 @@ class RemEvaluator:
         return run
 
 
-def _columns(lvl: _Level, support, cap: int, exact: bool):
+def _columns(lvl: _Level, support, cap: int):
     """The columns reduce(prod_j hat_j^a_j) of one level, for the incoming
-    monomials a in `support`, with each column's weight and the level's scale.
+    monomials a in `support`.
 
     Column a is column a - e_j (j the last variable of a) times hat_j, one
-    fused `mul_affine` each, memoised down to the constant 1.  Over QQ each
-    hat is first scaled to integer coefficients by the lcm D_j of its
-    denominators, as `apps._permanent_input` scales its rows: the column of
-    a is then D^a times the true one, so it gets the weight D^(top - a),
-    with top_j the largest a_j in `support`, and the level's output comes
-    out D^top times the true one.
+    fused `mul_affine` each, memoised down to the constant 1.
     """
-    hats, w, reducer = lvl.hats, lvl.w, lvl.reducer
-    dens = [1] * len(hats)
-    if exact:
-        dens = [math.lcm(*(c.denominator for c in h.terms.values())) for h in hats]
-        hats = [
-            SparsePoly.raw(w, {e: _integral(c * d) for e, c in h.terms.items()}) if d != 1 else h
-            for h, d in zip(hats, dens)
-        ]
-    memo = {(0,) * len(hats): SparsePoly.raw(w, {(0,) * w: 1}, reducer.p)}
+    hats, reducer = lvl.hats, lvl.reducer
+    memo = {(0,) * len(hats): SparsePoly.raw(lvl.w, {(0,) * lvl.w: 1}, reducer.p)}
     cols = []
     for a in support:
         chain = []
@@ -349,11 +332,7 @@ def _columns(lvl: _Level, support, cap: int, exact: bool):
         for b, j in reversed(chain):
             col = memo[b] = reducer.mul_affine(col, hats[j], cap)
         cols.append(col)
-    if not exact:
-        return cols, [1] * len(cols), 1
-    top = [max((a[j] for a in support), default=0) for j in range(len(hats))]
-    weights = [math.prod(d ** (t - k) for d, t, k in zip(dens, top, a)) for a in support]
-    return cols, weights, math.prod(d**t for d, t in zip(dens, top))
+    return cols
 
 
 def _walk_scalar(field):

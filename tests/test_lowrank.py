@@ -465,8 +465,8 @@ def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
 def test_schedule_matches_walk_and_oracle():
     # The compiled schedule against the walk and expand-and-divide at random
     # points, over QQ on rational instances with non-monic generators (so
-    # the hats of deeper levels carry denominators and get scaled) and over
-    # GF(p), with zero coordinates among the points.
+    # the hats of deeper levels carry denominators, which the per-level lcm
+    # clears) and over GF(p), with zero coordinates among the points.
     rng = random.Random(24)
     cases = []
     for _ in range(30):
@@ -475,7 +475,7 @@ def test_schedule_matches_walk_and_oracle():
     for n, lo, hi in [(5, 2, 3), (8, 1, 3)]:
         inp, ideal = gate_mix_instance(rng, n, lo, hi)
         cases += [(inp, ideal), rational_instance(rng, inp, ideal)]
-    scaled = 0
+    fractional = 0
     for inp, ideal in cases:
         remainder = divide(expand(inline_forms(inp)), ideal)
         evs = [RemEvaluator(inp, ideal)] + [RemEvaluator(inp, ideal, GF(p)) for p in (10007, 2**61 - 1)]
@@ -487,8 +487,8 @@ def test_schedule_matches_walk_and_oracle():
                 got = run(alpha)
                 assert got == ev.eval(alpha) == ev.field(want)
                 assert type(got) is (F if ev.field == QQ else Mod)
-        scaled += any(c.denominator > 1 for lvl in evs[0].levels[1:] for h in lvl.hats for c in h.terms.values())
-    assert scaled > 0
+        fractional += any(c.denominator > 1 for lvl in evs[0].levels[1:] for h in lvl.hats for c in h.terms.values())
+    assert fractional > 0
     assert any(p.lc() != 1 for _, ideal in cases for _, p in ideal.generators)
 
 
