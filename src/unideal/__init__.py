@@ -15,7 +15,7 @@ from .linalg import (
     congruence_diagonalize,
     rank_and_row_basis,
 )
-from .poly import CapExceeded, SparsePoly, UnivariatePoly, charpoly, discriminant, poly_gcd, resultant
+from .poly import CapExceeded, SparsePoly, UnivariatePoly, discriminant, poly_gcd, resultant
 from .circuits import (
     Add,
     Circuit,

@@ -19,11 +19,16 @@ R(a) at every root tuple, so with M = B3/3 and eps <= M/lip:
     f in I  -> f(a) = 0, so every near-root tuple gives |f| <= eps*lip <= M,
     f not in I -> some a has |f(a)| = |R(a)| >= B3 = 3M, so |f| >= 2M there.
 
-B3 lower bounds the nonzero grid values of R.  It comes from the
-multiplication operator of R on Q[x]/I: its characteristic polynomial has
-exactly the grid values of R as roots, so a Cauchy-style lower root bound on
-its deflation is a valid separation.  Both bounds are exact rationals;
-magnitudes are compared squared so the arithmetic never leaves Q.
+B3 lower bounds the nonzero grid values of R.  By Stickelberger's theorem
+the eigenvalues of multiplication by R on Q[x]/I are exactly the grid values
+R(a), so its characteristic polynomial chi has them as roots, and a
+Cauchy-style lower root bound on chi with its factor w^z (z vanishing
+tuples) divided out is a valid separation.  chi is never a determinant: its
+power sums are the traces P_k = tr(R^k) = sum_e [R^k mod I]_e prod_i s_i(e_i),
+where s_i(j) is the j-th power sum of the roots of p_i, so each costs one
+multiply-and-reduce, and Newton's identities turn P_1..P_N into chi (N the
+grid size).  Both bounds are exact rationals; magnitudes are compared
+squared so the arithmetic never leaves Q.
 
 Root approximation itself is numeric (Durand-Kerner at escalating mpmath
 precision) but never trusted: every approximation is certified a posteriori
@@ -41,8 +46,7 @@ import mpmath
 
 from .circuits import Circuit, expand
 from .division import UnivariateIdeal, _Reducer
-from .poly import SparsePoly, UnivariatePoly, charpoly, discriminant, poly_gcd
-from .linalg import Matrix
+from .poly import SparsePoly, UnivariatePoly, _integral, discriminant, poly_gcd
 
 __all__ = [
     "NotSquarefree",
@@ -59,7 +63,7 @@ __all__ = [
 ]
 
 # Work guards: the monomial cap of the expansion of f, and the largest root
-# grid whose residue-basis charpoly (threshold) or tuple sweep (search) runs.
+# grid whose power-sum charpoly (threshold) or tuple sweep (search) runs.
 EXPAND_CAP = 10**6
 CHARPOLY_GUARD = 2048
 GRID_GUARD = 10**5
@@ -359,7 +363,8 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal, eps: Fraction | None =
     Bounds the Lipschitz constant `lip` of f over the root boxes, and
     lower-bounds the nonzero grid values of the remainder R through the
     characteristic polynomial of multiplication by R on the quotient
-    algebra.  Sets M = B3/3 and eps <= min(1, M/lip).
+    algebra, built from the power sums tr(R^k) by Newton's identities.
+    Sets M = B3/3 and eps <= min(1, M/lip).
     """
     fp = expand(f, EXPAND_CAP)
     n = fp.n
@@ -398,31 +403,70 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal, eps: Fraction | None =
 def _grid_value_lower_bound(r: SparsePoly, reducer: _Reducer, degs, grid: int) -> Fraction:
     """Lower bound on |R| over grid tuples where R does not vanish.
 
-    The multiplication-by-R operator on the residue basis has characteristic
-    polynomial prod over tuples of (w - R(tuple)); a lower root bound on its
-    deflation bounds every nonzero grid value from below.  Its columns are
-    the reductions of x^e * R, all through the one `reducer` of the ideal.
+    The roots of chi(w) = prod over tuples of (w - R(tuple)) are the grid
+    values of R (`_grid_charpoly`), so a Cauchy-style lower root bound on
+    chi with its factor w^z (one w per vanishing tuple) divided out bounds
+    every nonzero grid value from below.
     """
     if r.is_zero():
         return Fraction(1)
-    basis = list(itertools.product(*[range(dd) for dd in degs]))
-    index = {e: i for i, e in enumerate(basis)}
-    n = r.n
-    cols = []
-    for e in basis:
-        shifted = SparsePoly(n, {tuple(a + b for a, b in zip(e, ee)): c for ee, c in r.terms.items()})
-        reduced = reducer.reduce(shifted)
-        col = [Fraction(0)] * grid
-        for ee, c in reduced.terms.items():
-            col[index[ee]] = Fraction(c)
-        cols.append(col)
-    mat = Matrix([[cols[j][i] for j in range(grid)] for i in range(grid)])
-    chi = charpoly(mat)
-    t = next(i for i, c in enumerate(chi.coeffs) if c)
-    if t == chi.degree():
+    chi = _grid_charpoly(r, reducer, degs, grid)
+    t = next(i for i, c in enumerate(chi) if c)
+    if t == grid:
         return Fraction(1)  # R vanishes on the whole grid
-    tail = [abs(Fraction(c)) for c in chi.coeffs[t:]]
+    tail = [abs(Fraction(c)) for c in chi[t:]]
     return min(Fraction(1), tail[0] / sum(tail[1:]))
+
+
+def _grid_charpoly(r: SparsePoly, reducer: _Reducer, degs, grid: int) -> list:
+    """Coefficients, lowest first, of chi(w) = prod over grid tuples a of (w - R(a)).
+
+    By Stickelberger's theorem the eigenvalues of multiplication by R on
+    Q[x]/I are the grid values R(a), so chi is its characteristic
+    polynomial and the power sums P_k = sum_a R(a)^k are the traces
+    tr(R^k).  The trace of a reduced polynomial is linear in its
+    coefficients: tr(x^e) = prod_i s_i(e_i), where s_i(j) is the j-th power
+    sum of the roots of p_i.  Newton's identities give the s_i from the fold
+    rows and chi from P_1..P_N (N = grid).  Over monic integer generators
+    with an integral R every value is an int and each division by k is
+    exact; otherwise the same steps run on Fractions.
+    """
+    trace = {(): 1}
+    for v, d in enumerate(degs):
+        s = _root_power_sums(reducer.rows[v])
+        trace = {e + (j,): t * s[j] for e, t in trace.items() for j in range(d)}
+    r = SparsePoly.raw(r.n, {e: _integral(c) for e, c in r.terms.items()})
+    sums = []
+    cur = r
+    for k in range(grid):
+        if k:
+            cur = reducer.mul_affine(cur, r)
+        sums.append(sum(c * trace[e] for e, c in cur.terms.items()))
+    # chi = sum_k c_k w^(N-k) with c_0 = 1 and k c_k = -(P_k + c_1 P_(k-1) + ... + c_(k-1) P_1)
+    cs = [1]
+    for k in range(1, grid + 1):
+        acc = -sum(cs[i] * sums[k - 1 - i] for i in range(k))
+        cs.append(_exact_quotient(acc, k))
+    return cs[::-1]
+
+
+def _root_power_sums(row) -> list:
+    """s(0..d-1), the power sums of the roots of x^d - sum_j row[j] x^j.
+
+    Newton's identities: s(0) = d and s(k) = k row[d-k] + sum_{i<k} row[d-i] s(k-i).
+    """
+    d = len(row)
+    s = [d]
+    for k in range(1, d):
+        s.append(k * row[d - k] + sum(row[d - i] * s[k - i] for i in range(1, k)))
+    return s
+
+
+def _exact_quotient(x, k: int):
+    """x / k, as an int when x is an int that k divides."""
+    if type(x) is int and not x % k:
+        return x // k
+    return Fraction(x, k)
 
 
 def _residual_threshold_sq(budget: PrecisionBudget) -> Fraction:

@@ -32,7 +32,6 @@ __all__ = [
     "poly_gcd",
     "resultant",
     "discriminant",
-    "charpoly",
 ]
 
 
@@ -120,7 +119,7 @@ class SparsePoly:
     def variable(cls, n: int, i: int) -> "SparsePoly":
         e = [0] * n
         e[i] = 1
-        return cls(n, {tuple(e): Fraction(1)})
+        return cls(n, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -420,42 +419,3 @@ def discriminant(p: UnivariatePoly):
     r = resultant(p, p.derivative())
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * r * _inverse(p.lc())
-
-
-def charpoly(m: Matrix) -> UnivariatePoly:
-    """det(w*I - M), monic, by exact Hessenberg reduction plus the minor recurrence.
-
-    The leading coefficient is Fraction(1), which a `Mod` absorbs, so
-    `monic` and `divmod` never divide by an int; the others are scalars of
-    M's field.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("characteristic polynomial of non-square matrix")
-    h = [list(r) for r in m.rows]
-    for col in range(n - 2):
-        piv = next((r for r in range(col + 1, n) if h[r][col]), None)
-        if piv is None:
-            continue
-        if piv != col + 1:
-            h[col + 1], h[piv] = h[piv], h[col + 1]
-            for r in range(n):
-                h[r][col + 1], h[r][piv] = h[r][piv], h[r][col + 1]
-        inv = _inverse(h[col + 1][col])
-        for r in range(col + 2, n):
-            if h[r][col]:
-                f = h[r][col] * inv
-                h[r] = [x - f * y for x, y in zip(h[r], h[col + 1])]
-                for t in range(n):
-                    h[t][col + 1] = h[t][col + 1] + f * h[t][r]
-    # p_m(w) = (w - h[m][m]) p_{m-1} - sum_i h[i][m] (prod subdiag) p_{i-1}
-    ps = [UnivariatePoly([Fraction(1)])]
-    for mm in range(n):
-        p = UnivariatePoly((0,) + ps[mm].coeffs) - ps[mm].scale(h[mm][mm])
-        prod = 1
-        for i in range(mm - 1, -1, -1):
-            prod = prod * h[i + 1][i]
-            if h[i][mm] and prod:
-                p = p - ps[i].scale(h[i][mm] * prod)
-        ps.append(p)
-    return ps[n]

@@ -104,7 +104,7 @@ def reduce_independent_set(g: Graph, k: int):
     n = g.n
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    gen = UnivariatePoly.from_roots([Fraction(j) for j in range(1, n + 1)])
+    gen = UnivariatePoly.from_roots(range(1, n + 1))
     ideal = UnivariateIdeal(tuple((i, gen) for i in range(k)))
     b = CircuitBuilder(k)
     xs = [b.input(i) for i in range(k)]
@@ -113,13 +113,13 @@ def reduce_independent_set(g: Graph, k: int):
         for j in range(i + 1, k):
             for u0, v0 in g.edges:
                 for u, v in ((u0 + 1, v0 + 1), (v0 + 1, u0 + 1)):
-                    du = b.add(xs[i], b.const(Fraction(-u)))
-                    dv = b.add(xs[j], b.const(Fraction(-v)))
+                    du = b.add(xs[i], b.const(-u))
+                    dv = b.add(xs[j], b.const(-v))
                     factors.append(b.add(b.mul(du, du), b.mul(dv, dv)))
     for i in range(k):
         for j in range(k):
             if i != j:
-                factors.append(b.add(xs[i], b.mul(b.const(Fraction(-1)), xs[j])))
+                factors.append(b.add(xs[i], b.mul(b.const(-1), xs[j])))
     return b.build(b.product(factors)), ideal
 
 
@@ -144,7 +144,7 @@ def reduce_klineq(inst: KLinEqInstance):
     )
     b = CircuitBuilder(2 * k)
     if any(inst.b[i] > mu[i] for i in range(k)):
-        return b.build(b.const(Fraction(0))), ideal
+        return b.build(b.const(0)), ideal
     xs = [b.input(i) for i in range(k)]
     ys = [b.input(k + i) for i in range(k)]
     col_ids = []
@@ -191,7 +191,7 @@ def graph_coloring_instance(g: Graph, k: int):
     b = CircuitBuilder(g.n)
     xs = [b.input(i) for i in range(g.n)]
     factors = [
-        b.add(xs[u], b.mul(b.const(Fraction(-1)), xs[v])) for u, v in g.edges
+        b.add(xs[u], b.mul(b.const(-1), xs[v])) for u, v in g.edges
     ]
     coeffs = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
     gen = UnivariatePoly(coeffs)

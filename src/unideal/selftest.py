@@ -6,12 +6,14 @@ the three membership engines are compared with each other on low-rank inputs
 modulo power ideals, where all three apply.  The compiled schedule that the
 vertex-cover zero test runs is compared with the sparse walk on the same
 instances.  The root-certificate search is checked on fixed instances with
-integer-root generators, and each certificate it returns must pass the
-verifier.  Returns a list of failure descriptions; empty means healthy.
+integer-root generators, one of them with a dense remainder, and each
+certificate it returns must pass the verifier.  Returns a list of failure
+descriptions; empty means healthy.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -157,6 +159,19 @@ def run_selftest(seed: int = 0) -> list:
             j = n - 1 if n > 2 else 0
             out = b.add(out, b.mul(_horner(b, gens[j][1], xs[j]), xs[0], xs[1]))
         instances.append((b.build(out), UnivariateIdeal(gens[:n]), member))
+    # a nonmember on a 4^3 grid whose remainder, f itself, has 51 terms
+    dense = UnivariateIdeal(tuple(
+        (i, UnivariatePoly.from_roots([F(a) for a in rs]))
+        for i, rs in enumerate([(-2, -1, 1, 3), (-3, 0, 1, 2), (-1, 2, 3, 4)])
+    ))
+    b = CircuitBuilder(3)
+    xs = [b.input(i) for i in range(3)]
+    monomials = []
+    for e in itertools.product(range(4), repeat=3):
+        coeff = (e[0] + 4 * e[1] + 2 * e[2]) % 5 - 2
+        if coeff:
+            monomials.append(b.mul(b.const(F(coeff)), *[b.power(x, k) for x, k in zip(xs, e)]))
+    instances.append((b.build(b.add(*monomials)), dense, False))
     for t, (c, ideal, member) in enumerate(instances):
         budget = compute_threshold(c, ideal)
         decision, cert = search_nonmembership(c, ideal, budget)

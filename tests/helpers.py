@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the code paths they check: membership goes
 through full expansion and monomial inspection, permanents through Ryser or
-direct permutation sums, vertex cover through subset enumeration.
+direct permutation sums, vertex cover through subset enumeration, the
+characteristic polynomial through Hessenberg reduction of an explicit matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from unideal.circuits import Circuit, CircuitBuilder, expand, syntactic_degree
 from unideal.division import UnivariateIdeal
-from unideal.fields import QQ
+from unideal.fields import QQ, _inverse
 from unideal.linalg import LinearForm, Matrix
 from unideal.lowrank import LowRankInput
 from unideal.poly import SparsePoly, UnivariatePoly
@@ -201,3 +202,42 @@ def multiset_permanent(u, v):
                 term *= math.factorial(k)
             total += term
     return total
+
+
+def charpoly(m: Matrix) -> UnivariatePoly:
+    """det(w*I - M), monic, by exact Hessenberg reduction plus the minor recurrence.
+
+    The leading coefficient is Fraction(1), which a `Mod` absorbs, so
+    `monic` and `divmod` never divide by an int; the others are scalars of
+    M's field.
+    """
+    n = m.nrows
+    if n != m.ncols:
+        raise ValueError("characteristic polynomial of non-square matrix")
+    h = [list(r) for r in m.rows]
+    for col in range(n - 2):
+        piv = next((r for r in range(col + 1, n) if h[r][col]), None)
+        if piv is None:
+            continue
+        if piv != col + 1:
+            h[col + 1], h[piv] = h[piv], h[col + 1]
+            for r in range(n):
+                h[r][col + 1], h[r][piv] = h[r][piv], h[r][col + 1]
+        inv = _inverse(h[col + 1][col])
+        for r in range(col + 2, n):
+            if h[r][col]:
+                f = h[r][col] * inv
+                h[r] = [x - f * y for x, y in zip(h[r], h[col + 1])]
+                for t in range(n):
+                    h[t][col + 1] = h[t][col + 1] + f * h[t][r]
+    # p_m(w) = (w - h[m][m]) p_{m-1} - sum_i h[i][m] (prod subdiag) p_{i-1}
+    ps = [UnivariatePoly([Fraction(1)])]
+    for mm in range(n):
+        p = UnivariatePoly((0,) + ps[mm].coeffs) - ps[mm].scale(h[mm][mm])
+        prod = 1
+        for i in range(mm - 1, -1, -1):
+            prod = prod * h[i + 1][i]
+            if h[i][mm] and prod:
+                p = p - ps[i].scale(h[i][mm] * prod)
+        ps.append(p)
+    return ps[n]

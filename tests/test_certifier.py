@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from helpers import charpoly
+from unideal import io as uio
 from unideal.certifier import (
     Certificate,
     GaussianRational,
@@ -15,12 +18,16 @@ from unideal.certifier import (
     search_nonmembership,
     separation_bound,
     verify_certificate,
+    _grid_charpoly,
+    _grid_value_lower_bound,
     _is_squarefree,
     _poly_abs2,
 )
 from unideal.circuits import CircuitBuilder, expand
-from unideal.division import UnivariateIdeal, is_member_brute
-from unideal.poly import UnivariatePoly
+from unideal.cli import main
+from unideal.division import UnivariateIdeal, _Reducer, divide, is_member_brute
+from unideal.linalg import Matrix
+from unideal.poly import SparsePoly, UnivariatePoly
 
 F = Fraction
 
@@ -141,6 +148,83 @@ def test_compute_threshold_eps_halving():
     assert halved.M == full.M
     assert halved.eps == full.eps / 2
     assert halved.eps * halved.lip <= halved.M
+
+
+def multiplication_matrix(r, ideal, degs):
+    """The matrix of g -> R g on the residue basis, columns by `divide`."""
+    basis = list(itertools.product(*[range(d) for d in degs]))
+    index = {e: i for i, e in enumerate(basis)}
+    rows = [[F(0)] * len(basis) for _ in basis]
+    for j, e in enumerate(basis):
+        shifted = SparsePoly(r.n, {tuple(a + b for a, b in zip(e, ee)): c for ee, c in r.terms.items()})
+        for ee, c in divide(shifted, ideal).terms.items():
+            rows[index[ee]][j] = F(c)
+    return Matrix(rows)
+
+
+def test_grid_charpoly_matches_hessenberg_oracle():
+    rng = random.Random(12)
+    kinds = ["monic", "rational lc", "dense", "vanishing", "zero", "grid 1"]
+    seen = dict.fromkeys(kinds + ["rational R", "trailing zeros"], 0)
+    for t in range(120):
+        kind = kinds[t % len(kinds)]
+        n = rng.randint(1, 3)
+        gens = []
+        for v in range(n):
+            d = 1 if kind == "grid 1" else rng.randint(1, 3)
+            if kind == "vanishing":
+                p = UnivariatePoly.from_roots([F(a) for a in rng.sample(range(-4, 5), d)])
+            else:
+                lc = 1 if kind in ("monic", "dense") else rng.choice([-1, 2, F(3, 2), F(-2, 5)])
+                p = UnivariatePoly([F(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])) for _ in range(d)] + [F(lc)])
+            gens.append((v, p))
+        ideal = UnivariateIdeal(tuple(gens))
+        degs = [p.degree() for _, p in gens]
+        grid = math.prod(degs)
+        basis = list(itertools.product(*[range(d) for d in degs]))
+        size = 0 if kind == "zero" else max(1, grid // 2) if kind == "dense" else rng.randint(1, grid)
+        den = 1 if kind == "monic" else rng.choice([1, 2, 7])
+        terms = {e: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, den])) for e in rng.sample(basis, size)}
+        r = SparsePoly(n, terms)
+        if kind == "vanishing":  # times x_v - a for a root a of p_v: R(a) = 0 on a slice of the grid
+            v = rng.randrange(n)
+            a = F(rng.choice([x for x in range(-4, 5) if not gens[v][1].evaluate(F(x))]))
+            r = divide(r * SparsePoly(n, {tuple(int(i == v) for i in range(n)): F(1), (0,) * n: -a}), ideal)
+        reducer = _Reducer(ideal)
+        want = charpoly(multiplication_matrix(r, ideal, degs)).coeffs
+        got = _grid_charpoly(r, reducer, degs, grid)
+        assert list(want) == got
+        tail = list(want[next(i for i, c in enumerate(want) if c):])
+        b3 = F(1) if r.is_zero() or len(tail) == 1 else min(F(1), abs(tail[0]) / sum(abs(c) for c in tail[1:]))
+        assert _grid_value_lower_bound(r, reducer, degs, grid) == b3
+        seen[kind] += 1
+        seen["rational R"] += any(F(c).denominator > 1 for c in r.terms.values())
+        seen["trailing zeros"] += not r.is_zero() and not want[0]
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_dense_remainder_certified_through_cli(tmp_path, capsys):
+    # A 4^3 grid and a remainder with at least 20 terms, so the threshold runs
+    # the power sums of a dense R; f itself is reduced, so R = f.
+    rng = random.Random(64)
+    roots = [rng.sample(range(-6, 7), 4) for _ in range(3)]
+    ideal = UnivariateIdeal(tuple((v, UnivariatePoly.from_roots([F(a) for a in rs])) for v, rs in enumerate(roots)))
+    b = CircuitBuilder(3)
+    xs = [b.input(v) for v in range(3)]
+    monomials = rng.sample(list(itertools.product(range(4), repeat=3)), 24)
+    c = b.build(b.add(*[
+        b.mul(b.const(F(rng.choice([-3, -2, -1, 1, 2, 3]))), *[b.power(x, k) for x, k in zip(xs, e)])
+        for e in monomials
+    ]))
+    assert len(divide(expand(c), ideal).terms) >= 20 and not is_member_brute(c, ideal)
+    (tmp_path / "f.txt").write_text(uio.write_circuit(c))
+    (tmp_path / "i.txt").write_text(uio.write_ideal(ideal))
+    files = ["--circuit", str(tmp_path / "f.txt"), "--ideal", str(tmp_path / "i.txt")]
+    cert = str(tmp_path / "cert.txt")
+    assert main(["certify", *files, "--search", "--out-cert", cert]) == 0
+    assert "decision: NONMEMBER" in capsys.readouterr().out
+    assert main(["certify", *files, "--verify", cert]) == 0
+    assert "decision: ACCEPT" in capsys.readouterr().out
 
 
 # Unit directions with rational components, for complex offsets from a root.

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import charpoly
 from unideal.certifier import separation_bound
 from unideal.fields import GF, Mod
 from unideal.linalg import (
@@ -11,7 +12,7 @@ from unideal.linalg import (
     rank_and_row_basis,
     suffix_pivots,
 )
-from unideal.poly import UnivariatePoly, charpoly, discriminant
+from unideal.poly import UnivariatePoly, discriminant
 
 F = Fraction
 

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import charpoly
 from unideal.fields import GF, FieldMismatch, Mod, residue
 from unideal.linalg import Matrix
 from unideal.poly import (
     CapExceeded,
     SparsePoly,
     UnivariatePoly,
-    charpoly,
     discriminant,
     poly_gcd,
     resultant,
