@@ -446,7 +446,7 @@ def _grid_charpoly(r: SparsePoly, reducer: _Reducer, degs, grid: int) -> list:
     cs = [1]
     for k in range(1, grid + 1):
         acc = -sum(cs[i] * sums[k - 1 - i] for i in range(k))
-        cs.append(_exact_quotient(acc, k))
+        cs.append(acc // k if type(acc) is int and not acc % k else Fraction(acc, k))
     return cs[::-1]
 
 
@@ -460,13 +460,6 @@ def _root_power_sums(row) -> list:
     for k in range(1, d):
         s.append(k * row[d - k] + sum(row[d - i] * s[k - i] for i in range(1, k)))
     return s
-
-
-def _exact_quotient(x, k: int):
-    """x / k, as an int when x is an int that k divides."""
-    if type(x) is int and not x % k:
-        return x // k
-    return Fraction(x, k)
 
 
 def _residual_threshold_sq(budget: PrecisionBudget) -> Fraction:
