@@ -30,9 +30,11 @@ multiply-and-reduce, and Newton's identities turn P_1..P_N into chi (N the
 grid size).  Both bounds are exact rationals; magnitudes are compared
 squared so the arithmetic never leaves Q.
 
-Root approximation itself is numeric (Durand-Kerner at escalating mpmath
-precision) but never trusted: every approximation is certified a posteriori
-by the exact residual test.
+Root approximation is Durand-Kerner on fixed-point Gaussian integers, ints
+standing for multiples of 2^-prec at escalating prec, so no floating point
+and no third-party package is involved.  It is never trusted: every
+candidate is certified a posteriori by the exact residual and distinctness
+tests.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .circuits import Circuit, expand
 from .division import UnivariateIdeal, _Reducer
@@ -245,16 +245,6 @@ def _bit_bound(values) -> int:
     return L
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ValueError("non-finite value")
-    val = Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
-    return -val if sign else val
-
-
 def _round_dyadic(x: Fraction, bits: int) -> Fraction:
     scale = 2**bits
     return Fraction(round(x * scale), scale)
@@ -263,8 +253,8 @@ def _round_dyadic(x: Fraction, bits: int) -> Fraction:
 def approximate_roots(p: UnivariatePoly, eps: Fraction, threshold_sq: Fraction | None = None):
     """All deg(p) roots as Gaussian rationals, each within eps of a distinct root.
 
-    Durand-Kerner iteration at escalating working precision produces the
-    candidates; acceptance is anchored in the exact residual test
+    Fixed-point Durand-Kerner at escalating precision, 128 bits first,
+    produces the candidates; acceptance is anchored in the exact residual test
     |p(a)| < 2^-L * eps_eff^d (eps_eff = min(eps, separation/4)), which by the
     factorized lower bound proves closeness, and pairwise distances > 2 eps_eff
     prove distinctness.  A caller may pass a stricter squared residual
@@ -318,43 +308,86 @@ def _poly_abs2(p: UnivariatePoly, z: GaussianRational) -> Fraction:
     return acc.abs2()
 
 
+def _fixed(x: Fraction, prec: int) -> int:
+    """round(x * 2^prec), halves rounded up."""
+    return ((x.numerator << (prec + 1)) + x.denominator) // (2 * x.denominator)
+
+
+# The start point base 0.4 + 0.9i and the zero-denominator nudge 1 + 10^-6 i,
+# with 0.4, 0.9 and 10^-6 written as the dyadics of their nearest doubles.
+_DK_BASE = (Fraction(3602879701896397, 2**53), Fraction(8106479329266893, 2**53))
+_DK_NUDGE = Fraction(4722366482869645, 2**72)
+
+
 def _durand_kerner(p: UnivariatePoly, prec: int):
+    """Candidate roots of p by Durand-Kerner on fixed-point Gaussian integers.
+
+    Every value is a pair (re, im) of ints standing for (re + i*im) / 2^prec.
+    A product is an int product shifted right by prec, rounded to nearest; a
+    quotient num/den is num * conj(den) shifted left by prec and divided by
+    |den|^2, rounded to nearest.  So one step is plain int arithmetic with an
+    absolute error of about 2^-prec, and a candidate that converges to an
+    exactly representable root (an integer, say) lands on it exactly.
+
+    p is made monic.  The start points are radius * (0.4 + 0.9i)^k for
+    k = 1..d, with radius = 1 + max |c| over the monic coefficients, computed
+    exactly and then rounded.  They fix which root each candidate converges
+    to, and so the order of the returned roots: the search sweeps root
+    tuples in that order and writes the first nonvanishing one as its
+    certificate.  Each sweep updates the candidates in place, one after the
+    other; the iteration stops once every correction has |delta| <
+    2^-(3 prec / 4) (compared squared, on ints) and gives up after
+    200 + 30d sweeps.  A candidate whose denominator is exactly 0 is
+    nudged by the factor 1 + 10^-6 i.
+
+    Returns [(re, im)] as Fractions, or None without convergence.  Nothing
+    here is trusted: `approximate_roots` accepts candidates only through
+    its exact residual and distinctness tests.
+    """
     d = p.degree()
-    with mpmath.workprec(prec):
-        lead = mpmath.mpf(p.coeffs[-1].numerator) / p.coeffs[-1].denominator
-        cs = [
-            (mpmath.mpf(c.numerator) / c.denominator) / lead
-            for c in p.coeffs
-        ]
-        radius = 1 + max(abs(c) for c in cs[:-1]) if d else mpmath.mpf(1)
-        base = mpmath.mpc(0.4, 0.9)
-        z = [radius * base**i for i in range(1, d + 1)]
-        tol = mpmath.mpf(2) ** (-(prec * 3) // 4)
-        for _ in range(200 + 30 * d):
-            max_delta = mpmath.mpf(0)
-            for i in range(d):
-                num = cs[-1]
-                for c in reversed(cs[:-1]):
-                    num = num * z[i] + c
-                den = mpmath.mpc(1)
-                for j in range(d):
-                    if j != i:
-                        den *= z[i] - z[j]
-                if den == 0:
-                    z[i] = z[i] * mpmath.mpc(1, 1e-6)
-                    max_delta = radius
-                    continue
-                delta = num / den
-                z[i] = z[i] - delta
-                max_delta = max(max_delta, abs(delta))
-            if max_delta < tol:
-                break
-        else:
-            return None
-        try:
-            return [(_mpf_to_fraction(r.real), _mpf_to_fraction(r.imag)) for r in z]
-        except ValueError:
-            return None
+    one = 1 << prec
+    half = one >> 1
+    lead = Fraction(p.coeffs[-1])
+    monic = [Fraction(c) / lead for c in p.coeffs[:-1]]
+    horner = [_fixed(c, prec) for c in reversed(monic)]
+    radius = 1 + max(map(abs, monic), default=0)
+    zr, zi = [], []
+    wr, wi = radius, Fraction(0)
+    for _ in range(d):
+        wr, wi = wr * _DK_BASE[0] - wi * _DK_BASE[1], wr * _DK_BASE[1] + wi * _DK_BASE[0]
+        zr.append(_fixed(wr, prec))
+        zi.append(_fixed(wi, prec))
+    nudge = _fixed(_DK_NUDGE, prec)
+    tol_sq = 1 << 2 * (prec + (-3 * prec) // 4)  # 2^-(3 prec / 4), squared, in units of 2^-2prec
+    for _ in range(200 + 30 * d):
+        worst = 0
+        for i in range(d):
+            xr, xi = zr[i], zi[i]
+            nr, ni = xr + horner[0], xi
+            for c in horner[1:]:
+                nr, ni = ((nr * xr - ni * xi + half) >> prec) + c, (nr * xi + ni * xr + half) >> prec
+            dr, di = one, 0
+            for j in range(d):
+                if j != i:
+                    ur, ui = xr - zr[j], xi - zi[j]
+                    dr, di = (dr * ur - di * ui + half) >> prec, (dr * ui + di * ur + half) >> prec
+            q = dr * dr + di * di
+            if not q:
+                zr[i] = xr - ((xi * nudge + half) >> prec)
+                zi[i] = xi + ((xr * nudge + half) >> prec)
+                worst = tol_sq
+                continue
+            q2 = 2 * q
+            er = (((nr * dr + ni * di) << (prec + 1)) + q) // q2
+            ei = (((ni * dr - nr * di) << (prec + 1)) + q) // q2
+            zr[i] = xr - er
+            zi[i] = xi - ei
+            worst = max(worst, er * er + ei * ei)
+        if worst < tol_sq:
+            break
+    else:
+        return None
+    return [(Fraction(a, one), Fraction(b, one)) for a, b in zip(zr, zi)]
 
 
 def compute_threshold(f: Circuit, ideal: UnivariateIdeal, eps: Fraction | None = None) -> PrecisionBudget:

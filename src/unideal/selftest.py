@@ -5,10 +5,10 @@ every fast path is compared against its independent brute-force oracle, and
 the three membership engines are compared with each other on low-rank inputs
 modulo power ideals, where all three apply.  The compiled schedule that the
 vertex-cover zero test runs is compared with the sparse walk on the same
-instances.  The root-certificate search is checked on fixed instances with
-integer-root generators, one of them with a dense remainder, and each
-certificate it returns must pass the verifier.  Returns a list of failure
-descriptions; empty means healthy.
+instances.  The root-certificate search is checked on fixed instances, most
+with integer-root generators, one with a dense remainder and one with
+irrational and complex roots, and each certificate it returns must pass the
+verifier.  Returns a list of failure descriptions; empty means healthy.
 """
 
 from __future__ import annotations
@@ -172,6 +172,12 @@ def run_selftest(seed: int = 0) -> list:
         if coeff:
             monomials.append(b.mul(b.const(F(coeff)), *[b.power(x, k) for x, k in zip(xs, e)]))
     instances.append((b.build(b.add(*monomials)), dense, False))
+    # roots +-i and +-sqrt(2): f = x0 x1 + x1^2 - 2 reduces to x0 x1, which is
+    # +-i sqrt(2) on the grid; the candidates for sqrt(2) are never exact
+    irrational = UnivariateIdeal(((0, UnivariatePoly([F(1), F(0), F(1)])), (1, UnivariatePoly([F(-2), F(0), F(1)]))))
+    b = CircuitBuilder(2)
+    xs = [b.input(i) for i in range(2)]
+    instances.append((b.build(b.add(b.mul(xs[0], xs[1]), b.mul(xs[1], xs[1]), b.const(F(-2)))), irrational, False))
     for t, (c, ideal, member) in enumerate(instances):
         budget = compute_threshold(c, ideal)
         decision, cert = search_nonmembership(c, ideal, budget)

@@ -1,12 +1,18 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import unideal
 from helpers import charpoly
+from unideal import certifier
 from unideal import io as uio
 from unideal.certifier import (
     Certificate,
@@ -22,6 +28,7 @@ from unideal.certifier import (
     _grid_value_lower_bound,
     _is_squarefree,
     _poly_abs2,
+    _residual_threshold_sq,
 )
 from unideal.circuits import CircuitBuilder, expand
 from unideal.cli import main
@@ -109,6 +116,126 @@ def test_approximate_roots_imaginary_with_residual():
     for r in roots:
         assert abs(abs(r.im) - 1) <= eps and abs(r.re) <= eps
         assert _poly_abs2(p, r) < (F(1, 2) * eps**2) ** 2 * 4  # residual is tiny
+
+
+def oracle_roots(p):
+    """The roots of p by mpmath.polyroots at 400 bits, from the exact coefficients."""
+    with mpmath.workprec(400):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
+        return mpmath.polyroots(coeffs, maxsteps=400, extraprec=400)
+
+
+def oracle_polys():
+    """60 seeded squarefree polynomials of degree 1 to 6, ten of each kind."""
+    rng = random.Random(13)
+    kinds = ["integer roots", "conjugate pairs", "rational lc", "root at 0", "close pair", "dense"]
+    out = []
+    for t in range(60):
+        kind = kinds[t % len(kinds)]
+        while True:
+            d = rng.randint(1, 6)
+            if kind == "integer roots":
+                p = UnivariatePoly.from_roots([F(a) for a in rng.sample(range(-7, 8), d)])
+            elif kind == "conjugate pairs":  # (x - a)^2 + b^2 per pair, one real root if d is odd
+                p = UnivariatePoly.from_roots([F(rng.randint(-4, 4))] * (d % 2))
+                for _ in range(d // 2):
+                    a, b = rng.randint(-4, 4), rng.choice([-3, -2, -1, 1, 2, 3])
+                    p = p * upoly(a * a + b * b, -2 * a, 1)
+            elif kind == "rational lc":
+                p = UnivariatePoly([F(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in range(d)]
+                                   + [rng.choice([F(3, 2), F(-2, 7), F(5, 3)])])
+            elif kind == "root at 0":
+                p = upoly(0, 1) * UnivariatePoly([F(rng.randint(-6, 6)) for _ in range(d - 1)] + [F(1)])
+            elif kind == "close pair":  # two roots 2^-40 apart
+                a = F(rng.randint(-3, 3))
+                p = UnivariatePoly.from_roots([a, a + F(1, 2**40)]
+                                              + [F(b) for b in rng.sample(range(4, 9), max(0, d - 2))])
+            else:
+                p = UnivariatePoly([F(rng.randint(-9, 9)) for _ in range(d)] + [F(rng.choice([1, -1, 2]))])
+            if p.degree() >= 1 and _is_squarefree(p):
+                out.append((kind, p))
+                break
+    return out
+
+
+def count_dk_runs(monkeypatch):
+    """Replace `_durand_kerner` by a wrapper that records each run's precision.
+
+    No polynomial of these tests needs more than 1024 bits, so a run past
+    that fails at once instead of escalating to 2^20 bits.
+    """
+    precs = []
+    inner = certifier._durand_kerner
+
+    def counted(p, prec):
+        assert prec <= 1024, f"escalated to {prec} bits on {p.coeffs}"
+        precs.append(prec)
+        return inner(p, prec)
+
+    monkeypatch.setattr(certifier, "_durand_kerner", counted)
+    return precs
+
+
+def test_approximate_roots_match_polyroots(monkeypatch):
+    eps = F(1, 2**30)
+    precs = count_dk_runs(monkeypatch)
+    escalated = set()
+    for kind, p in oracle_polys():
+        del precs[:]
+        got = approximate_roots(p, eps)
+        want = oracle_roots(p)
+        assert len(got) == p.degree() == len(want)
+        with mpmath.workprec(400):
+            nearest = set()
+            for r in got:
+                z = mpmath.mpc(mpmath.mpf(r.re.numerator) / r.re.denominator,
+                               mpmath.mpf(r.im.numerator) / r.im.denominator)
+                dist = [abs(z - w) for w in want]
+                j = min(range(len(want)), key=dist.__getitem__)
+                assert dist[j] <= mpmath.mpf(eps.numerator) / eps.denominator, (kind, p.coeffs, r)
+                nearest.add(j)
+        assert len(nearest) == p.degree(), (kind, p.coeffs)
+        if max(precs, default=0) > 128:
+            escalated.add(kind)
+    assert "close pair" in escalated
+
+
+def test_approximate_roots_integer_roots_accepted_at_128_bits(monkeypatch):
+    # Control-style instances: integer-root generators of degree <= 5 and
+    # the eps of compute_threshold.  Rounded to nearest, every candidate
+    # lands on its integer root, so the first 128-bit run is accepted.
+    precs = count_dk_runs(monkeypatch)
+    rng = random.Random(7)
+    runs = 0
+    for n, deg in [(2, 2), (3, 3), (3, 4), (2, 5), (4, 3), (3, 5)]:
+        roots = [rng.sample(range(-6, 7), deg) for _ in range(n)]
+        gens = [UnivariatePoly.from_roots([F(a) for a in rs]) for rs in roots]
+        ideal = UnivariateIdeal(tuple(enumerate(gens)))
+        b = CircuitBuilder(n)
+        ids = [b.input(i) for i in range(n)] + [b.const(F(rng.randint(-4, 4)))]
+        for _ in range(4):
+            u, v = rng.choice(ids), rng.choice(ids)
+            ids.append(b.add(u, v) if rng.random() < 0.6 else b.mul(u, v))
+        j = rng.randrange(n)
+        out = b.add(b.mul(ids[-1], horner_circuit(b, gens[j], b.input(j))), b.const(F(rng.choice([-2, 1, 3]))))
+        budget = compute_threshold(b.build(out), ideal)
+        thr_sq = _residual_threshold_sq(budget)
+        for rs, p in zip(roots, gens):
+            del precs[:]
+            got = approximate_roots(p, budget.eps, threshold_sq=thr_sq)
+            assert precs == [128]
+            assert sorted((r.re, r.im) for r in got) == sorted((F(a), F(0)) for a in rs)
+            runs += 1
+    assert runs == 17
+
+
+def test_cli_import_leaves_mpmath_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(unideal.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, unideal.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 def test_compute_threshold_worked_example():
