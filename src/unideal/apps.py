@@ -131,9 +131,9 @@ def _permanent_input(a: Matrix, field):
 
     perm is linear in every row, so over QQ each row's coordinates in the
     basis rows are scaled by the lcm of their denominators: the outer
-    circuit has integer scalars, and for an integral `a` the walk runs on
-    ints.  The input's remainder is `scale` times perm(a); over GF(p) the
-    scale is 1.
+    circuit has integer scalars, and for an integral `a` the compiled
+    levels run on ints.  The input's remainder is `scale` times perm(a);
+    over GF(p) the scale is 1.
     """
     n = a.nrows
     rank, basis, coords = rank_and_row_basis(a)
@@ -152,9 +152,10 @@ def _permanent_input(a: Matrix, field):
 def permanent_lowrank(a: Matrix, field=QQ):
     """Permanent of a matrix over `field` via remainder evaluation; exact,
     n^O(rank) time.  Any field works: the remainder modulo <x_i^2> keeps the
-    multilinear part of the row product.  Over QQ the rows' coordinates are
-    scaled to integers first and the scale divided out at the end (see
-    `_permanent_input`)."""
+    multilinear part of the row product, evaluated at the one point (1..1)
+    by `RemEvaluator.eval`, which streams the compiled levels.  Over QQ the
+    rows' coordinates are scaled to integers first and the scale divided
+    out at the end (see `_permanent_input`)."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("permanent of non-square matrix")
@@ -238,12 +239,11 @@ def vertex_cover_lowrank(
     100 * deg_bound), or when a denominator vanishes mod p (FieldMismatch);
     the points drawn from `rng` are the same either way.
 
-    The evaluator is prepared once and compiled once
+    The evaluator is prepared once and its levels compiled once
     (`RemEvaluator.schedule`), so each of the up to `trials` points costs
-    one sparse matrix-vector product per level instead of a sparse walk.
-    The points are drawn one at a time from `rng`, in the order the walk
-    drew them, and the test stops at the first nonzero value, so a YES
-    answer usually pays the compile and one run.
+    one sparse matrix-vector product per level.  The points are drawn one
+    at a time from `rng`, and the test stops at the first nonzero value, so
+    a YES answer usually pays the compile and one run.
     """
     rng = rng or random.Random(0)
     inp, ideal, deg_bound = build_vc_instance(g, k, tight=tight)

@@ -6,9 +6,9 @@ remainder is unique no matter in which order the variables are reduced.  So
 reduction is univariate division by p_v in each variable, which needs one
 fold row per generator: the coefficients of x_v^deg(p_v) mod p_v.  `_Reducer`
 computes the rows once and folds through them both in `reduce` (division
-from the top degree down) and in the walk's fused multiply-and-reduce step
-`mul_affine`; `divide` is the brute-force oracle that every fast path is
-tested against.
+from the top degree down) and in the fused multiply-and-reduce step
+`mul_affine` that builds the low-rank levels' columns; `divide` is the
+brute-force oracle that every fast path is tested against.
 """
 
 from __future__ import annotations

@@ -24,31 +24,28 @@ touching more than 2r variables at a time:
 Only step 3 reads alpha.  The per-level splits and the first level's
 expansion are computed once by `RemEvaluator` (the splits in
 O(r^2 n + depth r^3) scalar operations), and the composition of step 2 is
-linear in the incoming polynomial, so it is a fixed matrix per level.  There
-are two ways to run steps 2-4:
-
-  - `RemEvaluator.schedule()` compiles every level's matrix once, on
-    supports computed without cancellation, and returns a callable that
-    costs one sparse matrix-vector product per level and point.  The zero
-    tests (`vc`, `member --mode lowrank`), which evaluate one evaluator at
-    up to 20 points, run on it.
-  - `RemEvaluator.eval` walks the levels sparsely at one point, composing by
-    Horner's rule.  Compiling costs about as much as one walk and a run adds
-    to it, so single-point callers (`rem_eval`, `apps.permanent_lowrank`)
-    walk; the walk is also the oracle the schedule is tested against.
+linear in the incoming polynomial, so it is a fixed matrix per level.  Steps
+2-4 run one way: each level is compiled into that matrix, on supports
+computed without cancellation, and a point costs one sparse matrix-vector
+product per level.  `RemEvaluator.schedule()` keeps every compiled level for
+the zero tests (`vc`, `member --mode lowrank`), which evaluate one evaluator
+at up to 20 points; `RemEvaluator.eval` streams them for one point, compiling
+a level, applying it and dropping it, so one-point callers (`rem_eval`,
+`apps.permanent_lowrank`) hold one level at a time.
 
 `rem_eval` is the one-shot wrapper.
 
 The evaluator works over the field the caller states, QQ or GF(p).  Every
 input scalar is mapped into it once, at construction, and the split (step 1)
-runs on field scalars.  Over GF(p) its output, the level-0 expansion and the
-reducers are plain-int residues, and every `eval` walks on residue
-polynomials (see `poly.SparsePoly`).  Over QQ the walk holds every integral
-scalar as a Python int (the outer circuit's scalars, the hats, the reducers'
-fold rows and the point) and only the others as Fractions, so an integral
-input with monic generators walks on ints alone.  Each product in the walk
-is a reduced polynomial times an affine form, formed and reduced in one
-pass by `division._Reducer.mul_affine`.
+runs on field scalars.  Over GF(p) its output, the level-0 expansion, the
+reducers and the compiled levels are plain-int residues (see
+`poly.SparsePoly`).  Over QQ every integral scalar is held as a Python int
+(the outer circuit's scalars, the hats, the reducers' fold rows and the
+point) and only the others as Fractions; each level's entries are then
+cleared to integers by the lcm of their denominators, so a point with
+integer coordinates runs on ints.  Each product that builds a column is a
+reduced polynomial times an affine form, formed and reduced in one pass by
+`division._Reducer.mul_affine`.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, m
 from .division import UnivariateIdeal, _Reducer
 from .fields import QQ, residue
 from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
-from .poly import SparsePoly, _add_into, _integral
+from .poly import SparsePoly, _integral
 
 __all__ = ["LowRankInput", "rem_eval", "RemEvaluator", "inline_forms"]
 
@@ -110,13 +107,12 @@ class RemEvaluator:
     to the first, then splits the forms level by level, each level on the at
     most r pivot columns past its consumed variables: O(r^2 n + depth r^3)
     scalar operations in all.  It then expands the outer circuit over the
-    first level's local variables with interleaved reduction.  Each `eval`
-    walks the levels at one point: compose with the level's local forms,
-    multiplying by one affine hat and reducing in one pass per Horner step,
-    then substitute the point's consumed coordinates.  `schedule` does the
-    composition once for all points and returns the compiled evaluation,
-    which pays off from the second point on.  Every product is capped at
-    (d+1)^(2r) terms.
+    first level's local variables with interleaved reduction.  A level's
+    compose-and-reduce does not depend on the point, so it compiles into a
+    fixed sparse matrix (`_compile`), and a point is one product per level
+    (`_run`).  `eval` compiles the levels for one point and drops each once
+    applied; `schedule` compiles them once and keeps them for many points.
+    Every product is capped at (d+1)^(2r) terms.
 
     `field` is QQ (the default) or a `fields.GF(p)`.  Every scalar of the
     input (form coefficients and constants, generator coefficients, and the
@@ -125,7 +121,7 @@ class RemEvaluator:
     modulus, a denominator that vanishes mod p) or a generator leading
     coefficient that vanishes mod p raises FieldMismatch.  Over GF(p) the
     levels, the reducers and the expansion are residues and `eval` (and the
-    schedule) returns a `Mod`; over QQ they hold integral scalars as ints,
+    schedule) return a `Mod`; over QQ they hold integral scalars as ints,
     the point is mapped the same way, and the exact value comes back as a
     Fraction.
     """
@@ -165,8 +161,8 @@ class RemEvaluator:
             rows = level.residual_rows
             offset += level.s
         self.depth = len(self.levels)
-        # The alpha-independent part of the walk.  Without levels there are no
-        # x variables: every form is a constant, and so is the expansion.
+        # Level 0's one column.  Without levels there are no x variables:
+        # every form is a constant, and so is the expansion.
         if self.levels:
             lvl = self.levels[0]
             self._base = expand(inp.outer, self.cap, lvl.hats, lvl.reducer)
@@ -225,91 +221,113 @@ class RemEvaluator:
         return _Level(offset, s, w, hats, reducer, tuple(residual_rows))
 
     def eval(self, alpha):
-        """(f mod I)(alpha), exactly over QQ, as a `Mod` over GF(p)."""
-        if len(alpha) != self.inp.n:
-            raise ValueError("point length mismatch")
-        alpha = [self._scalar(x) for x in alpha]
-        g = self._base
-        for idx, lvl in enumerate(self.levels):
-            if idx > 0:
-                g = _compose_reduced(g, lvl.hats, lvl.w, lvl.reducer, self.cap)
-            g = g.substitute_prefix(lvl.s, alpha[lvl.offset : lvl.offset + lvl.s])
-        if g.n != 0:
-            raise AssertionError("recursion left live variables")
-        return self.field(g.terms.get((), 0))
+        """(f mod I)(alpha), exactly over QQ, as a `Mod` over GF(p).
+
+        Streams the levels: each is compiled, applied to the point and
+        dropped before the next is compiled, so a one-point caller holds one
+        level's matrix at a time.
+        """
+        return self._run(self._compile(), alpha)
 
     def schedule(self):
-        """Compile the walk once; returns alpha -> (f mod I)(alpha) as `eval`.
+        """Compile every level once; returns alpha -> (f mod I)(alpha) as `eval`.
+
+        For callers that evaluate one evaluator at many points (the zero
+        tests): the compiled levels are kept, so each point costs one sparse
+        matrix-vector product per level.
+        """
+        return partial(self._run, list(self._compile()))
+
+    def _compile(self):
+        """Yield the levels' matrices in order, each compiled when asked for.
 
         Only the substitution of alpha depends on the point.  Each level
         composes its incoming polynomial, sum_a v[a] z^a, with the hats, and
         reduction is linear, so the level is a fixed matrix: column a is
-        reduce(prod_j hat_j^a_j), built by one `mul_affine` from column
-        a - e_j and memoised (`_columns`).  The incoming monomials a are the
-        tails that any column of the previous level can leave (no
-        cancellation is assumed, so they serve every point), and the rows
-        are the output monomials, each a (consumed exponents, tail) pair.  A
-        point then costs one sparse product per level, reduced mod p once
-        per tail, and the consumed powers of alpha.
-
-        Over QQ any denominator in a level's entries (fractional forms or
-        outer circuit, non-monic generators) is cleared by the lcm of the
-        entries' denominators.  Each such scale multiplies the level's output
-        by a constant, so their product is divided out once at the end, and
-        a point with integer coordinates runs on ints.
+        reduce(prod_j hat_j^a_j) (`_columns`).  The incoming monomials a are
+        the tails that any column of the previous level can leave (no
+        cancellation is assumed, so they serve every point), and the rows are
+        the output monomials, each a (consumed exponents, tail) pair.  Level 0
+        composes nothing: its one column is the expansion.  Constant forms
+        have no levels, and the expansion, over no variables, is the value:
+        it compiles as one level that consumes nothing.  No level's columns
+        outlive its compile.
         """
-        if not self.levels:  # constant forms: the expansion is the value
-            return self.eval
-        p, exact = self.p, self.p is None
-        compiled = []  # per level: (offset, s, consumed exponents, rows, tail count)
-        total = 1      # the product of the scales
-        support = [()] # the incoming monomials; level 0 takes the expansion as is
-        for lvl in self.levels:
-            cols = [self._base] if lvl is self.levels[0] else _columns(lvl, support, self.cap)
-            entries: dict = {}
-            for a, col in enumerate(cols):
-                for e, c in col.terms.items():
-                    entries.setdefault((e[: lvl.s], e[lvl.s :]), []).append((a, c))
-            if exact:
-                scale = math.lcm(*(c.denominator for row in entries.values() for _, c in row))
-                total *= scale
-                if scale != 1:
-                    entries = {k: [(a, _integral(c * scale)) for a, c in row] for k, row in entries.items()}
-            consumed: dict = {}
-            tails: dict = {}
-            rows = []
-            for (c, t), row in entries.items():
-                srcs, coeffs = zip(*row)
-                rows.append((consumed.setdefault(c, len(consumed)), tails.setdefault(t, len(tails)), srcs, coeffs))
-            compiled.append((lvl.offset, lvl.s, list(consumed), rows, len(tails)))
-            support = list(tails)
+        exact = self.p is None
+        level, support = _compile_level([self._base], 0, self.levels[0].s if self.levels else 0, exact)
+        yield level
+        for lvl in self.levels[1:]:
+            level, support = _compile_level(_columns(lvl, support, self.cap), lvl.offset, lvl.s, exact)
+            yield level
         if any(support):
             raise AssertionError("recursion left live variables")
-        n, scalar, field = self.inp.n, self._scalar, self.field
 
-        def run(alpha):
-            if len(alpha) != n:
-                raise ValueError("point length mismatch")
-            alpha = [scalar(x) for x in alpha]
-            v = [1]
-            for offset, s, consumed, rows, ntails in compiled:
-                pts = alpha[offset : offset + s]
-                monos = []
-                for c in consumed:
-                    m = 1
-                    for x, k in zip(pts, c):
-                        if k:
-                            m *= pow(x, k, p)
-                    monos.append(m if p is None else m % p)
-                out = [0] * ntails
-                get = v.__getitem__
-                for ci, ti, srcs, coeffs in rows:
-                    out[ti] += sum(map(mul, coeffs, map(get, srcs))) * monos[ci]
-                v = out if p is None else [x % p for x in out]
-            value = v[0] if v else 0
-            return field(Fraction(value, total) if exact else value)
+    def _run(self, levels, alpha):
+        """Apply the compiled `levels` in order to the point `alpha`.
 
-        return run
+        A level costs one sparse product, reduced mod p once per tail, and
+        the consumed powers of alpha.  Over QQ each level's entries were
+        cleared to integers by a scale (see `_compile_level`), so the
+        product of the scales is divided out once at the end, and a point
+        with integer coordinates runs on ints.
+        """
+        if len(alpha) != self.inp.n:
+            raise ValueError("point length mismatch")
+        p = self.p
+        alpha = [self._scalar(x) for x in alpha]
+        v = [1]
+        total = 1  # the product of the scales
+        for offset, s, consumed, rows, ntails, scale in levels:
+            pts = alpha[offset : offset + s]
+            monos = []
+            for c in consumed:
+                m = 1
+                for x, k in zip(pts, c):
+                    if k:
+                        m *= pow(x, k, p)
+                monos.append(m if p is None else m % p)
+            out = [0] * ntails
+            get = v.__getitem__
+            for ci, ti, srcs, coeffs in rows:
+                out[ti] += sum(map(mul, coeffs, map(get, srcs))) * monos[ci]
+            v = out if p is None else [x % p for x in out]
+            total *= scale
+        value = v[0] if v else 0
+        return self.field(Fraction(value, total) if p is None else value)
+
+
+def _compile_level(cols, offset: int, s: int, exact: bool):
+    """One level's matrix from its columns, and its tails.
+
+    The matrix is (offset, s, consumed exponents, rows, tail count, scale);
+    a row (consumed index, tail index, sources, coefficients) is one output
+    monomial.  Entries are grouped by their full exponent, which is split
+    into its consumed part and its tail once.  Over QQ any denominator in
+    the entries (fractional forms or outer circuit, non-monic generators)
+    is cleared by the lcm of the entries' denominators, the level's scale;
+    it multiplies the level's output by a constant.  The tails, in row
+    order, are the next level's incoming monomials.
+    """
+    by_exp: dict = {}
+    types = set()
+    for a, col in enumerate(cols):
+        terms = col.terms
+        if exact:
+            types.update(map(type, terms.values()))
+        for e, c in terms.items():
+            by_exp.setdefault(e, []).append((a, c))
+    scale = 1
+    if exact and not types <= {int}:
+        scale = math.lcm(*(c.denominator for row in by_exp.values() for _, c in row))
+    consumed: dict = {}
+    tails: dict = {}
+    rows = []
+    for e, row in by_exp.items():
+        srcs, coeffs = zip(*row)
+        if scale != 1:
+            coeffs = tuple(_integral(c * scale) for c in coeffs)
+        rows.append((consumed.setdefault(e[:s], len(consumed)), tails.setdefault(e[s:], len(tails)), srcs, coeffs))
+    return (offset, s, list(consumed), rows, len(tails), scale), list(tails)
 
 
 def _columns(lvl: _Level, support, cap: int):
@@ -336,32 +354,11 @@ def _columns(lvl: _Level, support, cap: int):
 
 
 def _walk_scalar(field):
-    """How the walk holds a scalar of `field`: as its residue over GF(p); over
-    QQ as an int when it is integral, else as a Fraction."""
+    """How the levels hold a scalar of `field`: as its residue over GF(p);
+    over QQ as an int when it is integral, else as a Fraction."""
     if field.p is not None:
         return partial(residue, p=field.p)
     return lambda x: _integral(field(x))
-
-
-def _compose_reduced(g: SparsePoly, hats, w: int, reducer, cap: int) -> SparsePoly:
-    """g(hat_1, ..., hat_m) with reduction interleaved (Horner per variable);
-    each step multiplies a reduced polynomial by an affine hat and adds the
-    next slice into the product in place."""
-    m, p = g.n, g.p
-    if m == 0:
-        c = g.terms.get(())
-        return SparsePoly.raw(w, {} if c is None else {(0,) * w: c}, p)
-    h = hats[m - 1]
-    slices: dict[int, dict] = {}
-    for e, c in g.terms.items():
-        slices.setdefault(e[m - 1], {})[e[:-1]] = c
-    result = SparsePoly.zero(w, p)
-    for e in range(max(slices, default=-1), -1, -1):
-        result = reducer.mul_affine(result, h, cap)  # a fresh dict
-        if e in slices:
-            part = _compose_reduced(SparsePoly.raw(m - 1, slices[e], p), hats, w, reducer, cap)
-            _add_into(result.terms, part.terms, p)
-    return result
 
 
 def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha, field=QQ):

@@ -220,28 +220,6 @@ class SparsePoly:
             total = total + c
         return total if p is None else total % p
 
-    def substitute_prefix(self, s: int, values) -> "SparsePoly":
-        """Evaluate variables 0..s-1 at `values`; remaining vars reindex to 0.."""
-        p = self.p
-        if p is not None:
-            values = [residue(x, p) for x in values[:s]]
-        out: dict = {}
-        for e, c in self.terms.items():
-            v = c
-            for i in range(s):
-                if e[i]:
-                    v = v * pow(values[i], e[i], p)
-            if not v:
-                continue
-            tail = e[s:]
-            acc = out.get(tail)
-            new = v if acc is None else acc + v
-            if new:
-                out[tail] = new
-            elif acc is not None:
-                del out[tail]
-        return SparsePoly.raw(self.n - s, _mod_terms(out, p), p)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -275,10 +253,6 @@ class UnivariatePoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "UnivariatePoly":
-        return cls([c])
 
     @classmethod
     def from_roots(cls, roots) -> "UnivariatePoly":

@@ -4,16 +4,18 @@ A quick, seeded version of the checks the full pytest suite runs at scale:
 every fast path is compared against its independent brute-force oracle, and
 the three membership engines are compared with each other on low-rank inputs
 modulo power ideals, where all three apply.  The compiled schedule that the
-vertex-cover zero test runs is compared with the sparse walk on the same
-instances.  The root-certificate search is checked on fixed instances, most
-with integer-root generators, one with a dense remainder and one with
-irrational and complex roots, and each certificate it returns must pass the
-verifier.  Returns a list of failure descriptions; empty means healthy.
+vertex-cover zero test runs is compared on the same instances with the
+remainder's multilinear interpolation from the cover polynomial's values on
+{0,1}^n, which shares no code with the engine.  The root-certificate search
+is checked on fixed instances, most with integer-root generators, one with
+a dense remainder and one with irrational and complex roots, and each
+certificate it returns must pass the verifier.  Returns a list of failure descriptions; empty means healthy.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -214,14 +216,18 @@ def run_selftest(seed: int = 0) -> list:
             got = vertex_cover_lowrank(g, k, 20, random.Random(seed + k))
             if got != has_vertex_cover_brute(g, k):
                 failures.append(f"vertex cover mismatch on {name} k={k}")
-            # the compiled schedule the zero test runs vs the sparse walk
+            # the compiled schedule the zero test runs vs interpolation: under
+            # the boolean ideal the remainder is the multilinear polynomial
+            # sum over c in {0,1}^n of f(c) prod_i (a_i if c_i else 1 - a_i)
             inp, ideal, deg = build_vc_instance(g, k)
+            f = inline_forms(inp)
+            cube = [(c, f.evaluate([F(x) for x in c])) for c in itertools.product((0, 1), repeat=g.n)]
             for field in (QQ, GF(VC_PRIME)):
-                ev = RemEvaluator(inp, ideal, field)
-                run = ev.schedule()
+                run = RemEvaluator(inp, ideal, field).schedule()
                 for _ in range(3):
                     alpha = [rng.randint(0, 100 * deg) for _ in range(g.n)]
-                    if run(alpha) != ev.eval(alpha):
+                    want = sum(fc * math.prod(a if ci else 1 - a for a, ci in zip(alpha, c)) for c, fc in cube)
+                    if run(alpha) != field(want):
                         failures.append(f"schedule mismatch on {name} k={k} over {field}")
                         break
 

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the code paths they check: membership goes
 through full expansion and monomial inspection, permanents through Ryser or
 direct permutation sums, vertex cover through subset enumeration, the
-characteristic polynomial through Hessenberg reduction of an explicit matrix.
+characteristic polynomial through Hessenberg reduction of an explicit matrix,
+a prepared remainder evaluator's value through a sparse walk of its levels.
 """
 
 from __future__ import annotations
@@ -241,3 +242,56 @@ def charpoly(m: Matrix) -> UnivariatePoly:
                 p = p - ps[i].scale(h[i][mm] * prod)
         ps.append(p)
     return ps[n]
+
+
+def walk_eval(ev, alpha):
+    """(f mod I)(alpha) for a prepared `RemEvaluator`, walking its levels sparsely.
+
+    Each level composes the incoming polynomial with the level's hats by
+    Horner's rule, reducing after every product, then substitutes the
+    point's consumed coordinates.  The reference for the compiled levels: it
+    shares the evaluator's split (hats, reducers, level-0 expansion) but
+    neither its compile nor its run, and it multiplies with `SparsePoly.mul`
+    and reduces with `_Reducer.reduce`, never with the fused `mul_affine`.
+    """
+    if len(alpha) != ev.inp.n:
+        raise ValueError("point length mismatch")
+    alpha = [ev._scalar(x) for x in alpha]
+    g = ev._base
+    for idx, lvl in enumerate(ev.levels):
+        if idx:
+            g = _compose_reduced(g, lvl)
+        g = _substitute_prefix(g, lvl.s, alpha[lvl.offset : lvl.offset + lvl.s])
+    if g.n != 0:
+        raise AssertionError("recursion left live variables")
+    return ev.field(g.terms.get((), 0))
+
+
+def _compose_reduced(g: SparsePoly, lvl) -> SparsePoly:
+    """g(hat_1, ..., hat_m) reduced by the level's generators, by Horner's
+    rule in the last variable."""
+    m, p, w = g.n, g.p, lvl.w
+    if m == 0:
+        return SparsePoly(w, {(0,) * w: c for c in g.terms.values()}, p)
+    h = lvl.hats[m - 1]
+    slices = {}
+    for e, c in g.terms.items():
+        slices.setdefault(e[-1], {})[e[:-1]] = c
+    result = SparsePoly(w, {}, p)
+    for k in range(max(slices, default=-1), -1, -1):
+        result = lvl.reducer.reduce(result.mul(h))
+        if k in slices:
+            result = result + _compose_reduced(SparsePoly(m - 1, slices[k], p), lvl)
+    return result
+
+
+def _substitute_prefix(g: SparsePoly, s: int, values) -> SparsePoly:
+    """Variables 0..s-1 of g at `values`; the others become variables 0.."""
+    p = g.p
+    out = {}
+    for e, c in g.terms.items():
+        for x, k in zip(values, e):
+            if k:
+                c = c * pow(x, k, p)
+        out[e[s:]] = out.get(e[s:], 0) + c
+    return SparsePoly(g.n - s, out, p)

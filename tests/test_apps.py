@@ -1,10 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from helpers import multiset_permanent, permutation_permanent, random_low_rank_matrix
+from helpers import multiset_permanent, permutation_permanent, random_low_rank_matrix, walk_eval
 from unideal import apps, fields
 from unideal.apps import (
     Graph,
@@ -288,8 +289,8 @@ def test_vc_falls_back_to_qq_on_a_vanishing_denominator(monkeypatch):
 @pytest.mark.parametrize("prime", [2**61 - 1, 101], ids=["mersenne", "qq-fallback"])
 def test_vc_schedule_keeps_the_rng_stream(monkeypatch, prime):
     # The zero test on the compiled schedule draws the same points from the
-    # same stream as the walk and stops at the same one: the same decisions,
-    # and the rng left in the same state.
+    # same stream as on the sparse walk of `helpers.walk_eval` and stops at
+    # the same one: the same decisions, and the rng left in the same state.
     monkeypatch.setattr(apps, "VC_PRIME", prime)
     cases = [(g, k, seed) for g in VC_FAMILY for k in range(g.n + 1) for seed in (0, 1)]
 
@@ -300,13 +301,13 @@ def test_vc_schedule_keeps_the_rng_stream(monkeypatch, prime):
             out.append((vertex_cover_lowrank(g, k, 20, rng, tight=seed == 1), rng.getstate()))
         return out
 
-    def no_walk(self, alpha):
-        raise AssertionError("the zero test walked")
+    def no_eval(self, alpha):
+        raise AssertionError("the zero test called eval")
 
     with monkeypatch.context() as m:
-        m.setattr(apps.RemEvaluator, "eval", no_walk)
+        m.setattr(apps.RemEvaluator, "eval", no_eval)
         compiled = runs()
-    monkeypatch.setattr(apps.RemEvaluator, "schedule", lambda self: self.eval)
+    monkeypatch.setattr(apps.RemEvaluator, "schedule", lambda self: partial(walk_eval, self))
     assert compiled == runs()
     decisions = [has for has, _ in compiled]
     assert decisions == [has_vertex_cover_brute(g, k) for g, k, _ in cases]

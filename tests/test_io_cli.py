@@ -188,9 +188,13 @@ def test_cli_member_lowrank_error_bound_below_float_range(workdir, capsys):
 
 def test_cli_member_lowrank_schedule_keeps_the_rng_stream(workdir, capsys, monkeypatch):
     # `member --mode lowrank` on the compiled schedule prints what the same
-    # run through `RemEvaluator.eval` prints, and leaves its rng in the same
-    # state: the same points, drawn from the same stream, up to the same stop.
+    # run on the sparse walk of `helpers.walk_eval` prints, and leaves its
+    # rng in the same state: the same points, drawn from the same stream, up
+    # to the same stop.
+    from functools import partial
+
     import unideal.cli as cli
+    from helpers import walk_eval
     from unideal.lowrank import RemEvaluator
 
     files = {
@@ -221,14 +225,14 @@ def test_cli_member_lowrank_schedule_keeps_the_rng_stream(workdir, capsys, monke
             for forms, ideal in cases for seed in (0, 5)
         ]
 
-    def no_walk(self, alpha):
-        raise AssertionError("the zero test walked")
+    def no_eval(self, alpha):
+        raise AssertionError("the zero test called eval")
 
     with monkeypatch.context() as m:
-        m.setattr(RemEvaluator, "eval", no_walk)
+        m.setattr(RemEvaluator, "eval", no_eval)
         compiled = runs()
     with monkeypatch.context() as m:
-        m.setattr(RemEvaluator, "schedule", lambda self: self.eval)
+        m.setattr(RemEvaluator, "schedule", lambda self: partial(walk_eval, self))
         walked = runs()
     assert compiled == walked
     assert states[: len(compiled)] == states[len(compiled) :]

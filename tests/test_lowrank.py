@@ -9,6 +9,7 @@ from helpers import (
     lift_ideal,
     random_forms,
     random_lowrank_instance,
+    walk_eval,
 )
 from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
 from unideal.division import UnivariateIdeal, divide, is_member_brute
@@ -463,10 +464,11 @@ def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
 
 
 def test_schedule_matches_walk_and_oracle():
-    # The compiled schedule against the walk and expand-and-divide at random
-    # points, over QQ on rational instances with non-monic generators (so
-    # the hats of deeper levels carry denominators, which the per-level lcm
-    # clears) and over GF(p), with zero coordinates among the points.
+    # The compiled schedule and the streamed `eval` against the sparse walk
+    # of `helpers.walk_eval` and expand-and-divide at random points, over QQ
+    # on rational instances with non-monic generators (so the hats of deeper
+    # levels carry denominators, which the per-level lcm clears) and over
+    # GF(p), with zero coordinates among the points.
     rng = random.Random(24)
     cases = []
     for _ in range(30):
@@ -485,7 +487,7 @@ def test_schedule_matches_walk_and_oracle():
             want = remainder.evaluate(alpha)
             for ev, run in zip(evs, runs):
                 got = run(alpha)
-                assert got == ev.eval(alpha) == ev.field(want)
+                assert got == ev.eval(alpha) == walk_eval(ev, alpha) == ev.field(want)
                 assert type(got) is (F if ev.field == QQ else Mod)
         fractional += any(c.denominator > 1 for lvl in evs[0].levels[1:] for h in lvl.hats for c in h.terms.values())
     assert fractional > 0
@@ -500,7 +502,7 @@ def test_schedule_edge_cases():
     inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5, 2))), 2)
     for field in (QQ, GF(10007)):
         ev = RemEvaluator(inp, square_ideal(0), field)
-        assert ev.depth == 0 and ev.schedule()([]) == ev.eval([]) == field(6)
+        assert ev.depth == 0 and ev.schedule()([]) == ev.eval([]) == walk_eval(ev, []) == field(6)
     b = CircuitBuilder(2)
     zero = LowRankInput(b.build(b.const(F(0))), (LinearForm((F(1), F(0))), LinearForm((F(1), F(1)))), 1)
     b = CircuitBuilder(2)
@@ -510,7 +512,7 @@ def test_schedule_edge_cases():
             ev = RemEvaluator(inp, square_ideal(2), field)
             run = ev.schedule()
             for alpha in ([0, 0], [3, 0], [F(1, 2), 5]):
-                assert run(alpha) == ev.eval(alpha) == field(0)
+                assert run(alpha) == ev.eval(alpha) == walk_eval(ev, alpha) == field(0)
     b = CircuitBuilder(1)
     z = b.input(0)
     outer = b.build(b.add(b.mul(z, z, z), b.mul(b.const(F(-1, 2)), z)))
@@ -521,6 +523,7 @@ def test_schedule_edge_cases():
         ev = RemEvaluator(inp, ideal, field)
         run = ev.schedule()
         for x in (0, 1, F(-7, 5), 12):
-            assert run([x]) == ev.eval([x]) == field(remainder.evaluate([F(x)]))
-        with pytest.raises(ValueError):
-            run([1, 2])
+            assert run([x]) == ev.eval([x]) == walk_eval(ev, [x]) == field(remainder.evaluate([F(x)]))
+        for wrong_length in (run, ev.eval):
+            with pytest.raises(ValueError):
+                wrong_length([1, 2])

@@ -90,7 +90,6 @@ def test_residue_ops_are_the_image_of_exact_ops(a, b, x):
     assert -ra == to_residues(-a)
     assert ra.scale(F(3, 2)) == to_residues(a.scale(F(3, 2)))
     assert ra ** 2 == to_residues(a ** 2)
-    assert ra.substitute_prefix(1, [F(x, 3)]) == to_residues(a.substitute_prefix(1, [F(x, 3)]))
     pt = [F(x), F(2, 7)]
     assert ra.evaluate(pt) == residue(a.evaluate(pt), P)
 
@@ -119,8 +118,6 @@ def test_residue_field_mismatch():
         SparsePoly(1, {(1,): F(1, 14)}, 7)
     with pytest.raises(FieldMismatch):
         a.scale(F(2, 7))
-    with pytest.raises(FieldMismatch):
-        a.substitute_prefix(1, [F(1, 7)])
     assert SparsePoly(1, {(1,): F(1, 2), (0,): Mod(3, 7)}, 7).terms == {(1,): 4, (0,): 3}
 
 
@@ -135,13 +132,6 @@ def test_zero_poly_evaluates_to_int_zero():
     r = SparsePoly.zero(2, 7).evaluate([g(1), F(3)])
     assert type(r) is int and r == 0
     assert SparsePoly(1, {(1,): 3}, 7).evaluate([g(4)]) == 5
-
-
-def test_substitute_prefix():
-    p = sparse(3, {(1, 2, 1): 2, (0, 0, 2): 1})
-    q = p.substitute_prefix(2, [F(3), F(2)])
-    assert q.n == 1
-    assert q.terms == {(1,): F(24), (2,): F(1)}
 
 
 def test_univariate_divmod_roundtrip():
