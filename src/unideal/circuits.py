@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .fields import residue
 from .linalg import LinearForm
@@ -258,43 +259,87 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
     return vals[c.out]
 
 
-def homogeneous_part_eval(c: Circuit, k: int, point, p: int | None = None):
-    """Value of the degree-k homogeneous component of the circuit at `point`.
+def homogeneous_part_eval(c: Circuit, k: int, points, p: int | None = None) -> list:
+    """Values of the degree-k homogeneous component of the circuit at each of `points`.
 
-    The t^k coefficient of f(t * point), from one pass over the gates in power
-    series truncated after t^k: an input is [0, b_i], a constant [c], a linear
-    gate [c_0, sum c_i b_i]; Add is coefficient-wise, Mul a truncated
-    convolution.  Any field size works.  `p=None` keeps exact scalars; an int
-    `p` takes residues in [0, p), maps the circuit's scalars with `residue`
-    and returns a residue.
+    The t^k coefficient of f(t * b) for every point b of the block, from one
+    pass over the gates in power series truncated after t^k: an input is
+    [0, b_i], a constant [c], a linear gate [c_0, sum c_i b_i]; Add is
+    coefficient-wise, Mul a truncated convolution.  A gate's t^0
+    coefficient, its value at 0, is one scalar shared by the whole block;
+    every other coefficient is a list with one value per point (or a scalar 0
+    where it vanishes identically), and lists combine elementwise, so the
+    per-gate work of the interpreter is paid once per block rather than once
+    per point.  Space is
+    O(|c| * (k+1) * len(points)); callers bound the block to keep it
+    polynomial.  Any field size works.  `p=None` keeps exact scalars; an int
+    `p` takes residues in [0, p), maps the circuit's scalars with `residue`,
+    reduces each gate's values mod p once and returns residues.
     """
-    if len(point) != c.n:
+    if any(len(b) != c.n for b in points):
         raise ValueError("point length mismatch")
+    size = len(points)
+    if not size:
+        return []
+    columns = [list(col) for col in zip(*points)]
     coerce = (lambda x: x) if p is None else (lambda x: residue(x, p))
     top = k + 1
     vals: list = [None] * len(c.nodes)
     for i, node in enumerate(c.nodes):
         if isinstance(node, Input):
-            s = [0, point[node.var]]
+            s = [0, columns[node.var]]
         elif isinstance(node, Const):
             s = [coerce(node.value)]
         elif isinstance(node, Add):
-            s = [0] * max(len(vals[ch]) for ch in node.children)
+            s = []
             for ch in node.children:
                 for j, v in enumerate(vals[ch]):
-                    s[j] += v
+                    if j < len(s):
+                        s[j] = _coef_add(s[j], v)
+                    else:
+                        s.append(v)
         elif isinstance(node, Mul):
             s = vals[node.children[0]]
             for ch in node.children[1:]:
                 s = _series_mul(s, vals[ch], top)
         else:
             form = node.form
-            s = [coerce(form.const), sum(coerce(cc) * b for cc, b in zip(form.coeffs, point))]
+            lin = 0
+            for cc, col in zip(form.coeffs, columns):
+                cc = coerce(cc)
+                if cc:
+                    lin = _coef_add(lin, [cc * x for x in col])
+            s = [coerce(form.const), lin]
+        s = s[:top]
         if p is not None:
-            s = [v % p for v in s]
-        vals[i] = s[:top]
+            s = [[x % p for x in v] if type(v) is list else v % p for v in s]
+        vals[i] = s
     out = vals[c.out]
-    return out[k] if k < len(out) else 0
+    v = out[k] if k < len(out) else 0
+    return v if type(v) is list else [v] * size
+
+
+def _coef_add(a, b):
+    """Sum of two series coefficients of homogeneous_part_eval.
+
+    Only a t^0 coefficient is a nonzero scalar, so a list meets at most a
+    zero scalar here.  Lists are never empty and never changed in place, so
+    one may be shared between gates.
+    """
+    if type(a) is not list:
+        return b if type(b) is list else a + b
+    return list(map(add, a, b)) if type(b) is list else a
+
+
+def _coef_mul(a, b):
+    """Product of two series coefficients (see `_coef_add`)."""
+    if type(a) is list:
+        if type(b) is list:
+            return list(map(mul, a, b))
+        return [x * b for x in a]
+    if type(b) is list:
+        return [a * y for y in b]
+    return a * b
 
 
 def _series_mul(a: list, b: list, top: int) -> list:
@@ -303,7 +348,8 @@ def _series_mul(a: list, b: list, top: int) -> list:
     for i, x in enumerate(a[: len(out)]):
         if x:
             for j, y in enumerate(b[: len(out) - i]):
-                out[i + j] += x * y
+                if y:
+                    out[i + j] = _coef_add(out[i + j], _coef_mul(x, y))
     return out
 
 

@@ -15,6 +15,7 @@ from unideal.circuits import (
     syntactic_degree,
 )
 from unideal.fields import GF
+from unideal.hadamard import BLOCK
 from unideal.linalg import LinearForm
 
 F = Fraction
@@ -75,16 +76,16 @@ def test_homogeneous_part_linear_slice():
     b = CircuitBuilder(1)
     x = b.input(0)
     c = b.build(b.add(b.const(F(1)), x, b.mul(x, x)))
-    assert homogeneous_part_eval(c, 1, [F(7)]) == 7
-    assert homogeneous_part_eval(c, 0, [F(7)]) == 1
-    assert homogeneous_part_eval(c, 5, [F(7)]) == 0
+    assert homogeneous_part_eval(c, 1, [[F(7)]])[0] == 7
+    assert homogeneous_part_eval(c, 0, [[F(7)]])[0] == 1
+    assert homogeneous_part_eval(c, 5, [[F(7)]])[0] == 0
 
 
 def test_homogeneous_input_is_identity():
     b = CircuitBuilder(2)
     c = b.build(b.mul(b.input(0), b.input(1)))
     pt = [F(3), F(5)]
-    assert homogeneous_part_eval(c, 2, pt) == 15
+    assert homogeneous_part_eval(c, 2, [pt])[0] == 15
 
 
 def test_homogeneous_parts_sum_to_eval():
@@ -93,7 +94,7 @@ def test_homogeneous_parts_sum_to_eval():
         c = random_circuit(rng, rng.randint(1, 3))
         d = syntactic_degree(c)
         pt = [F(rng.randint(-3, 3)) for _ in range(c.n)]
-        total = sum((homogeneous_part_eval(c, k, pt) for k in range(d + 1)), F(0))
+        total = sum((homogeneous_part_eval(c, k, [pt])[0] for k in range(d + 1)), F(0))
         assert total == c.evaluate(pt)
 
 
@@ -119,8 +120,63 @@ def test_homogeneous_part_over_small_fields():
                     F(0),
                 )
                 want = want.numerator * pow(want.denominator, -1, p) % p
-                assert homogeneous_part_eval(c, k, pt, p) == want
-                assert homogeneous_part_eval(c, k, [GF(p)(x) for x in pt]) == want
+                assert homogeneous_part_eval(c, k, [pt], p)[0] == want
+                assert homogeneous_part_eval(c, k, [[GF(p)(x) for x in pt]])[0] == want
+
+
+def _degree_part(f, k, point):
+    """The degree-k terms of the expansion f at `point`, exactly."""
+    return sum(
+        (coef * math.prod(F(x) ** y for x, y in zip(point, e)) for e, coef in f.terms.items() if sum(e) == k),
+        F(0),
+    )
+
+
+def _block_shapes(rng, n):
+    """Random circuits plus outputs that are a Const, an Input and a Linear gate with a constant."""
+    shapes = [random_circuit(rng, n, steps=6) for _ in range(3)]
+    b = CircuitBuilder(n)
+    shapes.append(b.build(b.const(F(-5, 3))))
+    b = CircuitBuilder(n)
+    shapes.append(b.build(b.input(n - 1)))
+    b = CircuitBuilder(n)
+    form = LinearForm(tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n)), F(7, 2))
+    shapes.append(b.build(b.mul(b.linear(form), b.add(b.input(0), b.const(F(2))))))
+    b = CircuitBuilder(n)
+    shapes.append(b.build(b.linear(form)))
+    return shapes
+
+
+@pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_homogeneous_part_block_matches_single_points(size):
+    # One pass over a block of points gives, at every point, the value of a
+    # one-point block and the degree-k terms of the expansion, over QQ and
+    # mod p; k = 0 and k past the degree (value 0) included.
+    rng = random.Random(size)
+    p = 10007
+    n = 3
+    for c in _block_shapes(rng, n):
+        f = expand(c)
+        d = syntactic_degree(c)
+        for k in sorted({0, 1, d, d + 2}):
+            pts = [[F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(n)] for _ in range(size)]
+            got = homogeneous_part_eval(c, k, pts)
+            assert got == [_degree_part(f, k, pt) for pt in pts]
+            assert got == [homogeneous_part_eval(c, k, [pt])[0] for pt in pts]
+            ipts = [[rng.randrange(p) for _ in range(n)] for _ in range(size)]
+            got = homogeneous_part_eval(c, k, ipts, p)
+            want = [_degree_part(f, k, pt) for pt in ipts]
+            assert got == [w.numerator * pow(w.denominator, -1, p) % p for w in want]
+            assert got == [homogeneous_part_eval(c, k, [pt], p)[0] for pt in ipts]
+            assert all(type(v) is int and 0 <= v < p for v in got)
+
+
+def test_homogeneous_part_block_edges():
+    b = CircuitBuilder(2)
+    c = b.build(b.mul(b.input(0), b.input(1)))
+    assert homogeneous_part_eval(c, 2, []) == []
+    with pytest.raises(ValueError):
+        homogeneous_part_eval(c, 2, [[F(1), F(2)], [F(1)]])
 
 
 def test_power_decompose_single_factor():
@@ -160,7 +216,7 @@ def test_power_decompose_matches_homogeneous_extraction():
         prod = b.build(b.product([b.linear(f) for f in forms]))
         for _ in range(20):
             pt = [F(rng.randint(-4, 4)) for _ in range(n)]
-            assert dc.evaluate(pt) == homogeneous_part_eval(prod, k, pt)
+            assert dc.evaluate(pt) == homogeneous_part_eval(prod, k, [pt])[0]
 
 
 def test_diagonal_circuit_rejects_affine_summands():

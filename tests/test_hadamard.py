@@ -17,9 +17,10 @@ from unideal.circuits import (
     homogeneous_part_eval,
     syntactic_degree,
 )
-from unideal import fields
+from unideal import fields, hadamard
 from unideal.fields import GF
 from unideal.hadamard import (
+    BLOCK,
     PowerIdealSpec,
     build_detection_circuit,
     coverage_failure_bound,
@@ -69,6 +70,44 @@ def test_scaled_hadamard_matches_literal_definition():
         d = DiagonalCircuit(n, k, summands)
         pt = [F(rng.randint(1, 6)) for _ in range(n)]
         assert scaled_hadamard_eval(c, d, pt) == literal_scaled_hadamard(expand(c), d.to_sparse(), pt)
+
+
+@pytest.mark.parametrize("fan_in", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_scaled_hadamard_one_pass_per_block(monkeypatch, fan_in):
+    # ceil(fan-in / BLOCK) passes over the circuit with at most BLOCK points
+    # each, so the extra space does not grow with the fan-in; the value is the
+    # per-summand sum, and the residue path is the image of the exact one.
+    passes = []
+
+    def counted(c, k, points, p=None):
+        passes.append(len(points))
+        return homogeneous_part_eval(c, k, points, p)
+
+    monkeypatch.setattr(hadamard, "homogeneous_part_eval", counted)
+    rng = random.Random(fan_in)
+    n, k, p = 3, 2, 10007
+    c = random_circuit_capped_degree(rng, n, 3)
+    summands = tuple(
+        (
+            F(rng.randint(-9, 9), rng.choice([1, 2, 3, 6])),
+            LinearForm(tuple(rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), 2)]) for _ in range(n))),
+        )
+        for _ in range(fan_in)
+    )
+    d = DiagonalCircuit(n, k, summands)
+    pt = [rng.randint(1, 50) for _ in range(n)]
+    want = sum(
+        (coef * math.factorial(k) * homogeneous_part_eval(c, k, [[l * b for l, b in zip(form.coeffs, pt)]])[0]
+         for coef, form in summands),
+        F(0),
+    )
+    blocks = [min(BLOCK, fan_in - start) for start in range(0, fan_in, BLOCK)]
+    passes.clear()
+    assert scaled_hadamard_eval(c, d, pt) == want
+    assert passes == blocks
+    passes.clear()
+    assert scaled_hadamard_eval(c, d, pt, p) == want.numerator * pow(want.denominator, -1, p) % p
+    assert passes == blocks
 
 
 def test_coverage_trials_formula():
@@ -289,8 +328,8 @@ def test_homogeneous_part_and_scaled_hadamard_match_sympy():
             )
 
         want = part([sympy.Rational(x.numerator, x.denominator) for x in pt])
-        assert homogeneous_part_eval(c, k, pt) == F(int(want.p), int(want.q))
-        assert homogeneous_part_eval(c, k, ipt, p) == _to_residue(part([sympy.Integer(x) for x in ipt]), p)
+        assert homogeneous_part_eval(c, k, [pt])[0] == F(int(want.p), int(want.q))
+        assert homogeneous_part_eval(c, k, [ipt], p)[0] == _to_residue(part([sympy.Integer(x) for x in ipt]), p)
 
         # The literal definition: sum over monomials m of m! [m]f [m]D b^m.
         summands = tuple(
