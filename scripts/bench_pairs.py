@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of perfbench/run.py, written as one JSON file.
 
-    python3 scripts/bench_pairs.py --parent f883195 --out BENCH_15.json \\
-        --workloads control lowrank --seeds 9001 1 2 3 4 --seconds 56
+    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_N.json \\
+        --workloads control lowrank --seeds 9001 1 2 3 4 5 6 7 8 9 --seconds 56
 
 The parent revision is exported with `git archive` into a scratch directory,
 and the working tree's `src/`, `perfbench/` and `BENCHMARK.json` are copied
@@ -100,7 +100,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=56)
     ap.add_argument("--trace-seed", type=int, default=None)
     ap.add_argument("--scratch", type=Path, default=None, help="directory for the two checkouts (default: a temp dir)")
-    ap.add_argument("--note", default=None)
     args = ap.parse_args(argv)
 
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
@@ -114,10 +113,8 @@ def main(argv=None) -> int:
                        "at the even pair indices); values are each run's end-to-end metrics",
         "seeds": args.seeds,
     }
-    if dirty or args.note:
-        result["note"] = " ".join(filter(None, [
-            args.note, "The change side is the working tree, with uncommitted changes on top of the change commit."
-            if dirty else None]))
+    if dirty:
+        result["note"] = "The change side is the working tree, with uncommitted changes on top of the change commit."
     try:
         dirs = export(args.parent, scratch)
         workloads = {}

@@ -102,7 +102,6 @@ def test_scaled_hadamard_one_pass_per_block(monkeypatch, fan_in):
         F(0),
     )
     blocks = [min(BLOCK, fan_in - start) for start in range(0, fan_in, BLOCK)]
-    passes.clear()
     assert scaled_hadamard_eval(c, d, pt) == want
     assert passes == blocks
     passes.clear()
