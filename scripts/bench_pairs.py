@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Alternating parent/change pairs of perfbench/run.py, written as one JSON file.
 
-    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_N.json \\
-        --workloads control lowrank --seeds 9001 1 2 3 4 5 6 7 8 9 --seconds 56
+    python3 scripts/bench_pairs.py --parent HEAD~1 --out BENCH_N.json
 
 The parent revision is exported with `git archive` into a scratch directory,
 and the working tree's `src/`, `perfbench/` and `BENCHMARK.json` are copied
 beside it, so both sides run from sibling directories outside the checkout
 (where a checkout sits moves setup_s and peak_rss_mb by itself).  An export
 leaves nothing registered in the repository if the script is killed, which a
-`git worktree` would.  For every workload, pair i runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` on the parent
-first when i is even and on the change first when i is odd.  The output keeps
+`git worktree` would.  The workloads and the run length T are the ones
+`BENCHMARK.json` declares (`workloads`, `run_seconds`).  For every workload,
+pair i runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` on
+the parent first when i is even and on the change first when i is odd; the
+default seeds, 9001 and 1-9, give ten pairs per workload.  The output keeps
 the commits, the seeds, the machine and every run's end-to-end metrics, and
 per workload and metric each side's median and inclusive quartiles, the
 change/parent ratio of the medians and the pairs the change won.
@@ -95,20 +96,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="revision to compare the working tree with")
     ap.add_argument("--out", required=True, type=Path)
-    ap.add_argument("--workloads", nargs="+", default=["lowrank", "control"])
-    ap.add_argument("--seeds", nargs="+", type=int, default=[9001, 1, 2, 3, 4])
-    ap.add_argument("--seconds", type=float, default=56)
+    ap.add_argument("--seeds", nargs="+", type=int, default=[9001, *range(1, 10)])
     ap.add_argument("--trace-seed", type=int, default=None)
     ap.add_argument("--scratch", type=Path, default=None, help="directory for the two checkouts (default: a temp dir)")
     args = ap.parse_args(argv)
 
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", "HEAD")}
     dirty = bool(git("status", "--porcelain", "--untracked-files=no", "--", "src", "perfbench", "BENCHMARK.json"))
-    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    seconds = bench["run_seconds"]
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.scratch))
     result = {
         "commits": commits,
-        "description": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
+        "description": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
                        f"{len(args.seeds)} pairs per workload alternating which side runs first (parent first "
                        "at the even pair indices); values are each run's end-to-end metrics",
         "seeds": args.seeds,
@@ -118,13 +119,13 @@ def main(argv=None) -> int:
     try:
         dirs = export(args.parent, scratch)
         workloads = {}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for i, seed in enumerate(args.seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"first": order[0], "seed": seed}
                 for side in order:
-                    pair[side] = run(dirs[side], workload, seed, args.seconds, 0)
+                    pair[side] = run(dirs[side], workload, seed, seconds, 0)
                     print(f"{workload} seed={seed} {side}: wall_s={pair[side]['metrics']['wall_s']:.4f} "
                           f"failed={pair[side]['failed']}", file=sys.stderr, flush=True)
                 pairs.append(pair)
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
                 "summary": summarize(pairs, metrics),
             }
             if args.trace_seed is not None:
-                traced = {side: run(dirs[side], workload, args.trace_seed, args.seconds, 1)["metrics"]
+                traced = {side: run(dirs[side], workload, args.trace_seed, seconds, 1)["metrics"]
                           for side in SIDES}
                 result[f"trace_{workload}_seed{args.trace_seed}"] = {
                     name: {side: traced[side].get(name, 0) for side in SIDES}
