@@ -56,7 +56,6 @@ from .hadamard import (
 )
 from .certifier import (
     Certificate,
-    GaussianRational,
     NotSquarefree,
     PrecisionBudget,
     Undecided,

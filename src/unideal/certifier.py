@@ -3,11 +3,12 @@
 If every p_i is squarefree, f lies in <p_1(x_1), ..., p_n(x_n)> exactly when
 it vanishes on the grid of root tuples.  A nonmembership witness is therefore
 a root tuple where f does not vanish, and it can be communicated with finite
-precision: the verifier accepts a tuple z of Gaussian rationals when (a) each
-component is certifiably within eps of some root of its generator (the
-residual test |p_i(z_i)| < 2^-L eps^d, which is sound by the factorized lower
-bound |p(z)| >= |lc| * dist^deg) and (b) |f(z)| >= 2M, where M is a
-precomputed threshold separating members from nonmembers.
+precision: the verifier accepts a tuple z of complex rationals, each an
+(re, im) pair of Fractions, when (a) each component is certifiably within
+eps of some root of its generator (the residual test |p_i(z_i)| <
+2^-L eps^d, which is sound by the factorized lower bound
+|p(z)| >= |lc| * dist^deg) and (b) |f(z)| >= 2M, where M is a precomputed
+threshold separating members from nonmembers.
 
 One bound gives the gap.  With eps <= 1, every accepted z lies within eps of
 a root tuple a in each coordinate, so z stays inside the boxes |z_i| <= (root
@@ -35,6 +36,13 @@ standing for multiples of 2^-prec at escalating prec, so no floating point
 and no third-party package is involved.  It is never trusted: every
 candidate is certified a posteriori by the exact residual and distinctness
 tests.
+
+Every value of f, and every residual, comes from one exact routine,
+`_grid_abs2`.  The roots of a variable are dyadics (or the rational root of
+a degree-1 generator), so they are Gaussian integers over one common
+denominator D_v; clearing D_v and the denominators of f's expansion turns
+the grid sweep into int arithmetic, with each prefix of a root tuple
+substituted once.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from .poly import SparsePoly, UnivariatePoly, _integral, discriminant, poly_gcd
 __all__ = [
     "NotSquarefree",
     "Undecided",
-    "GaussianRational",
     "Certificate",
     "PrecisionBudget",
     "root_magnitude_bounds",
@@ -78,89 +85,17 @@ class Undecided(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GaussianRational:
-    """a + b*i with exact rational a, b."""
-
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        out = GaussianRational(Fraction(1))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def bit_size(self) -> int:
-        return sum(
-            v.numerator.bit_length() + v.denominator.bit_length()
-            for v in (self.re, self.im)
-        )
-
-
-def _as_gaussian(x):
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x))
-    return None
-
-
-@dataclass(frozen=True)
 class Certificate:
-    """A finite-precision candidate root tuple."""
+    """A finite-precision candidate root tuple, one (re, im) pair of Fractions per variable."""
 
-    values: tuple  # of GaussianRational
+    values: tuple
 
     @property
     def n(self) -> int:
         return len(self.values)
 
     def bit_size(self) -> int:
-        return sum(v.bit_size() for v in self.values)
+        return sum(x.numerator.bit_length() + x.denominator.bit_length() for z in self.values for x in z)
 
 
 @dataclass(frozen=True)
@@ -251,7 +186,11 @@ def _round_dyadic(x: Fraction, bits: int) -> Fraction:
 
 
 def approximate_roots(p: UnivariatePoly, eps: Fraction, threshold_sq: Fraction | None = None):
-    """All deg(p) roots as Gaussian rationals, each within eps of a distinct root.
+    """All deg(p) roots as (re, im) Fraction pairs, each within eps of a distinct root.
+
+    Every root is a dyadic, except the exact rational root of a degree-1 p,
+    so the roots share one small denominator, which keeps the ints of
+    `_grid_abs2` short.
 
     Fixed-point Durand-Kerner at escalating precision, 128 bits first,
     produces the candidates; acceptance is anchored in the exact residual test
@@ -273,22 +212,17 @@ def approximate_roots(p: UnivariatePoly, eps: Fraction, threshold_sq: Fraction |
     if threshold_sq is not None:
         thr_sq = min(thr_sq, Fraction(threshold_sq))
     if d == 1:
-        root = GaussianRational(-Fraction(p.coeffs[0]) / Fraction(p.coeffs[1]))
-        return [root]
+        return [(-Fraction(p.coeffs[0]) / Fraction(p.coeffs[1]), Fraction(0))]
     gap_sq = (2 * eps_eff) ** 2
     prec = 128
     while prec <= 1 << 20:
         cand = _durand_kerner(p, prec)
         if cand is not None:
-            roots = [GaussianRational(re, im) for re, im in cand]
             target_bits = max(64, _needed_bits(thr_sq) // 2 + 16)
-            rounded = [
-                GaussianRational(_round_dyadic(r.re, target_bits), _round_dyadic(r.im, target_bits))
-                for r in roots
-            ]
-            for pick in (rounded, roots):
-                if all(_poly_abs2(p, r) < thr_sq for r in pick) and all(
-                    (a - b).abs2() > gap_sq
+            rounded = [(_round_dyadic(re, target_bits), _round_dyadic(im, target_bits)) for re, im in cand]
+            for pick in (rounded, cand):
+                if all(_poly_abs2(p, z) < thr_sq for z in pick) and all(
+                    (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > gap_sq
                     for a, b in itertools.combinations(pick, 2)
                 ):
                     return pick
@@ -301,11 +235,56 @@ def _needed_bits(thr_sq: Fraction) -> int:
     return max(0, thr_sq.denominator.bit_length() - thr_sq.numerator.bit_length()) + 8
 
 
-def _poly_abs2(p: UnivariatePoly, z: GaussianRational) -> Fraction:
-    acc = GaussianRational(Fraction(p.coeffs[-1]))
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * z + Fraction(c)
-    return acc.abs2()
+def _poly_abs2(p: UnivariatePoly, z) -> Fraction:
+    """|p(z)|^2 for an (re, im) pair z."""
+    return next(_grid_abs2(SparsePoly(1, {(j,): c for j, c in enumerate(p.coeffs)}), [[z]]))
+
+
+def _grid_abs2(fp: SparsePoly, per_var):
+    """Exact |fp(z)|^2 at every tuple z of itertools.product(*per_var), in that order.
+
+    per_var[v] lists the values of x_v as (re, im) Fraction pairs.  fp's
+    coefficients are cleared by the lcm L of their denominators, and x_v's
+    values by the lcm D_v of theirs, so x_v = (a + bi) / D_v with ints a, b.
+    Substituting x_v into a term of degree j in it multiplies by
+    (a + bi)^j D_v^(deg_v - j) (deg_v the degree of fp in x_v), which scales
+    every term alike.  The variables are substituted one at a time on (re, im)
+    int pairs, so each prefix of a tuple is substituted once, and a tuple's
+    value V gives |fp(z)|^2 = |V|^2 / (L prod_v D_v^deg_v)^2.
+    """
+    scale = math.lcm(*(c.denominator for c in fp.terms.values()))
+    poly = {e: (int(c * scale), 0) for e, c in fp.terms.items()}
+    powers = []
+    for v, values in enumerate(per_var):
+        dv = math.lcm(*(x.denominator for z in values for x in z))
+        deg = max((e[v] for e in fp.terms), default=0)
+        scale *= dv**deg
+        rows = []
+        for re, im in values:
+            a, b, gr, gi, row = int(re * dv), int(im * dv), 1, 0, []
+            for j in range(deg + 1):
+                k = dv ** (deg - j)
+                row.append((gr * k, gi * k))
+                gr, gi = gr * a - gi * b, gr * b + gi * a
+            rows.append(row)
+        powers.append(rows)
+    den = scale * scale
+
+    def sweep(v, poly):
+        if v == len(powers):
+            re, im = poly.get((), (0, 0))
+            yield Fraction(re * re + im * im, den)
+            return
+        for row in powers[v]:
+            out = {}
+            for e, (cr, ci) in poly.items():
+                pr, pi = row[e[0]]
+                tail = e[1:]
+                r, i = out.get(tail, (0, 0))
+                out[tail] = (r + cr * pr - ci * pi, i + cr * pi + ci * pr)
+            yield from sweep(v + 1, out)
+
+    return sweep(0, poly)
 
 
 def _fixed(x: Fraction, prec: int) -> int:
@@ -390,14 +369,14 @@ def _durand_kerner(p: UnivariatePoly, prec: int):
     return [(Fraction(a, one), Fraction(b, one)) for a, b in zip(zr, zi)]
 
 
-def compute_threshold(f: Circuit, ideal: UnivariateIdeal, eps: Fraction | None = None) -> PrecisionBudget:
+def compute_threshold(f: Circuit, ideal: UnivariateIdeal) -> PrecisionBudget:
     """Explicit M and eps realizing the member/nonmember gap.
 
     Bounds the Lipschitz constant `lip` of f over the root boxes, and
     lower-bounds the nonzero grid values of the remainder R through the
     characteristic polynomial of multiplication by R on the quotient
     algebra, built from the power sums tr(R^k) by Newton's identities.
-    Sets M = B3/3 and eps <= min(1, M/lip).
+    Sets M = B3/3 and eps = min(1, M/lip).
     """
     fp = expand(f, EXPAND_CAP)
     n = fp.n
@@ -408,9 +387,7 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal, eps: Fraction | None =
         if not _is_squarefree(gens[v]):
             raise NotSquarefree(f"generator for variable {v} has a repeated root")
     degs = [gens[v].degree() for v in range(n)]
-    grid = 1
-    for dd in degs:
-        grid *= dd
+    grid = math.prod(degs)
     if grid > CHARPOLY_GUARD:
         raise ValueError(f"root grid of size {grid} exceeds the threshold guard {CHARPOLY_GUARD}")
     boxes = [root_magnitude_bounds(gens[v])[1] + 1 for v in range(n)]
@@ -426,11 +403,10 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal, eps: Fraction | None =
     reducer = _Reducer(ideal)
     b3 = _grid_value_lower_bound(reducer.reduce(fp), reducer, degs, grid)
     m = b3 / 3
-    eps_max = Fraction(1) if lip == 0 else min(Fraction(1), m / lip)
-    eps_out = eps_max if eps is None else min(Fraction(eps), eps_max)
+    eps = Fraction(1) if lip == 0 else min(Fraction(1), m / lip)
     L = _bit_bound(list(fp.terms.values()) + [c for p in gens.values() for c in p.coeffs])
     d = max([p.degree() for p in gens.values()] + [max(fp.degree(), 1)])
-    return PrecisionBudget(L=L, d=d, n=n, eps=eps_out, M=m, b3=b3, lip=lip)
+    return PrecisionBudget(L=L, d=d, n=n, eps=eps, M=m, b3=b3, lip=lip)
 
 
 def _grid_value_lower_bound(r: SparsePoly, reducer: _Reducer, degs, grid: int) -> Fraction:
@@ -504,6 +480,8 @@ def verify_certificate(
 ) -> bool:
     """Accept iff every component passes the residual test and |f| >= 2M.
 
+    Both are exact: the residuals through `_poly_abs2`, |f|^2 through
+    `_grid_abs2` on the expansion of f at the one tuple of the certificate.
     Acceptance soundly implies nonmembership; rejection decides nothing.
     """
     gens = dict(ideal.generators)
@@ -516,35 +494,34 @@ def verify_certificate(
     for v in range(cert.n):
         if _poly_abs2(gens[v], cert.values[v]) >= thr_sq:
             return False
-    value = f.evaluate(list(cert.values))
-    return _as_gaussian(value).abs2() >= (2 * budget.M) ** 2
+    value2 = next(_grid_abs2(expand(f, EXPAND_CAP), [[z] for z in cert.values]))
+    return value2 >= (2 * budget.M) ** 2
 
 
 def search_nonmembership(f: Circuit, ideal: UnivariateIdeal, budget: PrecisionBudget | None = None):
     """Decide membership by sweeping all approximate root tuples.
 
-    Returns ("nonmember", certificate) on the first tuple with |f| >= 2M, or
-    ("member", None) when every tuple stays below M.  A value strictly
-    between M and 2M cannot occur with a valid budget; it raises Undecided as
-    a defensive signal rather than being silently classified.
+    The tuples come in `itertools.product` order over the roots of
+    `approximate_roots`, and `_grid_abs2` gives |f|^2 at each, exactly, from
+    the expansion of f.  Returns ("nonmember", certificate) on the first
+    tuple with |f| >= 2M, or ("member", None) when every tuple stays below
+    M.  A value strictly between M and 2M cannot occur with a valid budget;
+    it raises Undecided as a defensive signal rather than being silently
+    classified.
     """
     if budget is None:
         budget = compute_threshold(f, ideal)
     gens = dict(ideal.generators)
-    grid = 1
-    for v in range(budget.n):
-        grid *= gens[v].degree()
+    grid = math.prod(gens[v].degree() for v in range(budget.n))
     if grid > GRID_GUARD:
         raise ValueError(f"root grid of size {grid} exceeds the search guard {GRID_GUARD}")
     thr_sq = _residual_threshold_sq(budget)
     per_var = [approximate_roots(gens[v], budget.eps, threshold_sq=thr_sq) for v in range(budget.n)]
     m_sq = budget.M**2
     two_m_sq = (2 * budget.M) ** 2
-    for tup in itertools.product(*per_var):
-        value = _as_gaussian(f.evaluate(list(tup)))
-        v2 = value.abs2()
+    for tup, v2 in zip(itertools.product(*per_var), _grid_abs2(expand(f, EXPAND_CAP), per_var)):
         if v2 >= two_m_sq:
-            return "nonmember", Certificate(tuple(tup))
+            return "nonmember", Certificate(tup)
         if v2 > m_sq:
             raise Undecided(f"grid value with |f|^2 = {v2} inside (M, 2M)")
     return "member", None

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .apps import Graph
-from .certifier import Certificate, GaussianRational
+from .certifier import Certificate
 from .circuits import Add, Circuit, Const, Input, Linear, Mul
 from .division import UnivariateIdeal
 from .linalg import LinearForm, Matrix
@@ -226,15 +226,14 @@ def parse_certificate(text: str) -> Certificate:
     values = []
     for line in _content_lines(text):
         re_tok, im_tok = line.split()
-        values.append(GaussianRational(parse_scalar(re_tok), parse_scalar(im_tok)))
+        values.append((parse_scalar(re_tok), parse_scalar(im_tok)))
     return Certificate(tuple(values))
 
 
 def write_certificate(cert: Certificate) -> str:
-    lines = []
-    for v in cert.values:
-        lines.append(f"{v.re.numerator}/{v.re.denominator} {v.im.numerator}/{v.im.denominator}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(
+        f"{re.numerator}/{re.denominator} {im.numerator}/{im.denominator}" for re, im in cert.values
+    ) + "\n"
 
 
 def parse_klineq(text: str) -> KLinEqInstance:

@@ -4,13 +4,16 @@ Oracles here deliberately avoid the code paths they check: membership goes
 through full expansion and monomial inspection, permanents through Ryser or
 direct permutation sums, vertex cover through subset enumeration, the
 characteristic polynomial through Hessenberg reduction of an explicit matrix,
-a prepared remainder evaluator's value through a sparse walk of its levels.
+a prepared remainder evaluator's value through a sparse walk of its levels,
+a circuit's value at a complex rational point through gate-by-gate
+evaluation on `GaussianRational`s.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from unideal.circuits import Circuit, CircuitBuilder, expand, syntactic_degree
@@ -295,3 +298,54 @@ def _substitute_prefix(g: SparsePoly, s: int, values) -> SparsePoly:
                 c = c * pow(x, k, p)
         out[e[s:]] = out.get(e[s:], 0) + c
     return SparsePoly(g.n - s, out, p)
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """a + b*i with exact rational a, b; combines with ints and Fractions."""
+
+    re: Fraction
+    im: Fraction = Fraction(0)
+
+    @staticmethod
+    def of(x) -> "GaussianRational":
+        return x if isinstance(x, GaussianRational) else GaussianRational(Fraction(x))
+
+    def __add__(self, other):
+        other = GaussianRational.of(other)
+        return GaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -GaussianRational.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = GaussianRational.of(other)
+        return GaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        out = GaussianRational(Fraction(1))
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        return self.re * self.re + self.im * self.im
+
+
+def circuit_abs2(c: Circuit, point) -> Fraction:
+    """|c(z)|^2 at a point of GaussianRationals or (re, im) pairs, by `Circuit.evaluate`."""
+    z = [x if isinstance(x, GaussianRational) else GaussianRational(*map(Fraction, x)) for x in point]
+    return GaussianRational.of(c.evaluate(z)).abs2()

@@ -11,12 +11,11 @@ import mpmath
 import pytest
 
 import unideal
-from helpers import charpoly
+from helpers import GaussianRational, charpoly, circuit_abs2
 from unideal import certifier
 from unideal import io as uio
 from unideal.certifier import (
     Certificate,
-    GaussianRational,
     NotSquarefree,
     approximate_roots,
     compute_threshold,
@@ -99,23 +98,23 @@ def test_separation_below_true_minimum():
 def test_approximate_roots_real_pair():
     eps = F(1, 2**30)
     roots = approximate_roots(upoly(-1, 0, 1), eps)
-    got = sorted((r.re, r.im) for r in roots)
+    got = sorted(roots)
     assert abs(got[0][0] + 1) <= eps and abs(got[1][0] - 1) <= eps
     assert got[0][1] == got[1][1] == 0
 
 
 def test_approximate_roots_origin_exact():
     (r,) = approximate_roots(upoly(0, 1), F(1, 1024))
-    assert r.re == 0 and r.im == 0
+    assert r == (0, 0)
 
 
 def test_approximate_roots_imaginary_with_residual():
     p = upoly(1, 0, 1)  # x^2 + 1
     eps = F(1, 2**20)
     roots = approximate_roots(p, eps)
-    for r in roots:
-        assert abs(abs(r.im) - 1) <= eps and abs(r.re) <= eps
-        assert _poly_abs2(p, r) < (F(1, 2) * eps**2) ** 2 * 4  # residual is tiny
+    for re, im in roots:
+        assert abs(abs(im) - 1) <= eps and abs(re) <= eps
+        assert _poly_abs2(p, (re, im)) < (F(1, 2) * eps**2) ** 2 * 4  # residual is tiny
 
 
 def oracle_roots(p):
@@ -187,12 +186,12 @@ def test_approximate_roots_match_polyroots(monkeypatch):
         assert len(got) == p.degree() == len(want)
         with mpmath.workprec(400):
             nearest = set()
-            for r in got:
-                z = mpmath.mpc(mpmath.mpf(r.re.numerator) / r.re.denominator,
-                               mpmath.mpf(r.im.numerator) / r.im.denominator)
+            for re, im in got:
+                z = mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                               mpmath.mpf(im.numerator) / im.denominator)
                 dist = [abs(z - w) for w in want]
                 j = min(range(len(want)), key=dist.__getitem__)
-                assert dist[j] <= mpmath.mpf(eps.numerator) / eps.denominator, (kind, p.coeffs, r)
+                assert dist[j] <= mpmath.mpf(eps.numerator) / eps.denominator, (kind, p.coeffs, re, im)
                 nearest.add(j)
         assert len(nearest) == p.degree(), (kind, p.coeffs)
         if max(precs, default=0) > 128:
@@ -224,7 +223,7 @@ def test_approximate_roots_integer_roots_accepted_at_128_bits(monkeypatch):
             del precs[:]
             got = approximate_roots(p, budget.eps, threshold_sq=thr_sq)
             assert precs == [128]
-            assert sorted((r.re, r.im) for r in got) == sorted((F(a), F(0)) for a in rs)
+            assert sorted(got) == sorted((F(a), F(0)) for a in rs)
             runs += 1
     assert runs == 17
 
@@ -262,19 +261,7 @@ def test_compute_threshold_member_stays_below_m():
     roots0 = approximate_roots(upoly(-1, 0, 1), budget.eps)
     roots1 = approximate_roots(upoly(-2, 0, 1), budget.eps)
     for tup in itertools.product(roots0, roots1):
-        value = f.evaluate(list(tup))
-        assert GaussianRational(F(0)).__add__(value).abs2() <= budget.M**2
-
-
-def test_compute_threshold_eps_halving():
-    b = CircuitBuilder(1)
-    c = b.build(b.add(b.input(0), b.const(F(-1))))
-    ideal = UnivariateIdeal(((0, upoly(-4, 0, 1)),))
-    full = compute_threshold(c, ideal)
-    halved = compute_threshold(c, ideal, eps=full.eps / 2)
-    assert halved.M == full.M
-    assert halved.eps == full.eps / 2
-    assert halved.eps * halved.lip <= halved.M
+        assert circuit_abs2(f, tup) <= budget.M**2
 
 
 def multiplication_matrix(r, ideal, degs):
@@ -394,13 +381,13 @@ def test_lipschitz_gap_holds_near_every_root_tuple():
     assert budget.lip > 0 and budget.eps * budget.lip <= budget.M
     for a in root_tuples:
         for z in near_tuples(a, budget.eps):
-            assert GaussianRational(F(0)).__add__(member.evaluate(z)).abs2() <= budget.M**2
+            assert circuit_abs2(member, z) <= budget.M**2
 
     budget = compute_threshold(nonmember, ideal)
     assert budget.lip > 0 and budget.eps * budget.lip <= budget.M
     separated = [
         a for a in root_tuples
-        if all(GaussianRational(F(0)).__add__(nonmember.evaluate(z)).abs2() >= 4 * budget.M**2
+        if all(circuit_abs2(nonmember, z) >= 4 * budget.M**2
                for z in near_tuples(a, budget.eps))
     ]
     assert separated
@@ -420,7 +407,7 @@ def test_verify_certificate_accepts_witness():
     ideal = UnivariateIdeal(((0, upoly(-4, 0, 1)),))
     budget = compute_threshold(c, ideal)
     (r1, r2) = approximate_roots(upoly(-4, 0, 1), budget.eps)
-    witness = r1 if abs(float(r1.re) - 2) < 1 else r2
+    witness = r1 if abs(r1[0] - 2) < 1 else r2
     assert verify_certificate(c, ideal, Certificate((witness,)), budget)
 
 
@@ -439,7 +426,7 @@ def test_verify_certificate_rejects_far_point():
     c = b.build(b.add(b.input(0), b.const(F(-1))))
     ideal = UnivariateIdeal(((0, upoly(-4, 0, 1)),))
     budget = compute_threshold(c, ideal)
-    fake = Certificate((GaussianRational(F(100)),))
+    fake = Certificate(((F(100), F(0)),))
     assert not verify_certificate(c, ideal, fake, budget)
 
 
