@@ -36,16 +36,18 @@ class FieldMismatch(ArithmeticError):
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Miller-Rabin to the bases _SMALL_PRIMES decides primality exactly below this
-# bound (Sorenson and Webster, Math. Comp. 2017).
-_DETERMINISTIC_BOUND = 3317044064679887385961981
+# Miller-Rabin to the twelve bases 2..37 decides primality exactly below this
+# bound, psi_12 (Sorenson and Webster, Math. Comp. 2017).
+_DETERMINISTIC_BOUND = 318665857834031151167461
+_DETERMINISTIC_BASES = _SMALL_PRIMES[:12]
 # The number of random bases tried above it.
 _RANDOM_ROUNDS = 40
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin test: exact for n < 3.317e24, where the bases are the
-    primes 2..41; above it _RANDOM_ROUNDS random bases (deterministic per n)."""
+    """Trial division by the primes 2..41, then Miller-Rabin: exact for
+    n < 3.187e23, where the bases are the primes 2..37; above it
+    _RANDOM_ROUNDS random bases (deterministic per n)."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -59,7 +61,7 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         s += 1
     if n < _DETERMINISTIC_BOUND:
-        bases = _SMALL_PRIMES
+        bases = _DETERMINISTIC_BASES
     else:
         rng = random.Random(n)
         bases = [rng.randrange(2, n - 1) for _ in range(_RANDOM_ROUNDS)]
