@@ -1,22 +1,33 @@
-"""Differential suite: power ideals <x_i^e_i> with a rank <= 2 input.
+"""Differential suites: power ideals, and squarefree ideals with integer roots.
 
-On these instances three engines apply at once and share no evaluation code:
-expand-and-divide on the inlined circuit (`is_member_brute`), the low-rank
-remainder zero test on the compiled levels, and the scaled-Hadamard power-ideal
-test.  Root certificates do not apply: x^e with e >= 2 has a repeated root.
+On power ideals <x_i^e_i> with a rank <= 2 input three engines apply at once
+and share no evaluation code: expand-and-divide on the inlined circuit
+(`is_member_brute`), the low-rank remainder zero test on the compiled levels,
+and the scaled-Hadamard power-ideal test.  Root certificates do not apply
+there: x^e with e >= 2 has a repeated root.
+
+On squarefree generators with distinct integer roots the root-grid search
+is checked against expand-and-divide, every certificate it returns against
+the verifier, and its exact grid evaluation `_grid_abs2` against the
+gate-by-gate `Circuit.evaluate` on Gaussian rationals, at the root grid and
+at tuples of rationals with unrelated denominators.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from unideal.circuits import CircuitBuilder, syntactic_degree
-from unideal.division import is_member_brute, random_zero_test
+from helpers import circuit_abs2
+from unideal.certifier import _grid_abs2, compute_threshold, search_nonmembership, verify_certificate
+from unideal.circuits import CircuitBuilder, expand, syntactic_degree
+from unideal.division import UnivariateIdeal, is_member_brute, random_zero_test
 from unideal.fields import QQ
 from unideal.hadamard import PowerIdealSpec, membership_powers
 from unideal.linalg import LinearForm
 from unideal.lowrank import LowRankInput, RemEvaluator, inline_forms
+from unideal.poly import UnivariatePoly
 
 F = Fraction
 _small = st.integers(-2, 2)
@@ -75,3 +86,49 @@ def test_brute_lowrank_and_powers_agree(instance, seed):
     powers = not membership_powers(c, PowerIdealSpec(exps, syntactic_degree(c)), rng=random.Random(seed))
     assert brute == lowrank == powers
     assert brute or not member
+
+
+@st.composite
+def root_grid_instances(draw):
+    """(circuit, ideal, roots): generators with distinct integer roots, grid <= 64.
+
+    The circuit is a random DAG over the inputs; with probability about one
+    half it is multiplied by p_j(x_j), which makes it a member.
+    """
+    n = draw(st.integers(1, 3))
+    roots = [draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d, unique=True))
+             for d in [draw(st.integers(1, 4)) for _ in range(n)]]
+    gens = [UnivariatePoly.from_roots([F(a) for a in rs]) for rs in roots]
+    b = CircuitBuilder(n)
+    ids = [b.input(i) for i in range(n)] + [b.const(F(draw(st.integers(-3, 3))))]
+    for _ in range(draw(st.integers(1, 4))):
+        x, y = draw(st.integers(0, len(ids) - 1)), draw(st.integers(0, len(ids) - 1))
+        ids.append(b.add(ids[x], ids[y]) if draw(st.booleans()) else b.mul(ids[x], ids[y]))
+    out = ids[-1]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        acc = b.const(gens[j].coeffs[-1])
+        for c in reversed(gens[j].coeffs[:-1]):
+            acc = b.add(b.mul(acc, ids[j]), b.const(c))
+        out = b.mul(out, acc)
+    return b.build(out), UnivariateIdeal(tuple(enumerate(gens))), roots
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_grid_instances(), st.data())
+def test_certify_search_verify_and_grid_agree(instance, data):
+    c, ideal, roots = instance
+    decision, cert = search_nonmembership(c, ideal)
+    assert (decision == "member") == is_member_brute(c, ideal)
+    if cert is not None:
+        assert verify_certificate(c, ideal, cert, compute_threshold(c, ideal))
+    fp = expand(c)
+    grids = [[[(F(a), F(0)) for a in rs] for rs in roots]]
+    # rational tuples: per variable one to three values with unrelated denominators
+    grids.append([data.draw(st.lists(st.tuples(_rational, _rational), min_size=1, max_size=3)) for _ in roots])
+    for per_var in grids:
+        want = [circuit_abs2(c, tup) for tup in itertools.product(*per_var)]
+        assert list(_grid_abs2(fp, per_var)) == want
