@@ -15,7 +15,7 @@ from .linalg import (
     congruence_diagonalize,
     rank_and_row_basis,
 )
-from .poly import CapExceeded, SparsePoly, UnivariatePoly, discriminant, poly_gcd, resultant
+from .poly import CapExceeded, SparsePoly, UnivariatePoly, poly_gcd
 from .circuits import (
     Add,
     Circuit,
@@ -61,9 +61,8 @@ from .certifier import (
     Undecided,
     approximate_roots,
     compute_threshold,
-    root_magnitude_bounds,
+    root_bound,
     search_nonmembership,
-    separation_bound,
     verify_certificate,
 )
 from .reductions import (

@@ -35,7 +35,8 @@ Root approximation is Durand-Kerner on fixed-point Gaussian integers, ints
 standing for multiples of 2^-prec at escalating prec, so no floating point
 and no third-party package is involved.  It is never trusted: every
 candidate is certified a posteriori by the exact residual and distinctness
-tests.
+tests, and those two tests are the whole proof.  Their radius comes from the
+candidates' own spread, so no a-priori root-separation bound is needed.
 
 Every value of f, and every residual, comes from one exact routine,
 `_grid_abs2`.  The roots of a variable are dyadics (or the rational root of
@@ -54,15 +55,14 @@ from fractions import Fraction
 
 from .circuits import Circuit, expand
 from .division import UnivariateIdeal, _Reducer
-from .poly import SparsePoly, UnivariatePoly, _integral, discriminant, poly_gcd
+from .poly import SparsePoly, UnivariatePoly, _integral, poly_gcd
 
 __all__ = [
     "NotSquarefree",
     "Undecided",
     "Certificate",
     "PrecisionBudget",
-    "root_magnitude_bounds",
-    "separation_bound",
+    "root_bound",
     "approximate_roots",
     "compute_threshold",
     "verify_certificate",
@@ -117,55 +117,19 @@ class PrecisionBudget:
             raise ValueError("eps too large for the decision gap")
 
 
-def root_magnitude_bounds(p: UnivariatePoly):
-    """(lo, hi) with lo <= |root| <= hi for every complex root of p."""
+def root_bound(p: UnivariatePoly) -> Fraction:
+    """Cauchy's bound: |root| <= max(1, d * max|c| / |lc|) for every complex root of p."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     d = p.degree()
     if d == 0:
-        return Fraction(0), Fraction(0)
+        return Fraction(0)
     a = [abs(Fraction(c)) for c in p.coeffs]
-    hi = max(Fraction(1), d * max(a) / a[-1])
-    if not a[0]:
-        lo = Fraction(0)
-    else:
-        lo = min(Fraction(1), a[0] / sum(a[1:]))
-    return lo, hi
+    return max(Fraction(1), d * max(a) / a[-1])
 
 
 def _is_squarefree(p: UnivariatePoly) -> bool:
     return p.degree() >= 1 and poly_gcd(p, p.derivative()).degree() == 0
-
-
-def _sqrt_lower(x: Fraction) -> Fraction:
-    """A positive rational q with q*q <= x (for x > 0)."""
-    if x <= 0:
-        raise ValueError("need a positive argument")
-    num, den = x.numerator, x.denominator
-    shift = 0
-    while num * (4**shift) < den * den:
-        shift += 32
-    root = math.isqrt(num * den * 4**shift)
-    q = Fraction(root, den * 2**shift)
-    return q if q > 0 else Fraction(1, den * 2**shift)
-
-
-def separation_bound(p: UnivariatePoly) -> Fraction:
-    """Rational delta > 0 below the distance of any two distinct roots.
-
-    Mahler's bound sqrt(3 |disc|) * d^-(d+2)/2 * ||p||_2^-(d-1), evaluated as
-    an exact rational lower approximation of the square root.  Raises
-    NotSquarefree when gcd(p, p') is nonconstant.
-    """
-    if not _is_squarefree(p):
-        raise NotSquarefree("polynomial has a repeated root")
-    d = p.degree()
-    if d == 1:
-        return Fraction(1)
-    disc = abs(Fraction(discriminant(p)))
-    norm2 = sum(Fraction(c) ** 2 for c in p.coeffs)
-    bound_sq = Fraction(3) * disc / (Fraction(d) ** (d + 2) * norm2 ** (d - 1))
-    return _sqrt_lower(bound_sq)
 
 
 def _bit_bound(values) -> int:
@@ -190,14 +154,16 @@ def approximate_roots(p: UnivariatePoly, eps: Fraction, threshold_sq: Fraction |
 
     Every root is a dyadic, except the exact rational root of a degree-1 p,
     so the roots share one small denominator, which keeps the ints of
-    `_grid_abs2` short.
+    `_grid_abs2` short.  Raises NotSquarefree when p has a repeated root.
 
     Fixed-point Durand-Kerner at escalating precision, 128 bits first,
-    produces the candidates; acceptance is anchored in the exact residual test
-    |p(a)| < 2^-L * eps_eff^d (eps_eff = min(eps, separation/4)), which by the
-    factorized lower bound proves closeness, and pairwise distances > 2 eps_eff
-    prove distinctness.  A caller may pass a stricter squared residual
-    threshold (the certificate verifier's, say); the smaller one is enforced.
+    produces the candidates.  Their spread picks the radius: r starts at eps
+    and halves while 4r exceeds the smallest pairwise distance.  Acceptance
+    rests only on two exact tests: the residual |p(a)| < 2^-L * r^d, which by
+    the factorized lower bound puts a within r of a root, and pairwise
+    distances > 2r, which make those roots distinct.  A caller may pass a
+    stricter squared residual threshold (the certificate verifier's, say);
+    the smaller one is enforced.
     """
     d = p.degree()
     if d < 1:
@@ -205,29 +171,37 @@ def approximate_roots(p: UnivariatePoly, eps: Fraction, threshold_sq: Fraction |
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    sep = separation_bound(p)
-    eps_eff = min(eps, sep / 4)
-    L = _bit_bound(p.coeffs)
-    thr_sq = (Fraction(1, 2**L) * eps_eff**d) ** 2
-    if threshold_sq is not None:
-        thr_sq = min(thr_sq, Fraction(threshold_sq))
+    if not _is_squarefree(p):
+        raise NotSquarefree("polynomial has a repeated root")
     if d == 1:
         return [(-Fraction(p.coeffs[0]) / Fraction(p.coeffs[1]), Fraction(0))]
-    gap_sq = (2 * eps_eff) ** 2
+    L = _bit_bound(p.coeffs)
     prec = 128
     while prec <= 1 << 20:
         cand = _durand_kerner(p, prec)
-        if cand is not None:
+        # coinciding candidates (spread 0) cannot pass the distinctness test
+        spread_sq = min(_dist2(a, b) for a, b in itertools.combinations(cand, 2)) if cand else 0
+        if spread_sq:
+            r = eps
+            while 16 * r * r > spread_sq:
+                r /= 2
+            thr_sq = (Fraction(1, 2**L) * r**d) ** 2
+            if threshold_sq is not None:
+                thr_sq = min(thr_sq, Fraction(threshold_sq))
+            gap_sq = 4 * r * r
             target_bits = max(64, _needed_bits(thr_sq) // 2 + 16)
             rounded = [(_round_dyadic(re, target_bits), _round_dyadic(im, target_bits)) for re, im in cand]
             for pick in (rounded, cand):
                 if all(_poly_abs2(p, z) < thr_sq for z in pick) and all(
-                    (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > gap_sq
-                    for a, b in itertools.combinations(pick, 2)
+                    _dist2(a, b) > gap_sq for a, b in itertools.combinations(pick, 2)
                 ):
                     return pick
         prec *= 2
     raise RuntimeError("root refinement did not converge; retry with higher precision")
+
+
+def _dist2(a, b) -> Fraction:
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
 def _needed_bits(thr_sq: Fraction) -> int:
@@ -390,7 +364,7 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal) -> PrecisionBudget:
     grid = math.prod(degs)
     if grid > CHARPOLY_GUARD:
         raise ValueError(f"root grid of size {grid} exceeds the threshold guard {CHARPOLY_GUARD}")
-    boxes = [root_magnitude_bounds(gens[v])[1] + 1 for v in range(n)]
+    boxes = [root_bound(gens[v]) + 1 for v in range(n)]
     # sum_i sup |df/dx_i| <= sum over terms c x^e of |c| prod(box^e) * sum_i e_i / box_i
     lip = Fraction(0)
     for e, c in fp.terms.items():

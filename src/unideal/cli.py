@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import random
 import sys
@@ -316,6 +317,7 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="unideal", description="Univariate ideal membership toolkit")
     sub = p.add_subparsers(dest="command", required=True)

@@ -105,27 +105,6 @@ class Matrix:
             for j in range(i + 1, self.ncols)
         )
 
-    def det(self) -> Scalar:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = _inverse(a[col][col])
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] * inv
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det
-
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")

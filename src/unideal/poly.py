@@ -23,15 +23,12 @@ from fractions import Fraction
 from operator import add
 
 from .fields import FieldMismatch, _inverse, residue
-from .linalg import Matrix
 
 __all__ = [
     "CapExceeded",
     "SparsePoly",
     "UnivariatePoly",
     "poly_gcd",
-    "resultant",
-    "discriminant",
 ]
 
 
@@ -358,38 +355,3 @@ def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
 
-
-def resultant(a: UnivariatePoly, b: UnivariatePoly):
-    """Resultant via the Sylvester matrix determinant, exact."""
-    da, db = a.degree(), b.degree()
-    if da < 0 or db < 0:
-        raise ValueError("resultant of the zero polynomial")
-    if da == 0:
-        return a.coeffs[0] ** db
-    if db == 0:
-        return b.coeffs[0] ** da
-    size = da + db
-    rows = []
-    for i in range(db):
-        row = [0] * size
-        for j, c in enumerate(reversed(a.coeffs)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(da):
-        row = [0] * size
-        for j, c in enumerate(reversed(b.coeffs)):
-            row[i + j] = c
-        rows.append(row)
-    return Matrix(rows).det()
-
-
-def discriminant(p: UnivariatePoly):
-    """disc(p) = (-1)^(d(d-1)/2) * Res(p, p') / lc(p)."""
-    d = p.degree()
-    if d < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return 1
-    r = resultant(p, p.derivative())
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * r * _inverse(p.lc())

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the code paths they check: membership goes
 through full expansion and monomial inspection, permanents through Ryser or
 direct permutation sums, vertex cover through subset enumeration, the
-characteristic polynomial through Hessenberg reduction of an explicit matrix,
+characteristic polynomial through Hessenberg reduction of an explicit matrix
+(checked against determinants by Gaussian elimination),
 a prepared remainder evaluator's value through a sparse walk of its levels,
 a circuit's value at a complex rational point through gate-by-gate
 evaluation on `GaussianRational`s.
@@ -206,6 +207,29 @@ def multiset_permanent(u, v):
                 term *= math.factorial(k)
             total += term
     return total
+
+
+def det(m: Matrix):
+    """det(M) by Gaussian elimination, each pivot inverted exactly once."""
+    n = m.nrows
+    if n != m.ncols:
+        raise ValueError("determinant of non-square matrix")
+    a = [list(r) for r in m.rows]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = _inverse(a[col][col])
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
 
 
 def charpoly(m: Matrix) -> UnivariatePoly:

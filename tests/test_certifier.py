@@ -19,9 +19,8 @@ from unideal.certifier import (
     NotSquarefree,
     approximate_roots,
     compute_threshold,
-    root_magnitude_bounds,
+    root_bound,
     search_nonmembership,
-    separation_bound,
     verify_certificate,
     _grid_charpoly,
     _grid_value_lower_bound,
@@ -50,13 +49,8 @@ def horner_circuit(b, p, x_id):
 
 
 def test_root_bounds_examples():
-    lo, hi = root_magnitude_bounds(upoly(-2, 0, 1))  # x^2 - 2
-    assert hi == 4 and lo <= 1
-    assert lo <= F(2**0.5).limit_denominator(10**6) <= hi
-    lo, hi = root_magnitude_bounds(upoly(-1, 1))  # x - 1
-    assert lo == 1 == hi
-    lo, hi = root_magnitude_bounds(upoly(0, 1))  # x
-    assert lo == 0
+    assert root_bound(upoly(-2, 0, 1)) == 4  # x^2 - 2
+    assert root_bound(upoly(-1, 1)) == 1  # x - 1
 
 
 def test_root_bounds_contain_true_roots():
@@ -67,32 +61,15 @@ def test_root_bounds_contain_true_roots():
         p = UnivariatePoly(coeffs)
         if p.degree() < 1:
             continue
-        lo, hi = root_magnitude_bounds(p)
+        hi = root_bound(p)
         roots = mpmath.polyroots([float(c) for c in reversed(p.coeffs)], maxsteps=200, extraprec=80)
         for r in roots:
-            assert float(lo) - 1e-9 <= abs(r) <= float(hi) + 1e-9
+            assert abs(r) <= float(hi) + 1e-9
 
 
-def test_separation_examples():
-    s = separation_bound(upoly(-1, 0, 1))  # x^2 - 1, true separation 2
-    assert 0 < s <= 2
-    s = separation_bound(upoly(0, -1, 0, 1))  # x^3 - x, true min separation 1
-    assert 0 < s <= 1
+def test_approximate_roots_rejects_repeated_roots():
     with pytest.raises(NotSquarefree):
-        separation_bound(upoly(1, -2, 1))  # (x - 1)^2
-
-
-def test_separation_below_true_minimum():
-    rng = random.Random(1)
-    for _ in range(25):
-        d = rng.randint(2, 4)
-        p = UnivariatePoly([F(rng.randint(-6, 6)) for _ in range(d)] + [F(1)])
-        if not _is_squarefree(p):
-            continue
-        s = separation_bound(p)
-        roots = mpmath.polyroots([float(c) for c in reversed(p.coeffs)], maxsteps=300, extraprec=120)
-        true_sep = min(abs(a - b) for a, b in itertools.combinations(roots, 2))
-        assert 0 < float(s) <= true_sep + 1e-9
+        approximate_roots(upoly(1, -2, 1), F(1, 2**30))  # (x - 1)^2
 
 
 def test_approximate_roots_real_pair():
@@ -176,10 +153,11 @@ def count_dk_runs(monkeypatch):
 
 
 def test_approximate_roots_match_polyroots(monkeypatch):
-    eps = F(1, 2**30)
+    # At eps = 1 the radius comes from the candidates' spread on the close
+    # pairs: each root must still lie within eps of a distinct oracle root.
     precs = count_dk_runs(monkeypatch)
     escalated = set()
-    for kind, p in oracle_polys():
+    for eps, (kind, p) in itertools.product([F(1, 2**30), F(1)], oracle_polys()):
         del precs[:]
         got = approximate_roots(p, eps)
         want = oracle_roots(p)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import charpoly
-from unideal.certifier import separation_bound
 from unideal.fields import GF, Mod
 from unideal.linalg import (
     Matrix,
@@ -12,7 +11,6 @@ from unideal.linalg import (
     rank_and_row_basis,
     suffix_pivots,
 )
-from unideal.poly import UnivariatePoly, discriminant
 
 F = Fraction
 
@@ -95,7 +93,7 @@ def test_congruence_hyperbolic_plane():
     q, d = congruence_diagonalize(a)
     assert q * a * q.transpose() == d
     assert (d[0, 0], d[1, 1]) == (F(2), F(-1, 2))
-    assert q.det() != 0
+    assert q.rank() == 2
 
 
 def test_congruence_star_rank():
@@ -117,7 +115,7 @@ def test_congruence_random_property():
         a = Matrix([[base[i][j] + base[j][i] for j in range(n)] for i in range(n)])
         q, d = congruence_diagonalize(a)
         assert q * a * q.transpose() == d
-        assert q.det() != 0
+        assert q.rank() == n
         assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
         assert sum(1 for i in range(n) if d[i, i]) == a.rank()
 
@@ -154,24 +152,23 @@ def test_congruence_over_gf7_keeps_field_scalars():
         assert q * a * q.transpose() == d
         assert all(isinstance(x, Mod) and x.p == 7 for row in q.rows + d.rows for x in row)
         assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
-        assert q.det() != 0
+        assert q.rank() == n
         assert sum(1 for i in range(n) if d[i, i]) == a.rank()
         assert q * q.inverse() == Matrix([[g(int(i == j)) for j in range(n)] for i in range(n)])
 
 
-def test_matrix_inverse_and_det():
+def test_matrix_inverse():
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(1, 5)
         m = frac_matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        if m.det() == 0:
+        if m.rank() < n:
             continue
         assert m * m.inverse() == Matrix.identity(n)
 
 
 def test_int_entries_eliminate_exactly():
-    # Pivots other than +-1 used to turn int entries into floats: the
-    # discriminant of 2x^2 + 3x + 1 came out as 1.0000000000000004.
+    # Pivots other than +-1 used to turn int entries into floats.
     def exact(values):
         return all(type(v) in (int, F) for v in values)
 
@@ -183,20 +180,15 @@ def test_int_entries_eliminate_exactly():
         if rng.random() < 0.3:
             rows[-1] = [3 * a - 2 * b for a, b in zip(rows[0], rows[1])]
         ints, fracs = Matrix(rows), frac_matrix(rows)
-        det = ints.det()
-        assert det == fracs.det() and exact([det])
         rank, basis, coords = rank_and_row_basis(ints)
         assert (rank, basis, coords) == rank_and_row_basis(fracs)
         assert exact(c for row in coords.rows for c in row)
         assert suffix_pivots(ints) == suffix_pivots(fracs)
         chi = charpoly(ints)
         assert chi == charpoly(fracs) and exact(chi.coeffs)
-        if det:
+        if rank == n:
             inv = ints.inverse()
             assert inv == fracs.inverse() and exact(c for row in inv.rows for c in row)
         else:
             singular += 1
     assert singular >= 5
-    p_int, p_frac = UnivariatePoly([1, 3, 2]), UnivariatePoly([F(1), F(3), F(2)])
-    assert discriminant(p_int) == discriminant(p_frac) == 1 and exact([discriminant(p_int)])
-    assert separation_bound(p_int) == separation_bound(p_frac)

@@ -4,16 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import charpoly
+from helpers import charpoly, det
 from unideal.fields import GF, FieldMismatch, Mod, residue
 from unideal.linalg import Matrix
 from unideal.poly import (
     CapExceeded,
     SparsePoly,
     UnivariatePoly,
-    discriminant,
     poly_gcd,
-    resultant,
 )
 
 F = Fraction
@@ -159,28 +157,6 @@ def test_gcd():
     assert g == UnivariatePoly.from_roots([F(2)])
 
 
-def test_resultant_vanishes_iff_common_root():
-    p = UnivariatePoly.from_roots([F(1), F(3)])
-    q = UnivariatePoly.from_roots([F(3), F(4)])
-    assert resultant(p, q) == 0
-    q2 = UnivariatePoly.from_roots([F(5), F(4)])
-    assert resultant(p, q2) != 0
-
-
-def test_resultant_product_formula():
-    # Res(p, q) = lc(p)^deg q * prod q(root of p)
-    p = UnivariatePoly.from_roots([F(1), F(-2)]).scale(F(3))
-    q = UnivariatePoly.from_roots([F(5)])
-    want = F(3) ** 1 * q.evaluate(F(1)) * q.evaluate(F(-2))
-    assert resultant(p, q) == want
-
-
-def test_discriminant_quadratic():
-    a, b, c = F(2), F(3), F(-7)
-    p = UnivariatePoly([c, b, a])
-    assert discriminant(p) == b * b - 4 * a * c
-
-
 def test_charpoly_matches_determinant():
     rng = random.Random(2)
     for _ in range(40):
@@ -190,7 +166,7 @@ def test_charpoly_matches_determinant():
         assert chi.degree() == n and chi.lc() == 1
         for lam in (F(0), F(1), F(-2), F(5, 3)):
             ident = Matrix([[lam * (1 if i == j else 0) - m[i, j] for j in range(n)] for i in range(n)])
-            assert chi.evaluate(lam) == ident.det()
+            assert chi.evaluate(lam) == det(ident)
 
 
 def test_power_binomial():
