@@ -186,14 +186,12 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False):
     for u, v in g.edges:
         gram[u][v] = Fraction(1, 2)
         gram[v][u] = Fraction(1, 2)
-    q, d = congruence_diagonalize(Matrix(gram))
-    qinv = q.inverse()
+    pmat, d = congruence_diagonalize(Matrix(gram))
     diag = [(i, d[i, i]) for i in range(n) if d[i, i]]
     r = len(diag)
-    # q(x) = sum_i d_i * y_i(x)^2 with y_i = column i of Q^{-1} dotted with x.
-    forms = [
-        LinearForm(tuple(qinv[t, i] for t in range(n))) for i, _ in diag
-    ]
+    # q(x) = x^T P D P^T x = sum_i d_i * y_i(x)^2 with y_i = column i of P dotted with x.
+    cols = pmat.transpose().rows
+    forms = [LinearForm(cols[i]) for i, _ in diag]
     forms.append(LinearForm((Fraction(1),) * n))
     b = CircuitBuilder(r + 1)
     sq_ids = [b.mul(b.input(i), b.input(i)) for i in range(r)]

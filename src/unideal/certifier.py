@@ -423,7 +423,7 @@ def _grid_charpoly(r: SparsePoly, reducer: _Reducer, degs, grid: int) -> list:
     cur = r
     for k in range(grid):
         if k:
-            cur = reducer.mul_affine(cur, r)
+            cur = reducer.mul(cur, r)
         sums.append(sum(c * trace[e] for e, c in cur.terms.items()))
     # chi = sum_k c_k w^(N-k) with c_0 = 1 and k c_k = -(P_k + c_1 P_(k-1) + ... + c_(k-1) P_1)
     cs = [1]

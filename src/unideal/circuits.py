@@ -210,9 +210,10 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
     (`map_scalars`).  With a `reducer` (a `division._Reducer`) every product
     and linear gate is reduced as soon as it is formed, so intermediate term
     counts stay within the residue grid and the result is the unique
-    remainder; products go through `reducer.mul_affine`, which forms and
-    reduces a product by a factor of total degree at most 1 (an image form,
-    or one shifted by a constant) in one pass.
+    remainder; products go through `reducer.mul`, which forms a product by a
+    factor of total degree at most 2 (an image form, its square, or a
+    quadratic form shifted by a constant, as in the vertex-cover factors
+    q - s) in shift-and-fold passes, without the unreduced product.
     """
     n = c.n if images is None else (images[0].n if images else 0)
     p = images[0].p if images else None
@@ -236,7 +237,7 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
                 if reducer is None:
                     acc = acc.mul(vals[ch], cap=monomial_cap)
                 else:
-                    acc = reducer.mul_affine(acc, vals[ch], monomial_cap)
+                    acc = reducer.mul(acc, vals[ch], monomial_cap)
             vals[i] = acc
         else:
             # One dict pass over the images, so a gate over plain variables

@@ -6,8 +6,12 @@ remainder is unique no matter in which order the variables are reduced.  So
 reduction is univariate division by p_v in each variable, which needs one
 fold row per generator: the coefficients of x_v^deg(p_v) mod p_v.  `_Reducer`
 computes the rows once and folds through them both in `reduce` (division
-from the top degree down) and in the fused multiply-and-reduce step
-`mul_affine` that builds the low-rank levels' columns; `divide` is the
+from the top degree down) and in the fused multiply-and-reduce kernel `mul`.
+`mul` forms a product by a factor of total degree at most 2 as shift-and-fold
+passes, one per variable of each monomial, and never forms the unreduced
+product; a factor of higher degree goes through `reduce(f.mul(h))`, which
+measured faster there.  The low-rank levels' columns, the level-0 expansion
+and the certifier's powers of R all go through it.  `divide` is the
 brute-force oracle that every fast path is tested against.
 """
 
@@ -86,51 +90,80 @@ class _Reducer:
                 raise FieldMismatch(f"leading coefficient of generator {var} vanishes mod {p}")
             inv = _inverse(lc)
             self.rows[var] = tuple(scalar(-c * inv) for c in g.coeffs[:-1])
+        self.folds = {var: [(j, rc) for j, rc in enumerate(row) if rc] for var, row in self.rows.items()}
 
-    def mul_affine(self, f: SparsePoly, h: SparsePoly, cap: int | None = None) -> SparsePoly:
+    def mul(self, f: SparsePoly, h: SparsePoly, cap: int | None = None) -> SparsePoly:
         """reduce(f.mul(h, cap=cap)) for a reduced f.
 
-        When h has total degree at most 1 this is one pass over the pairs of
-        terms: a product of a reduced term of f and a term c * x_v of h can
-        leave the residue grid only in x_v, and only as x_v^deg(p_v), so it
-        is folded through the row of p_v as it forms; the sums are reduced
-        mod p once, at the end.  h need not be reduced.  For any other h,
-        and when len(f) * len(h) exceeds `cap` (where `mul` may raise
-        CapExceeded partway), this is `reduce(f.mul(h, cap=cap))`, so it
-        raises exactly when `mul` would.
+        When h has total degree at most 2 no unreduced product is formed.
+        f * x^e is (f * x^(e - e_v)) * x_v, v the last variable of e, and
+        each step is one shift-and-fold pass (`_shift`): a reduced term
+        times x_v can leave the residue grid only in x_v, and only as
+        x_v^deg(p_v), so it folds through the row of p_v as it forms.  The
+        prefix products f * x_u of the quadratic monomials are formed once
+        per call, each monomial of h adds its last pass straight into the
+        output, and the sums are reduced mod p once, at the end.  h need not
+        be reduced.
+
+        Two cases stay `reduce(f.mul(h, cap=cap))`.  One is h of degree 3 or
+        more: chaining the passes there made the certifier's threshold,
+        whose dense R has 36-138 terms of degree 4-6, 1.5-2.7x slower.  At
+        degree 2 the passes cut the level-0 expansion of the 13 `vc` ops of
+        the `lowrank` benchmark (seed 9001, 2 vCPUs, Python 3.11) from
+        210-237 ms to 125-133 ms.  The other is len(f) * len(h) > `cap`,
+        where `mul` may raise CapExceeded partway, so this raises exactly
+        when `mul` would.
         """
         p = _same_modulus(f, h)
-        if (cap is not None and len(f.terms) * len(h.terms) > cap) or any(sum(e) > 1 for e in h.terms):
+        if (cap is not None and len(f.terms) * len(h.terms) > cap) or any(sum(e) > 2 for e in h.terms):
             return self.reduce(f.mul(h, cap=cap))
         items = f.terms.items()
         # The constant term of h maps f's distinct terms to distinct terms.
         c0 = h.terms.get((0,) * f.n)
         out = {} if c0 is None else {e1: c1 * c0 for e1, c1 in items}
-        get = out.get
+        prefix: dict = {}  # u -> the terms of reduce(f * x_u)
         for e, c2 in h.terms.items():
-            if not any(e):
+            nz = [i for i, k in enumerate(e) if k]
+            if not nz:
                 continue
-            v = e.index(1)
-            row = self.rows.get(v, ())  # a variable without a generator never folds
-            top = len(row)
-            fold = [(j, rc) for j, rc in enumerate(row) if rc]
-            for e1, c1 in items:
-                c = c1 * c2
-                e2 = list(e1)
-                k = e2[v] = e1[v] + 1
-                if k != top:
-                    e2 = tuple(e2)
-                    acc = get(e2)
-                    new = c if acc is None else acc + c
-                    if new:
-                        out[e2] = new
-                    elif acc is not None:
-                        del out[e2]
-                    continue
-                for j, rc in fold:
-                    e2[v] = j
-                    _acc(out, tuple(e2), c * rc)
+            src = items
+            if len(nz) == 2 or e[nz[0]] == 2:
+                u = nz[0]
+                src = prefix.get(u)
+                if src is None:
+                    src = prefix[u] = _mod_terms(self._shift(items, u, 1, {}), p).items()
+            self._shift(src, nz[-1], c2, out)
         return SparsePoly.raw(f.n, _mod_terms(out, p), p)
+
+    def _shift(self, items, v: int, c2, out: dict) -> dict:
+        """out += c2 * x_v * (the reduced terms `items`), folded through the
+        row of p_v; the sums are left unreduced mod p."""
+        top = len(self.rows.get(v, ()))  # a variable without a generator never folds
+        fold = self.folds.get(v, ())
+        get = out.get
+        for e1, c1 in items:
+            c = c1 * c2
+            e2 = list(e1)
+            k = e2[v] = e1[v] + 1
+            if k != top:
+                e2 = tuple(e2)
+                acc = get(e2)
+                new = c if acc is None else acc + c
+                if new:
+                    out[e2] = new
+                elif acc is not None:
+                    del out[e2]
+                continue
+            for j, rc in fold:
+                e2[v] = j
+                e3 = tuple(e2)
+                acc = get(e3)
+                new = c * rc if acc is None else acc + c * rc
+                if new:
+                    out[e3] = new
+                elif acc is not None:
+                    del out[e3]
+        return out
 
     def reduce(self, f: SparsePoly) -> SparsePoly:
         """The remainder of f, dividing by one generator at a time.
@@ -146,7 +179,7 @@ class _Reducer:
             d = len(row)
             if var >= f.n or f.deg_in(var) < d:
                 continue
-            fold = [(j, rc) for j, rc in enumerate(row) if rc]
+            fold = self.folds[var]
             out: dict = {}
             high: dict[int, dict] = {}  # power of x_v -> {(head, tail): coefficient}
             for e, c in f.terms.items():

@@ -6,7 +6,7 @@ is a subset of the input rows, which the variable-separation transform
 relies on), `suffix_pivots` (one right-to-left column elimination whose
 pivots give a column basis of every suffix m[:, c:] at once, so that
 transform solves each level on at most nrows columns) and
-`congruence_diagonalize` (Q A Q^T = D for symmetric A, valid in
+`congruence_diagonalize` (A = P D P^T for symmetric A, valid in
 characteristic != 2).  The scalars are those of the caller's field; where a
 routine needs a one or a zero that no division reaches it uses the int
 literals, and the one routine that needs the field itself takes it.  Each
@@ -206,14 +206,18 @@ def suffix_pivots(m: Matrix) -> list:
 
 
 def congruence_diagonalize(a: Matrix, field=QQ):
-    """Invertible Q and diagonal D with Q * A * Q^T == D, exactly, over `field`.
+    """Invertible P and diagonal D with A == P * D * P^T, exactly, over `field`.
 
     Symmetric Gaussian elimination: the same row operation is applied to rows
-    and columns.  A zero diagonal pivot with a nonzero entry below it is fixed
-    by adding row/column j to row/column i, which requires characteristic
-    different from 2.  The number of nonzero diagonal entries of D equals
-    rank(A).  The entries of A are mapped into `field`, and Q and D hold
-    field scalars, so Q can be inverted without an int reaching a division.
+    and columns, and P keeps the inverse of their product, so no matrix is
+    inverted.  Adding f times row/column j to row/column i subtracts f times
+    column i of P from its column j, and a swap of rows/columns swaps P's
+    columns.  A zero diagonal pivot with a nonzero entry below it is fixed by
+    a swap with a nonzero diagonal entry below, else by adding row/column j
+    to row/column i, which requires characteristic different from 2.  The
+    updates skip zero entries.  The number of nonzero diagonal entries of D
+    equals rank(A).  The entries of A are mapped into `field`, and P and D
+    hold field scalars.
     """
     if not a.is_symmetric():
         raise ValueError("matrix is not symmetric")
@@ -224,22 +228,27 @@ def congruence_diagonalize(a: Matrix, field=QQ):
         return Matrix([]), Matrix([])
     one, zero = field.one, field.zero
     m = [[field(x) for x in r] for r in a.rows]
-    q = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    pt = [[one if i == j else zero for j in range(n)] for i in range(n)]  # P^T: pt[i] is column i of P
 
     def add_row_col(i, j, f):
-        # row_i += f*row_j, col_i += f*col_j, mirrored into q
-        for t in range(n):
-            m[i][t] = m[i][t] + f * m[j][t]
-        for t in range(n):
-            m[t][i] = m[t][i] + f * m[t][j]
-        for t in range(n):
-            q[i][t] = q[i][t] + f * q[j][t]
+        # row_i += f*row_j and col_i += f*col_j in m; col_j(P) -= f*col_i(P)
+        for t, x in enumerate(m[j]):
+            if x:
+                m[i][t] = m[i][t] + f * x
+        for row in m:
+            x = row[j]
+            if x:
+                row[i] = row[i] + f * x
+        pj = pt[j]
+        for t, x in enumerate(pt[i]):
+            if x:
+                pj[t] = pj[t] - f * x
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]
-        for t in range(n):
-            m[t][i], m[t][j] = m[t][j], m[t][i]
-        q[i], q[j] = q[j], q[i]
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+        pt[i], pt[j] = pt[j], pt[i]
 
     for i in range(n):
         if not m[i][i]:
@@ -250,8 +259,9 @@ def congruence_diagonalize(a: Matrix, field=QQ):
                 swap(i, j)
             else:
                 add_row_col(i, j, one)
+        inv = _inverse(m[i][i])
         for j in range(i + 1, n):
             if m[j][i]:
-                add_row_col(j, i, -m[j][i] / m[i][i])
+                add_row_col(j, i, -m[j][i] * inv)
     d = Matrix([[m[i][j] if i == j else zero for j in range(n)] for i in range(n)])
-    return Matrix(q), d
+    return Matrix(pt).transpose(), d

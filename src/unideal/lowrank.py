@@ -44,8 +44,9 @@ reducers and the compiled levels are plain-int residues (see
 point) and only the others as Fractions; each level's entries are then
 cleared to integers by the lcm of their denominators, so a point with
 integer coordinates runs on ints.  Each product that builds a column is a
-reduced polynomial times an affine form, formed and reduced in one pass by
-`division._Reducer.mul_affine`.
+reduced polynomial times an affine form, and each product of the level-0
+expansion is one by a factor of degree at most 2; both are formed and
+reduced in shift-and-fold passes by `division._Reducer.mul`.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def _columns(lvl: _Level, support, cap: int):
     monomials a in `support`.
 
     Column a is column a - e_j (j the last variable of a) times hat_j, one
-    fused `mul_affine` each, memoised down to the constant 1.
+    fused `_Reducer.mul` each, memoised down to the constant 1.
     """
     hats, reducer = lvl.hats, lvl.reducer
     memo = {(0,) * len(hats): SparsePoly.raw(lvl.w, {(0,) * lvl.w: 1}, reducer.p)}
@@ -348,7 +349,7 @@ def _columns(lvl: _Level, support, cap: int):
             a = a[:j] + (a[j] - 1,) + a[j + 1 :]
         col = memo[a]
         for b, j in reversed(chain):
-            col = memo[b] = reducer.mul_affine(col, hats[j], cap)
+            col = memo[b] = reducer.mul(col, hats[j], cap)
         cols.append(col)
     return cols
 

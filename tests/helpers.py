@@ -279,7 +279,7 @@ def walk_eval(ev, alpha):
     point's consumed coordinates.  The reference for the compiled levels: it
     shares the evaluator's split (hats, reducers, level-0 expansion) but
     neither its compile nor its run, and it multiplies with `SparsePoly.mul`
-    and reduces with `_Reducer.reduce`, never with the fused `mul_affine`.
+    and reduces with `_Reducer.reduce`, never with the fused `_Reducer.mul`.
     """
     if len(alpha) != ev.inp.n:
         raise ValueError("point length mismatch")

@@ -150,7 +150,7 @@ def test_vc_instance_star_rank():
 
 
 def test_vc_instance_scalars_are_fractions():
-    # The forms come from inverting the congruence transform, whose int
+    # The forms are columns of the congruence transform P, whose int
     # literals must never reach a division (1 / 1 is the float 1.0).
     isolated = Graph.from_edges(5, [(0, 1), (1, 2)])
     for g in (C4, K13, K2, isolated, blowup_graph(K2, [2, 3])):

@@ -273,13 +273,19 @@ def test_divide_matches_sympy_reduced():
 
 # Fields of the fused-kernel check: QQ with int and with Fraction scalars, and
 # two residue kernels.
-AFFINE_FIELDS = {"qq-int": None, "qq-fraction": None, "gf7": 7, "gf-mersenne": 2**61 - 1}
+KERNEL_FIELDS = {"qq-int": None, "qq-fraction": None, "gf7": 7, "gf-mersenne": 2**61 - 1}
 
 
 @st.composite
-def affine_products(draw):
-    kind = draw(st.sampled_from(sorted(AFFINE_FIELDS)))
-    p = AFFINE_FIELDS[kind]
+def kernel_products(draw):
+    """A reducer, a reduced f, an h of degree <= 2 and a cap.
+
+    Some variables have no generator (they never fold) and some generators
+    have degree 1 (every shift folds); h gets constants, variables, squares
+    and products of two variables.
+    """
+    kind = draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    p = KERNEL_FIELDS[kind]
     n = draw(st.integers(1, 4))
 
     def scalar(nonzero=False):
@@ -289,7 +295,7 @@ def affine_products(draw):
     gens = {}
     for v in range(n):
         if v == 0 or draw(st.booleans()):
-            d = draw(st.integers(1, 4))
+            d = draw(st.sampled_from([1, 1, 2, 3, 4]))
             lc = draw(st.sampled_from([1, 1, -1, 2, 3]))
             gens[v] = UnivariatePoly([scalar() for _ in range(d)] + [lc])
     reducer = _Reducer(UnivariateIdeal.from_dict(gens), p)
@@ -297,42 +303,69 @@ def affine_products(draw):
     f = SparsePoly(n, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=8)), p)
     f = reducer.reduce(f.map_coeffs(lambda c: c * scalar(True)))
     h = {}
-    for v in range(n):
-        if draw(st.booleans()):
-            h[tuple(int(j == v) for j in range(n))] = scalar(True)
+    for u in range(n):
+        for v in range(u, n + 1):  # v == n: the variable x_u alone
+            if draw(st.integers(0, 2)) == 0:
+                e = [0] * n
+                e[u] += 1
+                if v < n:
+                    e[v] += 1
+                h[tuple(e)] = scalar(True)
     if draw(st.booleans()):
         h[(0,) * n] = scalar(True)
     return reducer, f, SparsePoly(n, h, p), draw(st.integers(0, 40))
 
 
 @settings(max_examples=300, deadline=None)
-@given(affine_products())
-def test_mul_affine_is_reduced_product(case):
+@given(kernel_products())
+def test_reducer_mul_is_reduced_product(case):
     reducer, f, h, cap = case
     want = reducer.reduce(f.mul(h))
-    got = reducer.mul_affine(f, h)
+    got = reducer.mul(f, h)
     assert got == want and got.p == h.p
     assert all(type(c) is not float for c in got.terms.values())
     try:
         want = reducer.reduce(f.mul(h, cap=cap))
     except CapExceeded:
         with pytest.raises(CapExceeded):
-            reducer.mul_affine(f, h, cap)
+            reducer.mul(f, h, cap)
     else:
-        assert reducer.mul_affine(f, h, cap) == want
+        assert reducer.mul(f, h, cap) == want
 
 
-def test_mul_affine_edge_cases():
+def test_reducer_mul_edge_cases():
     reducer = _Reducer(UnivariateIdeal(((0, boolean_gen()), (1, UnivariatePoly([1, 0, 2])))))
     f = SparsePoly(2, {(1, 1): F(2), (0, 0): F(-1)})
     h = SparsePoly(2, {(1, 0): F(1), (0, 1): F(3), (0, 0): F(5)})
-    assert reducer.mul_affine(SparsePoly.zero(2), h).is_zero()
-    assert reducer.mul_affine(f, SparsePoly.zero(2)).is_zero()
-    assert reducer.mul_affine(f, SparsePoly.const(2, F(4))) == f.scale(4)
-    assert reducer.mul_affine(f, h) == reducer.reduce(f.mul(h))
-    # A non-affine h falls back to multiplying and reducing.
+    assert reducer.mul(SparsePoly.zero(2), h).is_zero()
+    assert reducer.mul(f, SparsePoly.zero(2)).is_zero()
+    assert reducer.mul(f, SparsePoly.const(2, F(4))) == f.scale(4)
+    assert reducer.mul(f, h) == reducer.reduce(f.mul(h))
     quadratic = SparsePoly(2, {(1, 1): F(1), (0, 2): F(-3), (1, 0): F(2)})
-    assert reducer.mul_affine(f, quadratic) == reducer.reduce(f.mul(quadratic))
+    assert reducer.mul(f, quadratic) == reducer.reduce(f.mul(quadratic))
+
+
+def test_reducer_mul_forms_no_product_below_degree_three(monkeypatch):
+    # h of degree <= 2 runs the shift-and-fold passes only; a cubic h, and an
+    # h past the cap, multiply with `SparsePoly.mul` and reduce after.
+    reducer = _Reducer(UnivariateIdeal(((0, boolean_gen()), (2, UnivariatePoly([1, -1, 0, 1])))))
+    f = SparsePoly(3, {(1, 0, 2): 2, (0, 3, 1): -1, (0, 0, 0): 5})
+    quadratic = SparsePoly(3, {(0, 1, 1): 1, (0, 0, 2): -3, (2, 0, 0): 4, (0, 0, 0): -1})
+    cubic = SparsePoly(3, {(1, 1, 1): 1, (0, 0, 2): -3})
+    want = {h: reducer.reduce(f.mul(h)) for h in (quadratic, cubic)}
+    calls = []
+    real = SparsePoly.mul
+
+    def spy(self, other, cap=None):
+        calls.append(other)
+        return real(self, other, cap)
+
+    monkeypatch.setattr(SparsePoly, "mul", spy)
+    assert reducer.mul(f, quadratic) == want[quadratic] and calls == []
+    assert reducer.mul(f, cubic) == want[cubic] and calls == [cubic]
+    with pytest.raises(CapExceeded):
+        reducer.mul(f, quadratic, cap=1)
+    assert calls == [cubic, quadratic]
 
 
 def test_expand_with_reducer_reduces_plain_inputs():

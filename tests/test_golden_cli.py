@@ -1,4 +1,4 @@
-"""CLI stdout on fixed instances: power ideals and root certificates.
+"""CLI stdout on fixed instances: power ideals, root certificates, low rank.
 
 golden_powers.json holds ten circuits (k = 1..4, in and not in the power
 ideal <x_i^e_i>, `--trials auto` and explicit counts) with the `--json` stdout
@@ -17,6 +17,17 @@ a 2^64 denominator.  For each it keeps the plain and `--json` stdout of
 evaluated the circuit on Gaussian rationals.  The thresholds are exact and
 the grid sweep visits the same exact values in the same order, so a change
 to how the grid is evaluated must not move a byte.
+
+golden_lowrank.json holds small fixed instances of the low-rank commands:
+`vc --tight` on K3[2,2,1] with k = 3 (HAS-VC) and on K3,3 with k = 2
+(NO-VC, all 20 points), `member --mode lowrank` on a boolean-ideal member
+and nonmember over 6 variables, `perm --mode lowrank` on a rank-2 6x6
+matrix and `rem-eval` on the cubic family at n = 5.  For each it keeps the
+input files and the plain and `--json` stdout, as printed at commit a7bdedc,
+before the level-0 expansion multiplied by quadratic factors in the fused
+kernel and before the congruence tracked P = Q^-1 in place of inverting Q.
+The points come from the seeded rng alone and every value is exact, so a
+change to how the instance is built or evaluated must not move a byte.
 """
 
 import contextlib
@@ -30,6 +41,7 @@ from unideal.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_powers.json").read_text())
 GOLDEN_CERTIFY = json.loads((Path(__file__).parent / "golden_certify.json").read_text())
+GOLDEN_LOWRANK = json.loads((Path(__file__).parent / "golden_lowrank.json").read_text())
 
 
 def _stdout(argv) -> str:
@@ -73,3 +85,12 @@ def test_certify_stdout_matches_golden(tmp_path, monkeypatch, case):
     if case["certificate"] is not None:
         for flags in ([], ["--json"]):
             assert _stdout(argv + ["--verify", str(cert)] + flags) == case["stdout"][" ".join(["verify"] + flags)]
+
+
+@pytest.mark.parametrize("case", GOLDEN_LOWRANK, ids=lambda g: g["name"])
+def test_lowrank_stdout_matches_golden(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    for name, text in case["files"].items():
+        Path(name).write_text(text)
+    assert _stdout(case["argv"]) == case["stdout"]["plain"]
+    assert _stdout(case["argv"] + ["--json"]) == case["stdout"]["json"]

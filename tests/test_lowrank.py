@@ -445,7 +445,7 @@ def test_integral_input_walks_on_ints():
 
 
 def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
-    # expand-and-divide multiplies with `mul` and reduces with `reduce`
+    # expand-and-divide multiplies with `SparsePoly.mul` and reduces with `reduce`
     # only, so it checks the fused kernel rather than reusing it.
     import unideal.division as division
 
@@ -454,9 +454,9 @@ def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
     want = [rem_eval(inp, ideal, alpha) for inp, ideal, alpha in cases]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the remainder oracle called mul_affine")
+        raise AssertionError("the remainder oracle called _Reducer.mul")
 
-    monkeypatch.setattr(division._Reducer, "mul_affine", forbidden)
+    monkeypatch.setattr(division._Reducer, "mul", forbidden)
     with pytest.raises(AssertionError):
         rem_eval(*cases[0])
     for (inp, ideal, alpha), value in zip(cases, want):
