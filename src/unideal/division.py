@@ -56,8 +56,10 @@ class UnivariateIdeal:
     def over(self, field) -> "UnivariateIdeal":
         """The same generators with their coefficients mapped into `field`.
 
-        A coefficient with no image there, or a leading coefficient that
-        vanishes there, raises FieldMismatch.
+        `field` is a field or any map of scalars into one (over QQ the
+        low-rank evaluator passes the map that keeps integral scalars as
+        ints).  A coefficient with no image there, or a leading coefficient
+        that vanishes there, raises FieldMismatch.
         """
         gens = []
         for var, g in self.generators:
@@ -77,7 +79,9 @@ class _Reducer:
     leading coefficient vanishes mod p raises FieldMismatch.  Without one
     they are exact scalars, each integral one as an int, so the rows of
     monic integer generators hold ints and reducing a polynomial with int
-    coefficients builds no Fraction.
+    coefficients builds no Fraction.  Each coefficient is mapped so before
+    it is divided by lc, so building those rows builds no Fraction either,
+    even from integral Fractions.
     """
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
@@ -85,12 +89,25 @@ class _Reducer:
         scalar = _integral if p is None else (lambda c: residue(c, p))
         self.rows: dict[int, tuple] = {}
         for var, g in sorted(ideal.generators):
-            lc = scalar(g.lc())
+            *low, lc = map(scalar, g.coeffs)
             if not lc:
                 raise FieldMismatch(f"leading coefficient of generator {var} vanishes mod {p}")
-            inv = _inverse(lc)
-            self.rows[var] = tuple(scalar(-c * inv) for c in g.coeffs[:-1])
+            inv = _inverse(lc) if p is None else pow(lc, -1, p)
+            self.rows[var] = tuple(scalar(-c * inv) for c in low)
         self.folds = {var: [(j, rc) for j, rc in enumerate(row) if rc] for var, row in self.rows.items()}
+
+    def window(self, offset: int, s: int) -> "_Reducer":
+        """The reducer of the generators of x_offset .. x_(offset+s-1), as
+        variables 0 .. s-1: this reducer's rows, re-indexed, not recomputed."""
+        sub = _Reducer.__new__(_Reducer)
+        sub.p = self.p
+        sub.rows, sub.folds = {}, {}
+        for j in range(s):
+            row = self.rows.get(offset + j)
+            if row is not None:
+                sub.rows[j] = row
+                sub.folds[j] = self.folds[offset + j]
+        return sub
 
     def mul(self, f: SparsePoly, h: SparsePoly, cap: int | None = None) -> SparsePoly:
         """reduce(f.mul(h, cap=cap)) for a reduced f.

@@ -209,6 +209,8 @@ class Rationals:
     p = None
 
     def __call__(self, x) -> Fraction:
+        if isinstance(x, Fraction):
+            return x
         if isinstance(x, Mod):
             raise FieldMismatch(f"{x!r} is not a rational")
         return Fraction(x)

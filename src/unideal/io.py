@@ -48,7 +48,16 @@ __all__ = [
 ]
 
 
-def parse_scalar(tok: str) -> Fraction:
+def parse_scalar(tok: str) -> int | Fraction:
+    """A scalar token: an optionally signed run of decimal digits as the int
+    it is, any other token as `Fraction(tok)` reads it.
+
+    The int path takes only tokens that `Fraction` reads as the same
+    integer, so a token parses exactly when `Fraction(tok)` does (the
+    Python version decides, for instance, whether "1_000" is a number).
+    """
+    if (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
+        return int(tok)
     try:
         return Fraction(tok)
     except ZeroDivisionError:
@@ -87,7 +96,7 @@ def _parse_lin_tokens(toks, n):
         const = parse_scalar(toks[at + 1])
     else:
         coeffs = toks
-        const = Fraction(0)
+        const = 0
     if len(coeffs) != n:
         raise ValueError(f"linear form needs {n} coefficients, got {len(coeffs)}")
     return LinearForm(tuple(parse_scalar(t) for t in coeffs), const)

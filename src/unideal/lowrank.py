@@ -36,17 +36,22 @@ a level, applying it and dropping it, so one-point callers (`rem_eval`,
 `rem_eval` is the one-shot wrapper.
 
 The evaluator works over the field the caller states, QQ or GF(p).  Every
-input scalar is mapped into it once, at construction, and the split (step 1)
-runs on field scalars.  Over GF(p) its output, the level-0 expansion, the
-reducers and the compiled levels are plain-int residues (see
-`poly.SparsePoly`).  Over QQ every integral scalar is held as a Python int
-(the outer circuit's scalars, the hats, the reducers' fold rows and the
-point) and only the others as Fractions; each level's entries are then
-cleared to integers by the lcm of their denominators, so a point with
-integer coordinates runs on ints.  Each product that builds a column is a
-reduced polynomial times an affine form, and each product of the level-0
-expansion is one by a factor of degree at most 2; both are formed and
-reduced in shift-and-fold passes by `division._Reducer.mul`.
+input scalar is mapped into it once, at construction.  Over QQ every
+integral scalar is held as a Python int from there on and only the others
+as Fractions: the form coefficients the split (step 1) eliminates, the
+generator coefficients, the outer circuit's scalars, the hats, the fold
+rows and the point.  An input read by `io` holds its integers as ints
+already, so an integer instance with monic generators builds a Fraction
+only where the split divides by a pivot other than 1 or -1.  Each level's
+entries are then cleared to integers by the lcm of their denominators, so
+a point with integer coordinates runs on ints.  Over GF(p) the split runs
+on `Mod`s, and its output, the level-0 expansion, the fold rows and the
+compiled levels are plain-int residues (see `poly.SparsePoly`).  All levels
+share the fold rows of one `division._Reducer`, built once per evaluator.
+Each product that builds a column is a reduced polynomial times an affine
+form, and each product of the level-0 expansion is one by a factor of
+degree at most 2; both are formed and reduced in shift-and-fold passes by
+`division._Reducer.mul`.
 """
 
 from __future__ import annotations
@@ -96,7 +101,8 @@ class _Level:
     s: int               # number of consumed variables
     w: int               # local variable count: s + r'
     hats: list           # per incoming z variable, a SparsePoly over w vars
-    reducer: _Reducer    # reduction by the consumed generators (local indices)
+    reducer: _Reducer    # reduction by the consumed generators (local
+                         # indices): a window of the evaluator's reducer
     residual_rows: tuple # the r' input rows whose tails past the consumed
                          # variables are the next level's forms
 
@@ -131,11 +137,15 @@ class RemEvaluator:
         self.field = field
         self.p = field.p
         self._scalar = scalar = _walk_scalar(field)
-        # The outer circuit goes straight to the expansion's scalars.
+        # The outer circuit goes straight to the expansion's scalars.  The
+        # split eliminates the form coefficients, inverting pivots: over
+        # GF(p) it runs on `Mod`s (a plain-int residue would invert to a
+        # Fraction), over QQ on the walk's ints and Fractions.
+        split = scalar if self.p is None else field
         outer = map_scalars(inp.outer, scalar)
-        forms = tuple(LinearForm(tuple(map(field, f.coeffs)), field(f.const)) for f in inp.forms)
+        forms = tuple(LinearForm(tuple(map(split, f.coeffs)), split(f.const)) for f in inp.forms)
         self.inp = inp = LowRankInput(outer, forms, inp.degree_bound)
-        self.ideal = ideal = ideal.over(field)
+        ideal = ideal.over(split)
         n = inp.n
         support = set()
         for f in inp.forms:
@@ -152,12 +162,14 @@ class RemEvaluator:
         self.cap = (d + 1) ** (2 * r)
         self.levels: list[_Level] = []
         # Every level's forms are tails of a subset of the input rows, so one
-        # elimination of the whole coefficient matrix serves all levels.
+        # elimination of the whole coefficient matrix serves all levels, and
+        # every level reduces by the rows of one reducer.
         pivots = suffix_pivots(Matrix([f.coeffs for f in inp.forms]))
+        reducer = _Reducer(ideal, self.p)
         rows = tuple(range(r))
         offset = 0
         while rows and n - offset > 0:
-            level = self._prepare_level(rows, offset, gens, pivots)
+            level = self._prepare_level(rows, offset, reducer, pivots)
             self.levels.append(level)
             rows = level.residual_rows
             offset += level.s
@@ -171,7 +183,7 @@ class RemEvaluator:
             images = [SparsePoly.const(0, scalar(f.const), self.p) for f in inp.forms]
             self._base = expand(inp.outer, self.cap, images)
 
-    def _prepare_level(self, rows, offset: int, gens, pivots) -> _Level:
+    def _prepare_level(self, rows, offset: int, reducer: _Reducer, pivots) -> _Level:
         """Split the tails from `offset` of the input rows `rows`.
 
         The rest-forms are solved on the `pivots` past the consumed
@@ -211,12 +223,7 @@ class RemEvaluator:
             if offset == 0 and f.const:
                 terms[(0,) * w] = scalar(f.const)
             hats.append(SparsePoly(w, terms, self.p))
-        local_gens = {}
-        for j in range(s):
-            p = gens.get(offset + j)
-            if p is not None:
-                local_gens[j] = p
-        reducer = _Reducer(UnivariateIdeal.from_dict(local_gens), self.p)
+        reducer = reducer.window(offset, s)
         for h in range(len(hats)):
             hats[h] = reducer.reduce(hats[h])
         return _Level(offset, s, w, hats, reducer, tuple(residual_rows))
@@ -359,7 +366,7 @@ def _walk_scalar(field):
     over QQ as an int when it is integral, else as a Fraction."""
     if field.p is not None:
         return partial(residue, p=field.p)
-    return lambda x: _integral(field(x))
+    return lambda x: x if type(x) is int else _integral(field(x))
 
 
 def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha, field=QQ):

@@ -7,7 +7,10 @@ characteristic polynomial through Hessenberg reduction of an explicit matrix
 (checked against determinants by Gaussian elimination),
 a prepared remainder evaluator's value through a sparse walk of its levels,
 a circuit's value at a complex rational point through gate-by-gate
-evaluation on `GaussianRational`s.
+evaluation on `GaussianRational`s.  `oracle_rem_eval` computes a low-rank
+remainder with none of the engine's code: the dict-polynomial expansion and
+the table division of `perfbench/oracles.py`, copied here, read the input's
+gates, forms and generator coefficients as plain data.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from unideal.circuits import Circuit, CircuitBuilder, expand, syntactic_degree
+from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, syntactic_degree
 from unideal.division import UnivariateIdeal
 from unideal.fields import QQ, _inverse
 from unideal.linalg import LinearForm, Matrix
@@ -373,3 +376,112 @@ def circuit_abs2(c: Circuit, point) -> Fraction:
     """|c(z)|^2 at a point of GaussianRationals or (re, im) pairs, by `Circuit.evaluate`."""
     z = [x if isinstance(x, GaussianRational) else GaussianRational(*map(Fraction, x)) for x in point]
     return GaussianRational.of(c.evaluate(z)).abs2()
+
+
+# --- a remainder oracle that shares no code with unideal ---------------------
+# `_padd`, `_pmul` and `remainder` are copied from perfbench/oracles.py, which
+# imports nothing from unideal; `oracle_expand` is its `expand` over the gates
+# of a `LowRankInput`, each input variable standing for its linear form.
+
+
+def _padd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def oracle_expand(inp: LowRankInput) -> dict:
+    """outer(l_1, ..., l_r) over the x variables as {exponent tuple: Fraction}."""
+    n = inp.n
+    zero = (0,) * n
+
+    def affine(coeffs, const, images) -> dict:
+        acc = {zero: Fraction(const)} if const else {}
+        for c, image in zip(coeffs, images):
+            if c:
+                acc = _padd(acc, {e: Fraction(c) * v for e, v in image.items()})
+        return acc
+
+    units = [{tuple(int(i == j) for i in range(n)): Fraction(1)} for j in range(n)]
+    forms = [affine(f.coeffs, f.const, units) for f in inp.forms]
+    vals: list = []
+    for node in inp.outer.nodes:
+        if isinstance(node, Input):
+            vals.append(forms[node.var])
+        elif isinstance(node, Const):
+            vals.append({zero: Fraction(node.value)} if node.value else {})
+        elif isinstance(node, (Add, Mul)):
+            op = _padd if isinstance(node, Add) else _pmul
+            acc = vals[node.children[0]]
+            for i in node.children[1:]:
+                acc = op(acc, vals[i])
+            vals.append(acc)
+        else:  # a linear gate over the forms
+            vals.append(affine(node.form.coeffs, node.form.const, forms))
+    return vals[inp.outer.out]
+
+
+def remainder(f: dict, gens: dict) -> dict:
+    """f mod <p_v(x_v)>, with gens[v] the coefficients of p_v, low to high.
+
+    Rewrites x_v^e, e >= deg p_v, through a table of x^e mod p_v built by
+    repeated multiplication by x; the result is the unique reduced remainder.
+    """
+    tables = {}
+    for v, p in gens.items():
+        d = len(p) - 1
+        if d < 1:
+            raise ValueError("constant generator")
+        top = max((e[v] for e in f), default=0)
+        table = []
+        cur = [Fraction(0)] * d
+        cur[0] = Fraction(1)
+        for _ in range(top + 1):
+            table.append(cur)
+            lead = cur[-1]
+            cur = [Fraction(0)] + cur[:-1]
+            if lead:
+                cur = [a - lead * Fraction(b) / Fraction(p[-1]) for a, b in zip(cur, p[:-1])]
+        tables[v] = table
+    out: dict = {}
+    for e, c in f.items():
+        terms = {e: Fraction(c)}
+        for v, table in tables.items():
+            nxt: dict = {}
+            for ee, cc in terms.items():
+                for j, t in enumerate(table[ee[v]]):
+                    if t:
+                        e2 = ee[:v] + (j,) + ee[v + 1 :]
+                        nxt[e2] = nxt.get(e2, 0) + cc * t
+            terms = nxt
+        out = _padd(out, {e2: c2 for e2, c2 in terms.items() if c2})
+    return out
+
+
+def oracle_rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha) -> Fraction:
+    """(f mod I)(alpha) over QQ by full expansion and table division."""
+    gens = {v: list(g.coeffs) for v, g in ideal.generators if v < inp.n}
+    total = Fraction(0)
+    for e, c in remainder(oracle_expand(inp), gens).items():
+        for x, k in zip(alpha, e):
+            c *= Fraction(x) ** k
+        total += c
+    return total

@@ -7,10 +7,12 @@ from helpers import (
     lift_circuit,
     lift_forms,
     lift_ideal,
+    oracle_rem_eval,
     random_forms,
     random_lowrank_instance,
     walk_eval,
 )
+from unideal import io as uio
 from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
 from unideal.division import UnivariateIdeal, divide, is_member_brute
 from unideal.fields import GF, QQ, FieldMismatch, Mod
@@ -416,10 +418,34 @@ def test_rem_eval_matches_sympy_reduced():
             assert rem_eval(inp, ideal, alpha) == F(int(want.p), int(want.q))
 
 
-def test_integral_input_walks_on_ints():
+def test_integral_input_walks_on_ints(monkeypatch):
     # Over QQ an integral input with monic generators keeps its scalars as
-    # ints: the hats, the level-0 expansion and the reducer tables hold no
-    # Fraction and no float, and the value still comes back as a Fraction.
+    # ints: the split's matrices, the hats, the level-0 expansion, the fold
+    # rows and the compiled levels' entries (at scale 1) hold no Fraction and
+    # no float, whether the input holds its integers as Fractions or as the
+    # ints `io` reads, and the value still comes back as a Fraction.  All
+    # levels share the fold rows of one reducer.  Over GF(p) the split runs
+    # on `Mod`s.
+    import unideal.lowrank as lowrank
+
+    split_types = set()
+
+    def spy(fn):
+        def wrapped(m):
+            split_types.update(type(c) for row in m.rows for c in row)
+            return fn(m)
+        return wrapped
+
+    reducers = []
+
+    class CountingReducer(lowrank._Reducer):
+        def __init__(self, *args):
+            reducers.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lowrank, "suffix_pivots", spy(lowrank.suffix_pivots))
+    monkeypatch.setattr(lowrank, "rank_and_row_basis", spy(lowrank.rank_and_row_basis))
+    monkeypatch.setattr(lowrank, "_Reducer", CountingReducer)
     b = CircuitBuilder(2)
     lin = b.linear(LinearForm((F(2), F(-1)), F(3)))
     outer = b.build(b.add(b.mul(lin, b.input(0), b.input(1)), b.mul(b.input(1), b.input(1)), b.const(F(-5))))
@@ -429,19 +455,64 @@ def test_integral_input_walks_on_ints():
     gens = [[F(2), F(-1), F(0), F(1)], [F(0), F(-1), F(1)], [F(-3), F(1), F(1), F(1)],
             [F(1), F(0), F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(4), F(2), F(0), F(1)]]
     ideal = UnivariateIdeal(tuple((v, UnivariatePoly(g)) for v, g in enumerate(gens)))
-    ev = RemEvaluator(inp, ideal)
+    parsed = uio.parse_lowrank(uio.write_lowrank(inp), 3), uio.parse_ideal(uio.write_ideal(ideal))
+    assert {type(c) for f in parsed[0].forms for c in f.coeffs} == {int}
     remainder = divide(expand(inline_forms(inp)), ideal)
     rng = random.Random(17)
+    for case in ((inp, ideal), parsed):
+        split_types.clear()
+        reducers.clear()
+        ev = RemEvaluator(*case)
+        assert split_types == {int} and len(reducers) == 1
+        for _ in range(5):
+            alpha = [rng.randint(-4, 4) for _ in range(inp.n)]
+            got = ev.eval(alpha)
+            assert type(got) is F and got == remainder.evaluate(alpha)
+        assert ev.depth == 3
+        assert all(type(c) is int for c in ev._base.terms.values())
+        for lvl in ev.levels:
+            assert all(type(c) is int for hat in lvl.hats for c in hat.terms.values())
+            rows = [c for row in lvl.reducer.rows.values() for c in row]
+            assert rows and all(type(c) is int for c in rows)
+        for offset, s, consumed, rows, ntails, scale in ev._compile():
+            assert scale == 1 and all(type(c) is int for row in rows for c in row[3])
+        g = GF(10007)
+        split_types.clear()
+        ev = RemEvaluator(*case, g)
+        assert split_types == {Mod}
+        assert all(type(c) is int for lvl in ev.levels for hat in lvl.hats for c in hat.terms.values())
+        assert ev.eval(alpha) == g(remainder.evaluate(alpha))
+    # A fractional input (forms, constants, non-monic generators) still
+    # equals expand-and-divide.
+    frac, frac_ideal = rational_instance(random.Random(18), inp, ideal)
+    assert any(c.denominator > 1 for f in frac.forms for c in f.coeffs)
+    assert any(g.lc() != 1 for _, g in frac_ideal.generators)
+    want = divide(expand(inline_forms(frac)), frac_ideal)
+    ev = RemEvaluator(frac, frac_ideal)
     for _ in range(5):
-        alpha = [F(rng.randint(-4, 4)) for _ in range(inp.n)]
-        got = ev.eval(alpha)
-        assert type(got) is F and got == remainder.evaluate(alpha)
-    assert ev.depth == 3
-    assert all(type(c) is int for c in ev._base.terms.values())
-    for lvl in ev.levels:
-        assert all(type(c) is int for hat in lvl.hats for c in hat.terms.values())
-        rows = [c for row in lvl.reducer.rows.values() for c in row]
-        assert rows and all(type(c) is int for c in rows)
+        alpha = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(inp.n)]
+        assert ev.eval(alpha) == want.evaluate(alpha)
+
+
+def test_rem_eval_matches_independent_oracle():
+    # rem_eval against `helpers.oracle_rem_eval`, which shares no code with
+    # the engine (no `_Reducer`, no `SparsePoly.mul`): integer instances
+    # read through `io` as the CLI reads them, and rational instances with
+    # non-monic generators.
+    rng = random.Random(19)
+    kinds = set()
+    for t in range(40):
+        inp, ideal, alpha = random_lowrank_instance(rng)
+        if t % 2:
+            inp, ideal = rational_instance(rng, inp, ideal)
+            alpha = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in alpha]
+        else:
+            inp = uio.parse_lowrank(uio.write_lowrank(inp), inp.degree_bound)
+            ideal = uio.parse_ideal(uio.write_ideal(ideal))
+            alpha = uio.parse_point(" ".join(uio.format_scalar(a) for a in alpha))
+        kinds.add(frozenset(type(c) for f in inp.forms for c in f.coeffs))
+        assert rem_eval(inp, ideal, alpha) == oracle_rem_eval(inp, ideal, alpha)
+    assert frozenset({int}) in kinds and any(F in k for k in kinds)
 
 
 def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
@@ -465,7 +536,8 @@ def test_remainder_oracle_never_calls_the_fused_kernel(monkeypatch):
 
 def test_schedule_matches_walk_and_oracle():
     # The compiled schedule and the streamed `eval` against the sparse walk
-    # of `helpers.walk_eval` and expand-and-divide at random points, over QQ
+    # of `helpers.walk_eval` and expand-and-divide at random points (and at
+    # the first, the engine-free `helpers.oracle_rem_eval`), over QQ
     # on rational instances with non-monic generators (so the hats of deeper
     # levels carry denominators, which the per-level lcm clears) and over
     # GF(p), with zero coordinates among the points.
@@ -482,9 +554,10 @@ def test_schedule_matches_walk_and_oracle():
         remainder = divide(expand(inline_forms(inp)), ideal)
         evs = [RemEvaluator(inp, ideal)] + [RemEvaluator(inp, ideal, GF(p)) for p in (10007, 2**61 - 1)]
         runs = [ev.schedule() for ev in evs]
-        for _ in range(4):
+        for t in range(4):
             alpha = [F(rng.choice([0, 0, rng.randint(-4, 4), F(rng.randint(-4, 4), 3)])) for _ in range(inp.n)]
             want = remainder.evaluate(alpha)
+            assert t or want == oracle_rem_eval(inp, ideal, alpha)
             for ev, run in zip(evs, runs):
                 got = run(alpha)
                 assert got == ev.eval(alpha) == walk_eval(ev, alpha) == ev.field(want)
