@@ -6,10 +6,13 @@ families (cycles, stars, complete bipartite/tripartite blowups) and prints
 per-instance timing.
 
 Usage: python scripts/vc_demo.py [--trials 20] [--seed 0] [--tight]
+
+Exits 1 if any answer disagrees with exhaustive search.
 """
 
 import argparse
 import random
+import sys
 import time
 
 from unideal.apps import Graph, blowup_graph, has_vertex_cover_brute, vertex_cover_lowrank
@@ -36,6 +39,7 @@ def main():
     ap.add_argument("--tight", action="store_true", help="use the |E| factor range")
     args = ap.parse_args()
     print(f"{'graph':>10} {'n':>3} {'rank':>5} {'k':>3} {'lowrank':>8} {'brute':>6} {'time':>9}")
+    mismatches = 0
     for name, g in family():
         rank = g.adjacency().rank()
         tau = next(k for k in range(g.n + 1) if has_vertex_cover_brute(g, k))
@@ -45,11 +49,13 @@ def main():
             got = vertex_cover_lowrank(g, k, args.trials, rng, tight=args.tight or g.n >= 7)
             dt = time.perf_counter() - t0
             want = has_vertex_cover_brute(g, k)
+            mismatches += got != want
             flag = "" if got == want else "   MISMATCH"
             print(
                 f"{name:>10} {g.n:>3} {rank:>5} {k:>3} {str(got):>8} {str(want):>6} {dt:>8.2f}s{flag}"
             )
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,16 +5,20 @@ They are never flattened implicitly: `expand` takes an explicit monomial cap
 and raises CapExceeded when the budget is blown, because full expansion is
 meant to happen only after the variable count has been compressed.
 
-DiagonalCircuit is the other representation used here: a sum of scalar
-multiples of k-th powers of homogeneous linear forms.  `power_decompose_product`
-converts a product of affine forms into one via Fischer's identity
+DiagonalCircuit is the other representation used here: a common scale times
+a sum of scalar multiples of k-th powers of homogeneous linear forms.
+`power_decompose_product` converts a product of affine forms into one via
+Fischer's identity
 
     l_1 * ... * l_m = (2^(m-1) m!)^(-1) * sum over eps in {+-1}^(m-1) of
                       (prod eps_i) (l_1 + sum_i eps_i l_{i+1})^m,
 
 taking the degree-k homogeneous part of each affine power (t+u)^m as
-binom(m,k) * u^(m-k) * t^k.  All 2^(m-1) summands are kept, including ones
-with zero coefficient, so the constructed fan-in is exactly predictable.
+binom(m,k) * u^(m-k) * t^k.  Every summand shares the factor
+binom(m,k) / (2^(m-1) m!), so it is held once as the circuit's scale and
+each summand keeps sign * u^(m-k), an int for integer forms.  All 2^(m-1)
+summands are kept, including ones with zero coefficient, so the constructed
+fan-in is exactly predictable.
 """
 
 from __future__ import annotations
@@ -356,11 +360,12 @@ def _series_mul(a: list, b: list, top: int) -> list:
 
 @dataclass(frozen=True)
 class DiagonalCircuit:
-    """Sum of c_j * (linear form_j)^k with all forms homogeneous of one degree."""
+    """scale * (sum of c_j * (linear form_j)^k), all forms homogeneous."""
 
     n: int
     degree: int
     summands: tuple  # of (coefficient, LinearForm)
+    scale: object = 1
 
     def __post_init__(self):
         for coef, form in self.summands:
@@ -374,7 +379,7 @@ class DiagonalCircuit:
         return len(self.summands)
 
     def evaluate(self, point):
-        return sum(coef * form.evaluate(point) ** self.degree for coef, form in self.summands)
+        return self.scale * sum(coef * form.evaluate(point) ** self.degree for coef, form in self.summands)
 
     def to_sparse(self) -> SparsePoly:
         out = SparsePoly.zero(self.n)
@@ -388,7 +393,7 @@ class DiagonalCircuit:
                 },
             )
             out = out + (lin ** self.degree).scale(coef)
-        return out
+        return out.scale(self.scale)
 
 
 def power_decompose_product(forms, k: int) -> DiagonalCircuit:
@@ -396,7 +401,9 @@ def power_decompose_product(forms, k: int) -> DiagonalCircuit:
 
     Fischer's identity turns prod(forms) into 2^(m-1) m-th powers of affine
     forms; the degree-k part of each (t + u)^m is binom(m,k) u^(m-k) t^k.
-    Requires k <= m and characteristic 0 or > m.
+    The common factor binom(m,k) / (2^(m-1) m!) is the result's scale; each
+    summand's coefficient is sign * u^(m-k).  Requires k <= m and
+    characteristic 0 or > m.
     """
     forms = list(forms)
     m = len(forms)
@@ -418,7 +425,6 @@ def power_decompose_product(forms, k: int) -> DiagonalCircuit:
             for j, cc in enumerate(f.coeffs):
                 lin[j] = lin[j] + eps * cc
             const = const + eps * f.const
-        coef = sign * scale * const ** (m - k)
-        summands.append((coef, LinearForm(tuple(lin), 0)))
-    return DiagonalCircuit(n, k, tuple(summands))
+        summands.append((sign * const ** (m - k), LinearForm(tuple(lin), 0)))
+    return DiagonalCircuit(n, k, tuple(summands), scale)
 

@@ -8,7 +8,10 @@ builds, per degree j <= deg(f), a diagonal circuit D_j that is positively
 weakly equivalent to that target (random colorings cover each candidate
 monomial with known probability; Fischer's identity turns each coloring's
 product of affine forms into explicit j-th powers), and checks whether the
-scaled Hadamard product f o^s D_j vanishes.
+scaled Hadamard product f o^s D_j vanishes.  Every coloring has the same
+number m = ceil(1.5j) of forms, so all summands of D_j share Fischer's factor
+binom(m,j) / (2^(m-1) m!): D_j holds it once as its `scale`, and its summand
+coefficients and form entries are ints.
 
 The scaled Hadamard product against one power summand has a closed form:
 
@@ -28,10 +31,10 @@ itself is still built whole by `build_detection_circuit`.)  Only the Fischer
 construction has a field condition: characteristic 0 or > ceil(1.5j).
 
 Evaluations run modulo fresh random 64-bit primes, on plain-int residues
-(no field object is built for a drawn prime), so that circuits over the
-integers whose values are doubly exponential stay cheap; a nonzero value
-modulo any prime certifies nonmembership, so that side of the answer is
-never wrong.
+(no field object is built for a drawn prime; the scale is the one scalar of
+D_j inverted), so that circuits over the integers whose values are doubly
+exponential stay cheap; a nonzero value modulo any prime certifies
+nonmembership, so that side of the answer is never wrong.
 """
 
 from __future__ import annotations
@@ -103,54 +106,28 @@ def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point, p: int | None = 
     """(f o^s D)(point) for f computed by `c`, via the closed per-summand form.
 
     Sums c_j * k! * f_k(l_j1 b_1, ..., l_jn b_n) over the summands c_j * l_j^k
-    of `d`, BLOCK summands at a time: each block's scaled points go through
-    one `homogeneous_part_eval` pass over the circuit, so the circuit is
-    walked ceil(fan-in / BLOCK) times and the extra space is
-    O(|c| * (k+1) * BLOCK) whatever the fan-in.  `p=None` keeps exact scalars
-    and returns a Fraction.  An int `p` works on plain-int residues: the
-    point, the summand coefficients and the form coefficients are mapped with
-    `residue` semantics, inverting each distinct denominator once, and the
-    value is a residue in [0, p).
+    of `d` and multiplies by d.scale, BLOCK summands at a time: each block's
+    scaled points go through one `homogeneous_part_eval` pass over the
+    circuit, so the circuit is walked ceil(fan-in / BLOCK) times and the
+    extra space is O(|c| * (k+1) * BLOCK) whatever the fan-in.  `p=None`
+    keeps exact scalars and returns a Fraction.  An int `p` works on
+    plain-int residues: ints pass through, any other scalar of the point,
+    the summand coefficients and the forms is mapped with `residue`,
+    d.scale * k! is mapped once, and the value is a residue in [0, p).
     """
     if d.n != c.n:
         raise ValueError("variable count mismatch between circuit and diagonal circuit")
-    if p is not None:
-        lift = _residue_map(p)
-        point = [lift(b) for b in point]
+    lift = (lambda x: x) if p is None else (lambda x: x if type(x) is int else residue(x, p))
+    point = [lift(b) for b in point]
     k = d.degree
     total = 0
     for start in range(0, d.fan_in, BLOCK):
         block = d.summands[start : start + BLOCK]
-        if p is None:
-            coefs = [coef for coef, _ in block]
-            scaled = [[l * b for l, b in zip(form.coeffs, point)] for _, form in block]
-        else:
-            coefs = [lift(coef) for coef, _ in block]
-            # Int coefficients, which build_detection_circuit makes, skip the call.
-            scaled = [
-                [(l if type(l) is int else lift(l)) * b % p for l, b in zip(form.coeffs, point)]
-                for _, form in block
-            ]
+        coefs = [lift(coef) for coef, _ in block]
+        scaled = [[lift(l) * b for l, b in zip(form.coeffs, point)] for _, form in block]
         total += sum(map(mul, coefs, homogeneous_part_eval(c, k, scaled, p)))
-    total *= math.factorial(k)
-    return Fraction(total) if p is None else total % p
-
-
-def _residue_map(p: int):
-    """`residue(., p)` that inverts each distinct Fraction denominator once."""
-    inverses: dict = {}
-
-    def lift(x):
-        if type(x) is int:
-            return x % p
-        if type(x) is not Fraction:
-            return residue(x, p)
-        inv = inverses.get(x.denominator)
-        if inv is None:
-            inv = inverses[x.denominator] = residue(Fraction(1, x.denominator), p)
-        return x.numerator * inv % p
-
-    return lift
+    factor = d.scale * math.factorial(k)
+    return Fraction(total * factor) if p is None else total * residue(factor, p) % p
 
 
 def _color_count(k: int) -> int:
@@ -188,11 +165,15 @@ def build_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.Rando
     Every monomial the output carries survives the ideal, and its coefficient
     is positive whenever some coloring covers it, so there is no cancellation
     across colorings.  The fan-in is exactly trials * 2^(ceil(1.5k) - 1).
+    Every coloring's decomposition has the same scale, which the sum keeps.
+    Needs trials >= 1; at k = 0 the trials and the rng go unused.
     """
     n = spec.n
     k = spec.k
+    if trials < 1:
+        raise ValueError("need at least one coloring")
     if k == 0:
-        return DiagonalCircuit(n, 0, ((Fraction(1), LinearForm((Fraction(0),) * n)),))
+        return DiagonalCircuit(n, 0, ((1, LinearForm((0,) * n)),))
     if k > spec.m:
         raise ValueError("degree parameter exceeds the number of placeholder copies")
     owners = [i for i, e in enumerate(spec.exponents) for _ in range(e - 1)]
@@ -203,8 +184,9 @@ def build_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.Rando
         for owner in owners:
             counts[rng.randrange(kk)][owner] += 1
         forms = [LinearForm(tuple(counts[j]), 1) for j in range(kk)]
-        summands.extend(power_decompose_product(forms, k).summands)
-    return DiagonalCircuit(n, k, tuple(summands))
+        dc = power_decompose_product(forms, k)
+        summands.extend(dc.summands)
+    return DiagonalCircuit(n, k, tuple(summands), dc.scale)
 
 
 def membership_powers(
@@ -224,11 +206,8 @@ def membership_powers(
     k = spec.k
     n = spec.n
     for j in range(min(k, spec.m) + 1):
-        if j == 0:
-            dj = build_detection_circuit(PowerIdealSpec(spec.exponents, 0), 1, rng)
-        else:
-            t = trials if trials is not None else _auto_trials(j, spec.m)
-            dj = build_detection_circuit(PowerIdealSpec(spec.exponents, j), t, rng)
+        t = trials if trials is not None else _auto_trials(j, spec.m)
+        dj = build_detection_circuit(PowerIdealSpec(spec.exponents, j), t, rng)
         for _attempt in range(4):  # fresh prime redraws on a zero result
             p = random_prime(PRIME_BITS, rng)
             point = [rng.randrange(1, p) for _ in range(n)]

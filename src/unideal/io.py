@@ -17,6 +17,7 @@ All numbers are decimal integers or "a/b" rationals.  Formats:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .apps import Graph
@@ -48,16 +49,30 @@ __all__ = [
 ]
 
 
+# Largest exponent a scalar token may carry, in absolute value: the digit
+# limit CPython applies to int(str) (sys.int_info.default_max_str_digits).
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def parse_scalar(tok: str) -> int | Fraction:
     """A scalar token: an optionally signed run of decimal digits as the int
     it is, any other token as `Fraction(tok)` reads it.
 
     The int path takes only tokens that `Fraction` reads as the same
     integer, so a token parses exactly when `Fraction(tok)` does (the
-    Python version decides, for instance, whether "1_000" is a number).
+    Python version decides, for instance, whether "1_000" is a number),
+    with one exception: a token whose exponent exceeds MAX_EXPONENT in
+    absolute value, or is written with more digits than that, raises
+    ValueError, where `Fraction("1e999999999")` would build 10**999999999.
     """
     if (tok[1:] if tok[:1] in ("+", "-") else tok).isdecimal():
         return int(tok)
+    exp = _EXPONENT.search(tok)
+    if exp:
+        digits = exp[1].replace("_", "") or "0"
+        if len(digits) > MAX_EXPONENT or int(digits) > MAX_EXPONENT:
+            raise ValueError(f"exponent of {tok[:40]!r} exceeds {MAX_EXPONENT} in absolute value")
     try:
         return Fraction(tok)
     except ZeroDivisionError:
@@ -195,15 +210,8 @@ def parse_graph(text: str) -> Graph:
 
 def parse_lowrank(text: str, degree_bound: int | None = None) -> LowRankInput:
     lines = list(_content_lines(text))
-    circuit_lines = [l for l in lines if not l.startswith("form ")]
-    form_lines = [l for l in lines if l.startswith("form ")]
-    outer = _parse_circuit_lines(circuit_lines)
-    if not form_lines:
-        raise ValueError("low-rank file needs at least one form line")
-    n = len([t for t in form_lines[0].split()[1:] if t != "+"])
-    if "+" in form_lines[0].split():
-        n -= 1
-    forms = tuple(_parse_lin_tokens(l.split()[1:], n) for l in form_lines)
+    outer = _parse_circuit_lines([l for l in lines if not l.startswith("form ")])
+    forms = _parse_form_lines(lines)
     if degree_bound is None:
         from .circuits import syntactic_degree
 
@@ -213,12 +221,16 @@ def parse_lowrank(text: str, degree_bound: int | None = None) -> LowRankInput:
 
 def parse_forms(text: str):
     """Standalone "form c1 ... cn [+ c0]" lines."""
-    lines = [l for l in _content_lines(text) if l.startswith("form ")]
-    if not lines:
+    return _parse_form_lines(_content_lines(text))
+
+
+def _parse_form_lines(lines) -> tuple:
+    """The forms of the "form ..." lines among `lines`; the first sets n."""
+    rows = [l.split()[1:] for l in lines if l.startswith("form ")]
+    if not rows:
         raise ValueError("no form lines found")
-    toks0 = lines[0].split()[1:]
-    n = len(toks0) - (2 if "+" in toks0 else 0)
-    return tuple(_parse_lin_tokens(l.split()[1:], n) for l in lines)
+    n = len(rows[0]) - (2 if "+" in rows[0] else 0)
+    return tuple(_parse_lin_tokens(toks, n) for toks in rows)
 
 
 def write_lowrank(inp: LowRankInput) -> str:

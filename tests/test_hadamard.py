@@ -59,7 +59,12 @@ def test_scaled_hadamard_full_power_sum():
 
 
 def test_scaled_hadamard_matches_literal_definition():
+    # Each instance also runs with a drawn non-unit scale (from its own rng,
+    # so the instances are those of the unit-scale check), exactly and as
+    # its image mod a prime.
     rng = random.Random(0)
+    scales = random.Random(1)
+    p = 10007
     for _ in range(40):
         n, k = rng.randint(1, 4), rng.randint(0, 3)
         c = random_circuit_capped_degree(rng, n, 4)
@@ -70,6 +75,10 @@ def test_scaled_hadamard_matches_literal_definition():
         d = DiagonalCircuit(n, k, summands)
         pt = [F(rng.randint(1, 6)) for _ in range(n)]
         assert scaled_hadamard_eval(c, d, pt) == literal_scaled_hadamard(expand(c), d.to_sparse(), pt)
+        d = DiagonalCircuit(n, k, summands, F(scales.randint(-9, 9) or 1, scales.randint(2, 9)))
+        want = literal_scaled_hadamard(expand(c), d.to_sparse(), pt)
+        assert scaled_hadamard_eval(c, d, pt) == want
+        assert scaled_hadamard_eval(c, d, pt, p) == fields.residue(want, p)
 
 
 @pytest.mark.parametrize("fan_in", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
@@ -142,6 +151,32 @@ def test_detection_circuit_k0():
     d = build_detection_circuit(PowerIdealSpec((2, 2), 0), 5, random.Random(0))
     assert d.degree == 0 and d.fan_in == 1
     assert d.evaluate([F(9), F(9)]) == 1
+
+
+def test_detection_circuit_holds_ints_and_one_scale():
+    # Fischer's common factor binom(m,k) / (2^(m-1) m!), m = ceil(1.5k), is
+    # the circuit's one Fraction; every coefficient and form entry is an int.
+    for k in range(1, 5):
+        d = build_detection_circuit(PowerIdealSpec((2, 3, 2, 3), k), 3, random.Random(k))
+        m = (3 * k + 1) // 2
+        assert type(d.scale) is Fraction
+        assert d.scale == Fraction(math.comb(m, k), 2 ** (m - 1) * math.factorial(m))
+        for coef, form in d.summands:
+            assert type(coef) is int and type(form.const) is int
+            assert all(type(x) is int for x in form.coeffs)
+
+
+def test_zero_trials_rejected():
+    # x0 x1 is not in <x0^2, x1^2>; no coloring at all must not answer "in ideal".
+    b = CircuitBuilder(2)
+    c = b.build(b.mul(b.input(0), b.input(1)))
+    spec = PowerIdealSpec((2, 2), 2)
+    assert membership_powers(c, spec, trials=5, rng=random.Random(0))
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            membership_powers(c, spec, trials=trials, rng=random.Random(0))
+        with pytest.raises(ValueError):
+            build_detection_circuit(spec, trials, random.Random(0))
 
 
 def test_detection_circuit_covers_multilinear():

@@ -12,7 +12,11 @@ pytest or hypothesis, on the fixed list and seeded random tokens:
     PYTHONPATH=src python tests/test_parsers.py
 
 Generated exponents have at most three digits: `Fraction("1e999999999")`
-builds 10**999999999, and so would the parser.
+builds 10**999999999.  The parser's one divergence from `Fraction` is
+there: it refuses a token whose exponent exceeds `io.MAX_EXPONENT` (4300,
+CPython's digit limit for int(str)) in absolute value, or is written with
+more digits than that, with ValueError.  The exponent check holds that
+bound without calling `Fraction` on a token past it.
 
 The fuzz tests feed `parse_ideal`, `parse_lowrank` and `parse_point` text
 built from the formats' own words, and valid files with tokens deleted,
@@ -25,6 +29,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 from unideal import io as uio
@@ -85,15 +90,53 @@ def random_tokens(seed: int, count: int):
             yield "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 7)))
 
 
+# Past the exponent bound; Fraction would build 10**|exponent| for most.
+HUGE_EXPONENT_TOKENS = ["1e4301", "-1e-4301", "1e999999999", "1E+4_301", ".5e-99999", "1e" + "0" * 4301 + "1"]
+
+
+def check_exponent_bound():
+    """The bound itself parses as Fraction reads it; every token past it
+    raises ValueError at once."""
+    bound = uio.MAX_EXPONENT
+    for tok in (f"1e{bound}", f"-1e-{bound}", f"2.5E+{bound}"):
+        assert uio.parse_scalar(tok) == Fraction(tok), tok
+    for tok in HUGE_EXPONENT_TOKENS:
+        start = time.perf_counter()
+        try:
+            got = uio.parse_scalar(tok)
+        except ValueError:
+            got = ValueError
+        assert got is ValueError, tok[:40]
+        assert time.perf_counter() - start < 0.5, tok[:40]
+
+
 def test_parse_scalar_edge_tokens():
     for tok in EDGE_TOKENS:
         check_scalar(tok)
+
+
+def test_parse_scalar_bounds_exponents():
+    check_exponent_bound()
+
+
+def test_cli_rejects_huge_exponent_point(tmp_path, capsys):
+    from unideal.cli import main
+
+    (tmp_path / "lr.txt").write_text("vars 1\nin 0\nmul 0 0\nout 1\nform 1 1\n")
+    (tmp_path / "sq.txt").write_text("var 0 : 0 0 1\nvar 1 : 0 0 1\n")
+    start = time.perf_counter()
+    code = main(["rem-eval", "--input", str(tmp_path / "lr.txt"), "--ideal", str(tmp_path / "sq.txt"),
+                 "--point", "1 1e999999999"])
+    assert code == 2 and time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: exponent")
 
 
 if __name__ == "__main__":
     tokens = EDGE_TOKENS + list(random_tokens(0, 20000))
     for tok in tokens:
         check_scalar(tok)
+    check_exponent_bound()
     print(f"parse_scalar agrees with Fraction on {len(tokens)} tokens (Python {sys.version.split()[0]})")
     sys.exit(0)
 
