@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .circuits import CircuitBuilder
-from .division import UnivariateIdeal, random_zero_test
+from .division import UnivariateIdeal, random_zero_test, zero_test_sample_size
 from .fields import GF, QQ, FieldMismatch
 from .linalg import LinearForm, Matrix, congruence_diagonalize, rank_and_row_basis
 from .lowrank import LowRankInput, RemEvaluator
@@ -146,7 +146,8 @@ def _permanent_input(a: Matrix, field):
             coord_rows[i] = [x * m for x in row]
     b = CircuitBuilder(rank)
     outer = b.build(b.product([b.linear(LinearForm(tuple(row))) for row in coord_rows]))
-    return LowRankInput(outer, tuple(basis), max(n, 1)), rank, scale
+    forms = tuple(LinearForm(a.rows[i]) for i in basis)
+    return LowRankInput(outer, forms, max(n, 1)), rank, scale
 
 
 def permanent_lowrank(a: Matrix, field=QQ):
@@ -220,8 +221,9 @@ def vertex_cover_lowrank(
     """Randomized decision "G has a vertex cover of size k".
 
     One-sided: True is always correct; a False answer is wrong with
-    probability at most (min(n, deg_bound) / (100 * deg_bound))^trials: the
-    remainder is multilinear, of degree at most min(n, deg_bound).
+    probability at most `division.zero_test_miss_bound(min(n, deg_bound),
+    deg_bound, trials)`: the remainder is multilinear, of degree at most
+    min(n, deg_bound).
 
     The whole test runs over GF(p) with p = VC_PRIME = 2^61 - 1: the
     evaluator maps the instance's rational scalars into GF(p), a ring
@@ -231,11 +233,11 @@ def vertex_cover_lowrank(
     sum(x) - t of f is an integer of absolute value at most max(C(n,2), n),
     so when p exceeds that, f vanishes mod p at exactly the 0/1 points where
     it vanishes, and R_p = 0 exactly when the exact remainder is.  When p
-    also exceeds the sample-set size 100 * deg_bound, Schwartz-Zippel over
-    GF(p) gives that bound.  The test falls back to exact
-    arithmetic over QQ when p is not larger than max(C(n,2), n,
-    100 * deg_bound), or when a denominator vanishes mod p (FieldMismatch);
-    the points drawn from `rng` are the same either way.
+    also exceeds the zero test's sample-set size S
+    (`division.zero_test_sample_size`), Schwartz-Zippel over GF(p) gives
+    that bound.  The test falls back to exact arithmetic over QQ when p is
+    not larger than max(C(n,2), n, S), or when a denominator vanishes mod p
+    (FieldMismatch); the points drawn from `rng` are the same either way.
 
     The evaluator is prepared once and its levels compiled once
     (`RemEvaluator.schedule`), so each of the up to `trials` points costs
@@ -245,7 +247,7 @@ def vertex_cover_lowrank(
     """
     rng = rng or random.Random(0)
     inp, ideal, deg_bound = build_vc_instance(g, k, tight=tight)
-    field = GF(VC_PRIME) if VC_PRIME > max(math.comb(g.n, 2), g.n, 100 * deg_bound) else QQ
+    field = GF(VC_PRIME) if VC_PRIME > max(math.comb(g.n, 2), g.n, zero_test_sample_size(deg_bound)) else QQ
     try:
         evaluator = RemEvaluator(inp, ideal, field)
     except FieldMismatch:

@@ -161,9 +161,9 @@ def approximate_roots(p: UnivariatePoly, eps: Fraction, threshold_sq: Fraction |
     and halves while 4r exceeds the smallest pairwise distance.  Acceptance
     rests only on two exact tests: the residual |p(a)| < 2^-L * r^d, which by
     the factorized lower bound puts a within r of a root, and pairwise
-    distances > 2r, which make those roots distinct.  A caller may pass a
-    stricter squared residual threshold (the certificate verifier's, say);
-    the smaller one is enforced.
+    distances > 2r (`_separated`), which make those roots distinct.  A
+    caller may pass a stricter squared residual threshold (the certificate
+    verifier's, say); the smaller one is enforced.
     """
     d = p.degree()
     if d < 1:
@@ -188,16 +188,24 @@ def approximate_roots(p: UnivariatePoly, eps: Fraction, threshold_sq: Fraction |
             thr_sq = (Fraction(1, 2**L) * r**d) ** 2
             if threshold_sq is not None:
                 thr_sq = min(thr_sq, Fraction(threshold_sq))
-            gap_sq = 4 * r * r
             target_bits = max(64, _needed_bits(thr_sq) // 2 + 16)
             rounded = [(_round_dyadic(re, target_bits), _round_dyadic(im, target_bits)) for re, im in cand]
             for pick in (rounded, cand):
-                if all(_poly_abs2(p, z) < thr_sq for z in pick) and all(
-                    _dist2(a, b) > gap_sq for a, b in itertools.combinations(pick, 2)
-                ):
+                if all(_poly_abs2(p, z) < thr_sq for z in pick) and _separated(pick, r):
                     return pick
         prec *= 2
     raise RuntimeError("root refinement did not converge; retry with higher precision")
+
+
+def _separated(pick, r: Fraction) -> bool:
+    """Whether the points of `pick` are pairwise more than 2r apart.
+
+    This is the distinctness proof of `approximate_roots`: discs of radius r
+    around points more than 2r apart are disjoint, so the roots within r of
+    those points are distinct.
+    """
+    gap_sq = 4 * r * r
+    return all(_dist2(a, b) > gap_sq for a, b in itertools.combinations(pick, 2))
 
 
 def _dist2(a, b) -> Fraction:

@@ -378,23 +378,6 @@ class DiagonalCircuit:
     def fan_in(self) -> int:
         return len(self.summands)
 
-    def evaluate(self, point):
-        return self.scale * sum(coef * form.evaluate(point) ** self.degree for coef, form in self.summands)
-
-    def to_sparse(self) -> SparsePoly:
-        out = SparsePoly.zero(self.n)
-        for coef, form in self.summands:
-            lin = SparsePoly(
-                self.n,
-                {
-                    tuple(1 if j == i else 0 for j in range(self.n)): cc
-                    for i, cc in enumerate(form.coeffs)
-                    if cc
-                },
-            )
-            out = out + (lin ** self.degree).scale(coef)
-        return out.scale(self.scale)
-
 
 def power_decompose_product(forms, k: int) -> DiagonalCircuit:
     """Degree-k homogeneous part of a product of affine forms, as powers.

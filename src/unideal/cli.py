@@ -24,9 +24,9 @@ from . import io as uio
 from .apps import permanent_lowrank, ryser_permanent, vc_degrees, vertex_cover_lowrank
 from .certifier import Undecided, compute_threshold, search_nonmembership, verify_certificate
 from .circuits import syntactic_degree
-from .division import is_member_brute, random_zero_test
+from .division import is_member_brute, random_zero_test, zero_test_miss_bound
 from .fields import QQ
-from .hadamard import PowerIdealSpec, coverage_failure_bound, membership_powers, _auto_trials
+from .hadamard import PowerIdealSpec, in_ideal_coverage_bound, membership_powers
 from .lowrank import LowRankInput, RemEvaluator, rem_eval
 from .poly import CapExceeded
 from .reductions import (
@@ -125,7 +125,7 @@ def _cmd_member(args) -> int:
         nonzero = random_zero_test(ev.schedule(), n, d, args.trials, rng, field=QQ)
         # The remainder has degree < deg p_i in each x_i, and at most the circuit's.
         deg_rem = min(sd, sum(p.degree() - 1 for _, p in ideal.generators))
-        err = 0 if nonzero else Fraction(deg_rem, max(1, 100 * d)) ** args.trials
+        err = 0 if nonzero else zero_test_miss_bound(deg_rem, d, args.trials)
         _emit(args, {
             "decision": "NOT-MEMBER" if nonzero else "MEMBER",
             "algorithm": f"dispatch={args.mode}->lowrank remainder evaluation + zero test",
@@ -199,7 +199,7 @@ def _cmd_vc(args) -> int:
     t0 = time.perf_counter()
     has = vertex_cover_lowrank(graph, args.k, args.trials, rng, tight=args.tight)
     _, deg_bound = vc_degrees(graph, args.k, args.tight)
-    err = 0 if has else Fraction(min(graph.n, deg_bound), max(1, 100 * deg_bound)) ** args.trials
+    err = 0 if has else zero_test_miss_bound(min(graph.n, deg_bound), deg_bound, args.trials)
     _emit(args, {
         "decision": "HAS-VC" if has else "NO-VC",
         "algorithm": "low-rank remainder evaluation on the cover polynomial"
@@ -212,14 +212,8 @@ def _cmd_vc(args) -> int:
 
 
 def _power_ideal_bound(spec: PowerIdealSpec, trials) -> str:
-    """The IN-IDEAL error bound of `membership_powers(..., trials=trials)`:
-    the worst per-degree coverage failure at the colorings it used."""
-    worst = max(
-        (coverage_failure_bound(j, spec.m, trials if trials is not None else _auto_trials(j, spec.m))
-         for j in range(1, min(spec.k, spec.m) + 1)),
-        default=Fraction(0),
-    )
-    return f"<= {_format_bound(worst)} coverage + zero-test/prime terms"
+    """The IN-IDEAL error bound of `membership_powers(..., trials=trials)`."""
+    return f"<= {_format_bound(in_ideal_coverage_bound(spec, trials))} coverage + zero-test/prime terms"
 
 
 def _cmd_mlmd(args) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .circuits import Circuit, expand
 from .fields import QQ, FieldMismatch, _inverse, residue
@@ -29,6 +30,8 @@ __all__ = [
     "divide",
     "is_member_brute",
     "random_zero_test",
+    "zero_test_miss_bound",
+    "zero_test_sample_size",
 ]
 
 
@@ -48,10 +51,6 @@ class UnivariateIdeal:
             if p.degree() < 1:
                 raise ValueError("generators must be nonconstant")
             seen.add(var)
-
-    @classmethod
-    def from_dict(cls, gens: dict) -> "UnivariateIdeal":
-        return cls(tuple(sorted(gens.items())))
 
     def over(self, field) -> "UnivariateIdeal":
         """The same generators with their coefficients mapped into `field`.
@@ -229,13 +228,27 @@ def is_member_brute(c: Circuit, ideal: UnivariateIdeal, monomial_cap: int = 10**
     return divide(expand(c, monomial_cap), ideal).is_zero()
 
 
+def zero_test_sample_size(deg_bound: int) -> int:
+    """S = max(1, 100 * deg_bound): `random_zero_test` draws every
+    coordinate from {1..S}."""
+    return max(1, 100 * deg_bound)
+
+
+def zero_test_miss_bound(degree: int, deg_bound: int, trials: int) -> Fraction:
+    """Schwartz-Zippel: the probability that `random_zero_test(..., deg_bound,
+    trials, ...)` finds no nonzero value of a nonzero polynomial of total
+    degree at most `degree`, (degree / S)^trials."""
+    return Fraction(degree, zero_test_sample_size(deg_bound)) ** trials
+
+
 def random_zero_test(r_eval, n: int, deg_bound: int, trials: int, rng: random.Random, field=QQ) -> bool:
     """Schwartz-Zippel zero test; True means a nonzero value was found.
 
-    Points are drawn from {1..S} with S = max(1, 100 * deg_bound), so each
-    trial misses a nonzero polynomial with probability at most deg_bound / S.
+    Points are drawn from {1..S}, S = `zero_test_sample_size(deg_bound)`, so
+    a nonzero answer is certain and a zero one errs with probability at most
+    `zero_test_miss_bound`.
     """
-    size = max(1, 100 * deg_bound)
+    size = zero_test_sample_size(deg_bound)
     if field.p is not None and field.p <= size:
         raise ValueError(f"field GF({field.p}) smaller than sample set of size {size}")
     for _ in range(trials):

@@ -57,6 +57,8 @@ __all__ = [
     "build_detection_circuit",
     "coverage_trials",
     "coverage_failure_bound",
+    "degree_trials",
+    "in_ideal_coverage_bound",
     "membership_powers",
 ]
 
@@ -93,6 +95,12 @@ class PowerIdealSpec:
     @property
     def m(self) -> int:
         return sum(e - 1 for e in self.exponents)
+
+    @property
+    def degrees(self) -> range:
+        """The degrees j the test sweeps: 0..min(k, m), since a survivor
+        monomial has degree at most m and may have degree below k."""
+        return range(min(self.k, self.m) + 1)
 
     def to_ideal(self, field) -> UnivariateIdeal:
         gens = []
@@ -194,19 +202,17 @@ def membership_powers(
 ) -> bool:
     """True means f is certainly NOT in <x_i^e_i>; False means "in ideal".
 
-    Sweeps every degree j = 0..k, since a survivor monomial may have degree
-    below the circuit's degree.  "Not in ideal" answers are always correct
-    (a value nonzero modulo a prime is nonzero).  A wrong "in ideal" needs a
-    coverage failure, an unlucky zero-test point, or a run of bad primes; with
-    trials=None each coloring count is sized so the per-degree coverage
-    failure is at most 2^-FAILURE_BUDGET, and the other two terms are far
-    below that at PRIME_BITS-bit primes.
+    Sweeps every degree of `spec.degrees`, drawing `degree_trials` colorings
+    at each.  "Not in ideal" answers are always correct (a value nonzero
+    modulo a prime is nonzero).  A wrong "in ideal" needs a coverage failure
+    (at most `in_ideal_coverage_bound`), an unlucky zero-test point, or a run
+    of bad primes; the other two terms are far below 2^-FAILURE_BUDGET at
+    PRIME_BITS-bit primes.
     """
     rng = rng or random.Random(0)
-    k = spec.k
     n = spec.n
-    for j in range(min(k, spec.m) + 1):
-        t = trials if trials is not None else _auto_trials(j, spec.m)
+    for j in spec.degrees:
+        t = degree_trials(j, spec.m, trials)
         dj = build_detection_circuit(PowerIdealSpec(spec.exponents, j), t, rng)
         for _attempt in range(4):  # fresh prime redraws on a zero result
             p = random_prime(PRIME_BITS, rng)
@@ -216,8 +222,20 @@ def membership_powers(
     return False
 
 
-def _auto_trials(k: int, m: int, budget: int = FAILURE_BUDGET) -> int:
-    """Colorings so that binom(m,k) * (1-P)^t <= 2^-budget."""
-    p = float(_cover_probability(k))
-    need = (budget * math.log(2) + math.log(max(math.comb(m, k), 1))) / p
-    return max(coverage_trials(k), math.ceil(need), 1)
+def in_ideal_coverage_bound(spec: PowerIdealSpec, trials: int | None = None) -> Fraction:
+    """The coverage term of the error of an "in ideal" answer of
+    `membership_powers(c, spec, trials)`: the worst coverage failure over
+    the degrees it sweeps, at the colorings it draws for each."""
+    return max(coverage_failure_bound(j, spec.m, degree_trials(j, spec.m, trials)) for j in spec.degrees)
+
+
+def degree_trials(j: int, m: int, trials: int | None = None) -> int:
+    """The colorings `membership_powers(..., trials=trials)` draws at degree j:
+    `trials`, or with None at least coverage_trials(j) and enough that
+    binom(m,j) * (1-P)^t <= 2^-FAILURE_BUDGET, P the chance that one
+    coloring covers a degree-j monomial."""
+    if trials is not None:
+        return trials
+    p = float(_cover_probability(j))
+    need = (FAILURE_BUDGET * math.log(2) + math.log(max(math.comb(m, j), 1))) / p
+    return max(coverage_trials(j), math.ceil(need), 1)

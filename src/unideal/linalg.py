@@ -2,8 +2,9 @@
 
 Everything here is plain Gaussian elimination on small matrices of exact
 scalars.  The nonstandard entry points are `rank_and_row_basis` (the basis
-is a subset of the input rows, which the variable-separation transform
-relies on), `suffix_pivots` (one right-to-left column elimination whose
+is a subset of the input rows, returned as their indices, so the
+variable-separation transform reads its next level's forms by index),
+`suffix_pivots` (one right-to-left column elimination whose
 pivots give a column basis of every suffix m[:, c:] at once, so that
 transform solves each level on at most nrows columns) and
 `congruence_diagonalize` (A = P D P^T for symmetric A, valid in
@@ -17,7 +18,7 @@ floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import QQ, Scalar, _inverse
@@ -47,9 +48,6 @@ class LinearForm:
         for c, b in zip(self.coeffs, point):
             acc = acc + c * b
         return acc
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs) and not self.const
 
 
 class Matrix:
@@ -105,26 +103,6 @@ class Matrix:
             for j in range(i + 1, self.ncols)
         )
 
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.nrows
-        # The identity half turns into field scalars: every row is scaled by
-        # its pivot's inverse.
-        a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv = _inverse(a[col][col])
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Matrix([row[n:] for row in a])
-
     def rank(self) -> int:
         return rank_and_row_basis(self)[0]
 
@@ -139,22 +117,23 @@ def _dot(u, v) -> Scalar:
 
 
 def rank_and_row_basis(m: Matrix):
-    """Rank, a row-subset basis of the row space, and coordinates.
+    """Rank, the indices of a row-subset basis of the row space, and coordinates.
 
-    Returns (rank, basis, coords) where `basis` is the first maximal
-    independent subset of the rows of `m` (as homogeneous LinearForms, in row
-    order) and `coords` is an nrows x rank matrix with coords * basis == m.
+    Returns (rank, basis, coords) where `basis` lists, increasing, the
+    indices of the first maximal independent subset of the rows of `m`, and
+    `coords` is an nrows x rank matrix with coords * [m.rows[i] for i in
+    basis] == m.
     """
     if not m.rows:
         return 0, [], Matrix([])
     if m.ncols == 0:
         return 0, [], Matrix([[] for _ in m.rows])
     echelon: list[tuple[list, int, object, list]] = []  # (vector, pivot col, its inverse, combo over basis)
-    basis_rows: list[tuple] = []
+    basis: list[int] = []
     coords: list[list] = []
-    for row in m.rows:
+    for i, row in enumerate(m.rows):
         vec = list(row)
-        combo = [0] * len(basis_rows)
+        combo = [0] * len(basis)
         for evec, piv, inv, ecombo in echelon:
             if vec[piv]:
                 f = vec[piv] * inv
@@ -169,11 +148,10 @@ def rank_and_row_basis(m: Matrix):
             for entry in echelon:
                 entry[3].append(0)
             echelon.append((vec, piv, _inverse(vec[piv]), new_combo))
-            basis_rows.append(row)
-            coords.append([0] * len(basis_rows[:-1]) + [1])
-    rank = len(basis_rows)
+            coords.append([0] * len(basis) + [1])
+            basis.append(i)
+    rank = len(basis)
     coords = [list(c) + [0] * (rank - len(c)) for c in coords]
-    basis = [LinearForm(r) for r in basis_rows]
     return rank, basis, Matrix(coords)
 
 

@@ -195,12 +195,6 @@ class RemEvaluator:
         cols = pivots[bisect_left(pivots, offset + s):]
         rests = Matrix([[forms[i].coeffs[j] for j in cols] for i in rows])
         rank, basis, coords = rank_and_row_basis(rests)
-        # The basis is the first maximal independent subset of the rows: its
-        # t-th member is the first row after the (t-1)-th one that equals it.
-        residual_rows = []
-        for i, row in zip(rows, rests.rows):
-            if len(residual_rows) < rank and row == basis[len(residual_rows)].coeffs:
-                residual_rows.append(i)
         w = s + rank
         scalar = self._scalar
         hats = []
@@ -226,7 +220,7 @@ class RemEvaluator:
         reducer = reducer.window(offset, s)
         for h in range(len(hats)):
             hats[h] = reducer.reduce(hats[h])
-        return _Level(offset, s, w, hats, reducer, tuple(residual_rows))
+        return _Level(offset, s, w, hats, reducer, tuple(rows[t] for t in basis))
 
     def eval(self, alpha):
         """(f mod I)(alpha), exactly over QQ, as a `Mod` over GF(p).
@@ -381,7 +375,8 @@ def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha, field=QQ):
 def inline_forms(inp: LowRankInput) -> Circuit:
     """The composed polynomial as an ordinary circuit over the x variables.
 
-    Used by oracles and the CLI; linear outer gates fold into linear x gates.
+    The brute-force oracles of `selftest` and the tests expand it; linear
+    outer gates fold into linear x gates.
     """
     n = inp.n
     b = CircuitBuilder(n)

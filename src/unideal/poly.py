@@ -135,9 +135,6 @@ class SparsePoly:
     def __hash__(self):
         return hash((self.n, self.p, frozenset(self.terms.items())))
 
-    def coeff(self, e) -> object:
-        return self.terms.get(tuple(e), 0)
-
     def __add__(self, other):
         if isinstance(other, SparsePoly):
             p = _same_modulus(self, other)
@@ -223,9 +220,6 @@ class SparsePoly:
 
     def deg_in(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=-1)
-
-    def map_coeffs(self, fn) -> "SparsePoly":
-        return SparsePoly(self.n, {e: fn(c) for e, c in self.terms.items()}, self.p)
 
     def __repr__(self):
         if not self.terms:

@@ -59,15 +59,6 @@ class KLinEqInstance:
     def n(self) -> int:
         return len(self.a[0]) if self.a else 0
 
-    def solutions(self):
-        """Brute-force 0/1 solutions (oracle for tests and the CLI selftest)."""
-        out = []
-        for mask in range(2**self.n):
-            x = [(mask >> i) & 1 for i in range(self.n)]
-            if all(sum(r[i] * x[i] for i in range(self.n)) == bi for r, bi in zip(self.a, self.b)):
-                out.append(tuple(x))
-        return out
-
 
 @dataclass(frozen=True)
 class OneInThreeInstance:
@@ -82,14 +73,6 @@ class OneInThreeInstance:
                 raise ValueError("clauses need exactly three distinct positive literals")
             if any(not 0 <= x < self.v for x in cl):
                 raise ValueError("literal index out of range")
-
-    def satisfying_assignments(self):
-        out = []
-        for mask in range(2**self.v):
-            assign = [(mask >> i) & 1 for i in range(self.v)]
-            if all(sum(assign[x] for x in cl) == 1 for cl in self.clauses):
-                out.append(tuple(assign))
-        return out
 
 
 def reduce_independent_set(g: Graph, k: int):

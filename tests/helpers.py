@@ -7,7 +7,8 @@ characteristic polynomial through Hessenberg reduction of an explicit matrix
 (checked against determinants by Gaussian elimination),
 a prepared remainder evaluator's value through a sparse walk of its levels,
 a circuit's value at a complex rational point through gate-by-gate
-evaluation on `GaussianRational`s.  `oracle_rem_eval` computes a low-rank
+evaluation on `GaussianRational`s, a diagonal circuit through its literal
+expansion, k-Lin-Eq and 1-in-3 SAT through enumeration of assignments.  `oracle_rem_eval` computes a low-rank
 remainder with none of the engine's code: the dict-polynomial expansion and
 the table division of `perfbench/oracles.py`, copied here, read the input's
 gates, forms and generator coefficients as plain data.
@@ -20,7 +21,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, syntactic_degree
+from unideal.circuits import (
+    Add,
+    Circuit,
+    CircuitBuilder,
+    Const,
+    DiagonalCircuit,
+    Input,
+    Mul,
+    expand,
+    syntactic_degree,
+)
 from unideal.division import UnivariateIdeal
 from unideal.fields import QQ, _inverse
 from unideal.linalg import LinearForm, Matrix
@@ -136,6 +147,45 @@ def literal_scaled_hadamard(fp: SparsePoly, gp: SparsePoly, point):
                 v *= point[i] ** x
             total += v
     return total
+
+
+def diagonal_to_sparse(d: DiagonalCircuit) -> SparsePoly:
+    """The literal expansion of scale * sum c_j * l_j^k, power by power."""
+    out = SparsePoly.zero(d.n)
+    for coef, form in d.summands:
+        lin = SparsePoly(d.n, {tuple(int(j == i) for j in range(d.n)): cc for i, cc in enumerate(form.coeffs) if cc})
+        out = out + (lin ** d.degree).scale(coef)
+    return out.scale(d.scale)
+
+
+def diagonal_evaluate(d: DiagonalCircuit, point):
+    """scale * sum c_j * l_j(point)^k, summand by summand."""
+    return d.scale * sum(coef * form.evaluate(point) ** d.degree for coef, form in d.summands)
+
+
+def map_coeffs(f: SparsePoly, fn) -> SparsePoly:
+    """f with every coefficient c replaced by fn(c), over f's modulus."""
+    return SparsePoly(f.n, {e: fn(c) for e, c in f.terms.items()}, f.p)
+
+
+def klineq_solutions(inst) -> list:
+    """Every 0/1 solution x of A x = b, by enumeration (criterion 8's oracle)."""
+    out = []
+    for mask in range(2**inst.n):
+        x = [(mask >> i) & 1 for i in range(inst.n)]
+        if all(sum(r[i] * x[i] for i in range(inst.n)) == bi for r, bi in zip(inst.a, inst.b)):
+            out.append(tuple(x))
+    return out
+
+
+def one_in_three_assignments(inst) -> list:
+    """Every assignment with exactly one true literal per clause, by enumeration."""
+    out = []
+    for mask in range(2**inst.v):
+        assign = [(mask >> i) & 1 for i in range(inst.v)]
+        if all(sum(assign[x] for x in cl) == 1 for cl in inst.clauses):
+            out.append(tuple(assign))
+    return out
 
 
 def permutation_permanent(a: Matrix):

@@ -16,10 +16,14 @@ import pytest
 
 from helpers import (
     brute_power_membership,
+    diagonal_to_sparse,
+    klineq_solutions,
     lift_circuit,
     lift_forms,
     lift_ideal,
     literal_scaled_hadamard,
+    map_coeffs,
+    one_in_three_assignments,
     random_circuit_capped_degree,
     random_low_rank_matrix,
     random_lowrank_instance,
@@ -49,10 +53,10 @@ from unideal.division import UnivariateIdeal, divide, is_member_brute
 from unideal.fields import GF, random_prime
 from unideal.hadamard import (
     PowerIdealSpec,
-    _auto_trials,
     build_detection_circuit,
     coverage_failure_bound,
     coverage_trials,
+    degree_trials,
     membership_powers,
     scaled_hadamard_eval,
 )
@@ -83,7 +87,7 @@ def test_criterion_01_remainder_oracle_equivalence():
             ideal_p = lift_ideal(ideal, g)
             alpha_p = [g(a) for a in alpha]
             got_p = rem_eval(inp_p, ideal_p, alpha_p, g)
-            assert got_p == oracle_poly.map_coeffs(g).evaluate(alpha_p)
+            assert got_p == map_coeffs(oracle_poly, g).evaluate(alpha_p)
             assert got_p == g(want)
     elapsed = time.perf_counter() - t0
     assert elapsed < 300, f"criterion 1 took {elapsed:.1f}s"
@@ -158,7 +162,7 @@ def test_criterion_04_scaled_hadamard_conformance():
         d = DiagonalCircuit(n, k, summands)
         b = [F(rng.randint(1, 8)) for _ in range(n)]
         assert scaled_hadamard_eval(c, d, b) == literal_scaled_hadamard(
-            expand(c), d.to_sparse(), b
+            expand(c), diagonal_to_sparse(d), b
         )
     _report(4, "scaled Hadamard equals the literal definition on 100 instances")
 
@@ -177,7 +181,7 @@ def test_criterion_05_power_ideal_membership():
     # configured coverage budget at auto trials stays within 2^-20
     for k in range(1, 5):
         m = 2 * k + 8
-        assert coverage_failure_bound(k, m, _auto_trials(k, m, 20)) <= F(1, 2**20)
+        assert coverage_failure_bound(k, m, degree_trials(k, m)) <= F(1, 2**20)
     _report(5, "power-ideal membership matches monomial brute force on 300 circuits")
 
 
@@ -290,15 +294,15 @@ def test_criterion_08_reductions():
         )
         c, ideal = reduce_klineq(inst)
         assert len(ideal.generators) == 2 * k
-        assert (not is_member_brute(c, ideal)) == bool(inst.solutions())
+        assert (not is_member_brute(c, ideal)) == bool(klineq_solutions(inst))
     for _ in range(10):
         v = 4
         clauses = tuple(tuple(sorted(rng.sample(range(v), 3))) for _ in range(rng.randint(1, 3)))
         inst = OneInThreeInstance(v, clauses)
         packed = reduce_one_in_three(inst, rows=rng.choice([1, 2]))
-        assert sorted(packed.solutions()) == sorted(inst.satisfying_assignments())
+        assert sorted(klineq_solutions(packed)) == sorted(one_in_three_assignments(inst))
         c, ideal = reduce_klineq(packed)
-        assert (not is_member_brute(c, ideal)) == bool(inst.satisfying_assignments())
+        assert (not is_member_brute(c, ideal)) == bool(one_in_three_assignments(inst))
     _report(8, "all reductions reproduce brute-force answers at micro scale")
 
 

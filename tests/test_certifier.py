@@ -27,6 +27,7 @@ from unideal.certifier import (
     _is_squarefree,
     _poly_abs2,
     _residual_threshold_sq,
+    _separated,
 )
 from unideal.circuits import CircuitBuilder, expand
 from unideal.cli import main
@@ -70,6 +71,21 @@ def test_root_bounds_contain_true_roots():
 def test_approximate_roots_rejects_repeated_roots():
     with pytest.raises(NotSquarefree):
         approximate_roots(upoly(1, -2, 1), F(1, 2**30))  # (x - 1)^2
+
+
+def test_separation_needs_more_than_2r():
+    # The distinctness proof of approximate_roots: discs of radius r around
+    # the picks are disjoint exactly when the picks are more than 2r apart.
+    r, tiny = F(1, 2**10), F(1, 2**40)
+    a = (F(1, 3), F(-2, 7))
+    for ux, uy in ((1, 0), (0, -1), (F(3, 5), F(4, 5))):  # unit directions
+        for dist, ok in ((2 * r + tiny, True), (2 * r, False), (2 * r - tiny, False), (3 * r / 2, False)):
+            b = (a[0] + dist * ux, a[1] + dist * uy)
+            far = (a[0] - 5 * r, a[1])
+            assert _separated([a, b], r) is ok
+            assert _separated([far, a, b], r) is ok
+            assert _separated([b, far, a], r / 2)
+    assert _separated([a], r) and _separated([], r)
 
 
 def test_approximate_roots_real_pair():

@@ -1,0 +1,42 @@
+"""Probability claims checked by exact or seeded runs.
+
+The coloring-coverage rate behind the power-ideal test: a batch of
+coverage_trials(k) colorings misses a fixed degree-k monomial with
+probability at most 2^-k, and `scripts/coverage_experiment.py` exits 1 when
+an observed miss count is improbable under that rate.
+"""
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "coverage_experiment.py"
+
+
+def load_coverage_experiment():
+    spec = importlib.util.spec_from_file_location("coverage_experiment", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_binomial_tail_is_exact():
+    tail = load_coverage_experiment().binomial_tail
+    assert tail(2, Fraction(1, 2), 0) == 1
+    assert tail(2, Fraction(1, 2), 1) == Fraction(3, 4)
+    assert tail(3, Fraction(1, 4), 2) == Fraction(3 * 3 + 1, 64)
+    assert tail(5, Fraction(1, 3), 6) == 0
+
+
+def test_coverage_experiment_passes_at_the_claimed_rate(capsys):
+    assert load_coverage_experiment().main(["--runs", "200", "--seed", "0"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_coverage_experiment_fails_on_a_planted_shortfall(monkeypatch, capsys):
+    # One coloring per batch misses a k = 3 monomial with probability 0.52,
+    # far above the claimed 2^-3.
+    module = load_coverage_experiment()
+    monkeypatch.setattr(module, "coverage_trials", lambda k: 1)
+    assert module.main(["--runs", "200", "--seed", "0"]) == 1
+    assert "FAIL" in capsys.readouterr().out

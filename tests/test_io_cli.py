@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import klineq_solutions
 from unideal import io as uio
 from unideal.apps import Graph
 from unideal.certifier import Certificate
@@ -440,7 +441,7 @@ def test_cli_reduce_one_in_three(workdir, capsys, tmp_path):
     )
     assert code == 0
     packed = uio.parse_klineq(out_k.read_text())
-    assert sorted(packed.solutions()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert sorted(klineq_solutions(packed)) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     circuit = uio.parse_circuit(out_c.read_text())
     ideal = uio.parse_ideal(out_i.read_text())
     from unideal.division import is_member_brute

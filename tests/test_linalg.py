@@ -23,7 +23,7 @@ def test_rank_identity():
     m = Matrix.identity(3)
     rank, basis, coords = rank_and_row_basis(m)
     assert rank == 3
-    assert [b.coeffs for b in basis] == [tuple(r) for r in m.rows]
+    assert basis == [0, 1, 2]
     assert coords == Matrix.identity(3)
 
 
@@ -31,7 +31,7 @@ def test_rank_all_ones():
     m = frac_matrix([[1] * 4] * 4)
     rank, basis, coords = rank_and_row_basis(m)
     assert rank == 1
-    assert basis[0].coeffs == (F(1),) * 4
+    assert basis == [0]
     assert all(coords[i, 0] == 1 for i in range(4))
 
 
@@ -47,7 +47,7 @@ def test_rank_product_structure_and_reconstruction():
         # coords * basis reproduces m entrywise
         for i in range(n):
             for j in range(n):
-                got = sum((coords[i, t] * basis[t].coeffs[j] for t in range(rank)), F(0))
+                got = sum((coords[i, t] * m[basis[t], j] for t in range(rank)), F(0))
                 assert got == m[i, j]
 
 
@@ -55,8 +55,7 @@ def test_basis_is_row_subset():
     m = frac_matrix([[1, 1, 0], [2, 2, 0], [0, 0, 1]])
     rank, basis, _ = rank_and_row_basis(m)
     assert rank == 2
-    assert basis[0].coeffs == (F(1), F(1), F(0))
-    assert basis[1].coeffs == (F(0), F(0), F(1))
+    assert basis == [0, 2]
 
 
 def test_suffix_pivots_count_suffix_ranks():
@@ -161,16 +160,6 @@ def test_congruence_over_gf7_keeps_field_scalars():
         assert all(isinstance(x, Mod) and x.p == 7 for row in p.rows + d.rows for x in row)
 
 
-def test_matrix_inverse():
-    rng = random.Random(13)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = frac_matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        if m.rank() < n:
-            continue
-        assert m * m.inverse() == Matrix.identity(n)
-
-
 def test_int_entries_eliminate_exactly():
     # Pivots other than +-1 used to turn int entries into floats.
     def exact(values):
@@ -190,9 +179,5 @@ def test_int_entries_eliminate_exactly():
         assert suffix_pivots(ints) == suffix_pivots(fracs)
         chi = charpoly(ints)
         assert chi == charpoly(fracs) and exact(chi.coeffs)
-        if rank == n:
-            inv = ints.inverse()
-            assert inv == fracs.inverse() and exact(c for row in inv.rows for c in row)
-        else:
-            singular += 1
+        singular += rank < n
     assert singular >= 5

@@ -74,7 +74,7 @@ def rational_instance(rng, inp, ideal):
         for f in inp.forms
     )
     gens = {v: UnivariatePoly([c / rng.choice([1, 2, 5]) for c in p.coeffs]) for v, p in ideal.generators}
-    return LowRankInput(outer, forms, inp.degree_bound), UnivariateIdeal.from_dict(gens)
+    return LowRankInput(outer, forms, inp.degree_bound), UnivariateIdeal(tuple(sorted(gens.items())))
 
 
 def test_oracle_equivalence_random():
@@ -143,7 +143,7 @@ def test_residue_evaluator_field_mismatch():
     integral = LowRankInput(outer, (forms[1], forms[1]), 2)
     assert RemEvaluator(integral, square_ideal(3), GF(7)).eval(alpha) == GF(7)(rem_eval(integral, square_ideal(3), alpha))
     with pytest.raises(FieldMismatch):
-        RemEvaluator(integral, UnivariateIdeal.from_dict(gens), GF(7))
+        RemEvaluator(integral, UnivariateIdeal(tuple(sorted(gens.items()))), GF(7))
     # Scalars of one field cannot be evaluated over another.
     g = GF(10007)
     lifted = LowRankInput(lift_circuit(outer, g), lift_forms(forms, g), 2)
@@ -185,7 +185,7 @@ def ideal_of_degrees(rng, n, lo, hi):
     for v in range(n):
         d = rng.randint(lo, hi)
         gens[v] = UnivariatePoly([F(rng.randint(-3, 3)) for _ in range(d)] + [F(rng.choice([1, -1, 2]))])
-    return UnivariateIdeal.from_dict(gens)
+    return UnivariateIdeal(tuple(sorted(gens.items())))
 
 
 def test_transform_soundness_random():
@@ -241,7 +241,8 @@ def reference_levels(inp, p):
     offset, levels = 0, []
     while forms and inp.n - offset > 0:
         s = min(len(forms), inp.n - offset)
-        rank, basis, coords = rank_and_row_basis(Matrix([c[s:] for c, _ in forms]))
+        rests = Matrix([c[s:] for c, _ in forms])
+        rank, basis, coords = rank_and_row_basis(rests)
         w = s + rank
         hats = []
         for i, (coeffs, const) in enumerate(forms):
@@ -252,8 +253,8 @@ def reference_levels(inp, p):
             if const:
                 terms[(0,) * w] = const
             hats.append(SparsePoly(w, terms, p))
-        levels.append((offset, s, w, hats, [b.coeffs for b in basis]))
-        forms = [(b.coeffs, 0) for b in basis]
+        levels.append((offset, s, w, hats, [rests.rows[t] for t in basis]))
+        forms = [(rests.rows[t], 0) for t in basis]
         offset += s
     return levels
 
