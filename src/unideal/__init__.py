@@ -27,7 +27,6 @@ from .circuits import (
     Mul,
     expand,
     homogeneous_part_eval,
-    power_decompose_product,
     syntactic_degree,
 )
 from .division import (

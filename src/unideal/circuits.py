@@ -6,29 +6,16 @@ and raises CapExceeded when the budget is blown, because full expansion is
 meant to happen only after the variable count has been compressed.
 
 DiagonalCircuit is the other representation used here: a common scale times
-a sum of scalar multiples of k-th powers of homogeneous linear forms.
-`power_decompose_product` converts a product of affine forms into one via
-Fischer's identity
-
-    l_1 * ... * l_m = (2^(m-1) m!)^(-1) * sum over eps in {+-1}^(m-1) of
-                      (prod eps_i) (l_1 + sum_i eps_i l_{i+1})^m,
-
-taking the degree-k homogeneous part of each affine power (t+u)^m as
-binom(m,k) * u^(m-k) * t^k.  Every summand shares the factor
-binom(m,k) / (2^(m-1) m!), so it is held once as the circuit's scale and
-each summand keeps sign * u^(m-k), an int for integer forms.  All 2^(m-1)
-summands are kept, including ones with zero coefficient, so the constructed
-fan-in is exactly predictable.
+a sum of scalar multiples of k-th powers of homogeneous linear forms
+(`hadamard.build_detection_circuit` builds them through Fischer's identity).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .fields import residue
 from .linalg import LinearForm
 from .poly import CapExceeded, SparsePoly, _acc, _mod_terms
 
@@ -45,7 +32,6 @@ __all__ = [
     "expand",
     "homogeneous_part_eval",
     "map_scalars",
-    "power_decompose_product",
     "syntactic_degree",
 ]
 
@@ -277,9 +263,10 @@ def homogeneous_part_eval(c: Circuit, k: int, points, p: int | None = None) -> l
     per-gate work of the interpreter is paid once per block rather than once
     per point.  Space is
     O(|c| * (k+1) * len(points)); callers bound the block to keep it
-    polynomial.  Any field size works.  `p=None` keeps exact scalars; an int
-    `p` takes residues in [0, p), maps the circuit's scalars with `residue`,
-    reduces each gate's values mod p once and returns residues.
+    polynomial.  Any field size works.  `p=None` keeps exact scalars; with an
+    int `p` the circuit's scalars must already be residues (`map_scalars`),
+    the points may hold any ints, each gate's values are reduced mod p once,
+    and the values returned are residues in [0, p).
     """
     if any(len(b) != c.n for b in points):
         raise ValueError("point length mismatch")
@@ -287,14 +274,13 @@ def homogeneous_part_eval(c: Circuit, k: int, points, p: int | None = None) -> l
     if not size:
         return []
     columns = [list(col) for col in zip(*points)]
-    coerce = (lambda x: x) if p is None else (lambda x: residue(x, p))
     top = k + 1
     vals: list = [None] * len(c.nodes)
     for i, node in enumerate(c.nodes):
         if isinstance(node, Input):
             s = [0, columns[node.var]]
         elif isinstance(node, Const):
-            s = [coerce(node.value)]
+            s = [node.value]
         elif isinstance(node, Add):
             s = []
             for ch in node.children:
@@ -311,10 +297,9 @@ def homogeneous_part_eval(c: Circuit, k: int, points, p: int | None = None) -> l
             form = node.form
             lin = 0
             for cc, col in zip(form.coeffs, columns):
-                cc = coerce(cc)
                 if cc:
                     lin = _coef_add(lin, [cc * x for x in col])
-            s = [coerce(form.const), lin]
+            s = [form.const, lin]
         s = s[:top]
         if p is not None:
             s = [[x % p for x in v] if type(v) is list else v % p for v in s]
@@ -377,37 +362,4 @@ class DiagonalCircuit:
     @property
     def fan_in(self) -> int:
         return len(self.summands)
-
-
-def power_decompose_product(forms, k: int) -> DiagonalCircuit:
-    """Degree-k homogeneous part of a product of affine forms, as powers.
-
-    Fischer's identity turns prod(forms) into 2^(m-1) m-th powers of affine
-    forms; the degree-k part of each (t + u)^m is binom(m,k) u^(m-k) t^k.
-    The common factor binom(m,k) / (2^(m-1) m!) is the result's scale; each
-    summand's coefficient is sign * u^(m-k).  Requires k <= m and
-    characteristic 0 or > m.
-    """
-    forms = list(forms)
-    m = len(forms)
-    if m == 0:
-        raise ValueError("need at least one form")
-    if not 0 <= k <= m:
-        raise ValueError("need 0 <= k <= len(forms)")
-    n = forms[0].n
-    scale = Fraction(math.comb(m, k), 2 ** (m - 1) * math.factorial(m))
-    summands = []
-    for mask in range(2 ** (m - 1)):
-        sign = 1
-        lin = list(forms[0].coeffs)
-        const = forms[0].const
-        for i in range(m - 1):
-            eps = 1 if not (mask >> i) & 1 else -1
-            sign *= eps
-            f = forms[i + 1]
-            for j, cc in enumerate(f.coeffs):
-                lin[j] = lin[j] + eps * cc
-            const = const + eps * f.const
-        summands.append((sign * const ** (m - k), LinearForm(tuple(lin), 0)))
-    return DiagonalCircuit(n, k, tuple(summands), scale)
 

@@ -221,7 +221,7 @@ def _cmd_mlmd(args) -> int:
     exponents = tuple(int(t) for t in args.exponents.split())
     if len(exponents) != circuit.n:
         raise ValueError("need one exponent per circuit variable")
-    k = args.k if args.k is not None else syntactic_degree(circuit)
+    k = syntactic_degree(circuit)
     spec = PowerIdealSpec(exponents, k)
     rng = random.Random(args.seed)
     trials = None if args.trials == "auto" else _positive_trials(int(args.trials))
@@ -356,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mlmd", help="power-ideal membership / multilinear detection")
     sp.add_argument("--circuit", required=True)
-    sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--exponents", required=True)
     sp.add_argument("--trials", default="auto")
     common(sp)

@@ -31,10 +31,11 @@ itself is still built whole by `build_detection_circuit`.)  Only the Fischer
 construction has a field condition: characteristic 0 or > ceil(1.5j).
 
 Evaluations run modulo fresh random 64-bit primes, on plain-int residues
-(no field object is built for a drawn prime; the scale is the one scalar of
-D_j inverted), so that circuits over the integers whose values are doubly
-exponential stay cheap; a nonzero value modulo any prime certifies
-nonmembership, so that side of the answer is never wrong.
+(no field object is built for a drawn prime: the circuit's scalars are
+mapped once per prime, and the scale is the one scalar of D_j inverted), so
+that circuits over the integers whose values are doubly exponential stay
+cheap; a nonzero value modulo any prime certifies nonmembership, so that
+side of the answer is never wrong.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .circuits import Circuit, DiagonalCircuit, homogeneous_part_eval, power_decompose_product
+from .circuits import Circuit, DiagonalCircuit, homogeneous_part_eval, map_scalars
 from .division import UnivariateIdeal
 from .fields import random_prime, residue
 from .linalg import LinearForm
@@ -118,22 +119,19 @@ def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point, p: int | None = 
     scaled points go through one `homogeneous_part_eval` pass over the
     circuit, so the circuit is walked ceil(fan-in / BLOCK) times and the
     extra space is O(|c| * (k+1) * BLOCK) whatever the fan-in.  `p=None`
-    keeps exact scalars and returns a Fraction.  An int `p` works on
-    plain-int residues: ints pass through, any other scalar of the point,
-    the summand coefficients and the forms is mapped with `residue`,
-    d.scale * k! is mapped once, and the value is a residue in [0, p).
+    keeps exact scalars and returns a Fraction.  With an int `p` the
+    circuit's scalars must be residues (`map_scalars`), the point, the
+    summand coefficients and the forms must be ints, d.scale * k! is the
+    one scalar mapped with `residue`, and the value is a residue in [0, p).
     """
     if d.n != c.n:
         raise ValueError("variable count mismatch between circuit and diagonal circuit")
-    lift = (lambda x: x) if p is None else (lambda x: x if type(x) is int else residue(x, p))
-    point = [lift(b) for b in point]
     k = d.degree
     total = 0
     for start in range(0, d.fan_in, BLOCK):
         block = d.summands[start : start + BLOCK]
-        coefs = [lift(coef) for coef, _ in block]
-        scaled = [[lift(l) * b for l, b in zip(form.coeffs, point)] for _, form in block]
-        total += sum(map(mul, coefs, homogeneous_part_eval(c, k, scaled, p)))
+        scaled = [list(map(mul, form.coeffs, point)) for _, form in block]
+        total += sum(map(mul, [coef for coef, _ in block], homogeneous_part_eval(c, k, scaled, p)))
     factor = d.scale * math.factorial(k)
     return Fraction(total * factor) if p is None else total * residue(factor, p) % p
 
@@ -170,10 +168,22 @@ def coverage_failure_bound(k: int, m: int, trials: int) -> Fraction:
 def build_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.Random) -> DiagonalCircuit:
     """Sum of per-coloring diagonal circuits covering the surviving monomials.
 
-    Every monomial the output carries survives the ideal, and its coefficient
-    is positive whenever some coloring covers it, so there is no cancellation
-    across colorings.  The fan-in is exactly trials * 2^(ceil(1.5k) - 1).
-    Every coloring's decomposition has the same scale, which the sum keeps.
+    Each coloring splits the placeholder copies among m = ceil(1.5k) colors;
+    color i gives the affine form 1 + (its copies of each variable).
+    Fischer's identity
+
+        l_1 * ... * l_m = (2^(m-1) m!)^(-1) * sum over eps in {+-1}^(m-1) of
+                          (prod eps_i) (l_1 + sum_i eps_i l_{i+1})^m,
+
+    with the degree-k part of each (t + u)^m taken as
+    binom(m,k) u^(m-k) t^k, turns the product of those forms into
+    2^(m-1) k-th powers.  Every form has constant u = 1, so the common
+    factor binom(m,k) / (2^(m-1) m!) (the circuit's scale) and each mask's
+    coefficient prod(eps) * (1 + sum eps)^(m-k) depend on k alone and are
+    computed once; a coloring only adds its rows.  Every monomial the output
+    carries survives the ideal, and its coefficient is positive whenever
+    some coloring covers it, so there is no cancellation across colorings.
+    The fan-in is exactly trials * 2^(m-1), zero coefficients included.
     Needs trials >= 1; at k = 0 the trials and the rng go unused.
     """
     n = spec.n
@@ -185,16 +195,21 @@ def build_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.Rando
     if k > spec.m:
         raise ValueError("degree parameter exceeds the number of placeholder copies")
     owners = [i for i, e in enumerate(spec.exponents) for _ in range(e - 1)]
-    kk = _color_count(k)
+    m = _color_count(k)
+    scale = Fraction(math.comb(m, k), 2 ** (m - 1) * math.factorial(m))
+    table = []  # (coefficient, signs (1, eps_1, ..., eps_(m-1))) per mask
+    for mask in range(2 ** (m - 1)):
+        eps = [-1 if (mask >> i) & 1 else 1 for i in range(m - 1)]
+        table.append((math.prod(eps) * (1 + sum(eps)) ** (m - k), (1, *eps)))
     summands = []
     for _ in range(trials):
-        counts = [[0] * n for _ in range(kk)]
+        counts = [[0] * n for _ in range(m)]
         for owner in owners:
-            counts[rng.randrange(kk)][owner] += 1
-        forms = [LinearForm(tuple(counts[j]), 1) for j in range(kk)]
-        dc = power_decompose_product(forms, k)
-        summands.extend(dc.summands)
-    return DiagonalCircuit(n, k, tuple(summands), dc.scale)
+            counts[rng.randrange(m)][owner] += 1
+        columns = list(zip(*counts))
+        for coef, signs in table:
+            summands.append((coef, LinearForm(tuple(sum(map(mul, signs, col)) for col in columns), 0)))
+    return DiagonalCircuit(n, k, tuple(summands), scale)
 
 
 def membership_powers(
@@ -217,7 +232,7 @@ def membership_powers(
         for _attempt in range(4):  # fresh prime redraws on a zero result
             p = random_prime(PRIME_BITS, rng)
             point = [rng.randrange(1, p) for _ in range(n)]
-            if scaled_hadamard_eval(c, dj, point, p):
+            if scaled_hadamard_eval(map_scalars(c, lambda x: residue(x, p)), dj, point, p):
                 return True
     return False
 

@@ -184,7 +184,7 @@ def parse_ideal(text: str) -> UnivariateIdeal:
         gens.append((var, UnivariatePoly(coeffs)))
     if not gens:
         raise ValueError("empty ideal file")
-    return UnivariateIdeal(tuple(sorted(gens)))
+    return UnivariateIdeal(tuple(sorted(gens, key=lambda g: g[0])))
 
 
 def write_ideal(ideal: UnivariateIdeal) -> str:

@@ -19,7 +19,6 @@ floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import QQ, Scalar, _inverse
 
@@ -60,10 +59,6 @@ class Matrix:
         if self.rows and any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -88,14 +83,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(zip(*self.rows)) if self.rows else Matrix([])
 
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().rows
-        return Matrix(
-            [[_dot(r, c) for c in cols] for r in self.rows]
-        )
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and all(
             self.rows[i][j] == self.rows[j][i]
@@ -105,15 +92,6 @@ class Matrix:
 
     def rank(self) -> int:
         return rank_and_row_basis(self)[0]
-
-
-def _dot(u, v) -> Scalar:
-    it = iter(zip(u, v))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
 
 
 def rank_and_row_basis(m: Matrix):

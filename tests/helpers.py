@@ -8,7 +8,9 @@ characteristic polynomial through Hessenberg reduction of an explicit matrix
 a prepared remainder evaluator's value through a sparse walk of its levels,
 a circuit's value at a complex rational point through gate-by-gate
 evaluation on `GaussianRational`s, a diagonal circuit through its literal
-expansion, k-Lin-Eq and 1-in-3 SAT through enumeration of assignments.  `oracle_rem_eval` computes a low-rank
+expansion, the detection circuit through Fischer's identity applied to each
+coloring's product of forms (`power_decompose_product`), k-Lin-Eq and 1-in-3
+SAT through enumeration of assignments.  `oracle_rem_eval` computes a low-rank
 remainder with none of the engine's code: the dict-polynomial expansion and
 the table division of `perfbench/oracles.py`, copied here, read the input's
 gates, forms and generator coefficients as plain data.
@@ -20,6 +22,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from unideal.circuits import (
     Add,
@@ -30,10 +34,12 @@ from unideal.circuits import (
     Input,
     Mul,
     expand,
+    map_scalars,
     syntactic_degree,
 )
 from unideal.division import UnivariateIdeal
-from unideal.fields import QQ, _inverse
+from unideal.fields import QQ, _inverse, residue
+from unideal.hadamard import PowerIdealSpec
 from unideal.linalg import LinearForm, Matrix
 from unideal.lowrank import LowRankInput
 from unideal.poly import SparsePoly, UnivariatePoly
@@ -161,6 +167,96 @@ def diagonal_to_sparse(d: DiagonalCircuit) -> SparsePoly:
 def diagonal_evaluate(d: DiagonalCircuit, point):
     """scale * sum c_j * l_j(point)^k, summand by summand."""
     return d.scale * sum(coef * form.evaluate(point) ** d.degree for coef, form in d.summands)
+
+
+def power_decompose_product(forms, k: int) -> DiagonalCircuit:
+    """Degree-k homogeneous part of a product of affine forms, as powers.
+
+    Fischer's identity
+
+        l_1 * ... * l_m = (2^(m-1) m!)^(-1) * sum over eps in {+-1}^(m-1) of
+                          (prod eps_i) (l_1 + sum_i eps_i l_{i+1})^m
+
+    turns prod(forms) into 2^(m-1) m-th powers of affine forms; the degree-k
+    part of each (t + u)^m is binom(m,k) u^(m-k) t^k.  The common factor
+    binom(m,k) / (2^(m-1) m!) is the result's scale; each summand's
+    coefficient is sign * u^(m-k), and all 2^(m-1) summands are kept, zero
+    coefficients included.  Requires k <= m and characteristic 0 or > m.
+    """
+    forms = list(forms)
+    m = len(forms)
+    if m == 0:
+        raise ValueError("need at least one form")
+    if not 0 <= k <= m:
+        raise ValueError("need 0 <= k <= len(forms)")
+    n = forms[0].n
+    scale = F(math.comb(m, k), 2 ** (m - 1) * math.factorial(m))
+    summands = []
+    for mask in range(2 ** (m - 1)):
+        sign = 1
+        lin = list(forms[0].coeffs)
+        const = forms[0].const
+        for i in range(m - 1):
+            eps = 1 if not (mask >> i) & 1 else -1
+            sign *= eps
+            f = forms[i + 1]
+            for j, cc in enumerate(f.coeffs):
+                lin[j] = lin[j] + eps * cc
+            const = const + eps * f.const
+        summands.append((sign * const ** (m - k), LinearForm(tuple(lin), 0)))
+    return DiagonalCircuit(n, k, tuple(summands), scale)
+
+
+def reference_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.Random) -> DiagonalCircuit:
+    """`hadamard.build_detection_circuit` coloring by coloring: each
+    coloring's m = ceil(1.5k) affine forms 1 + (its copies of each variable)
+    go through `power_decompose_product`, and the summands are concatenated
+    under the common scale.  Draws from `rng` as the engine does."""
+    n = spec.n
+    k = spec.k
+    if trials < 1:
+        raise ValueError("need at least one coloring")
+    if k == 0:
+        return DiagonalCircuit(n, 0, ((1, LinearForm((0,) * n)),))
+    if k > spec.m:
+        raise ValueError("degree parameter exceeds the number of placeholder copies")
+    owners = [i for i, e in enumerate(spec.exponents) for _ in range(e - 1)]
+    kk = (3 * k + 1) // 2
+    summands = []
+    for _ in range(trials):
+        counts = [[0] * n for _ in range(kk)]
+        for owner in owners:
+            counts[rng.randrange(kk)][owner] += 1
+        forms = [LinearForm(tuple(counts[j]), 1) for j in range(kk)]
+        dc = power_decompose_product(forms, k)
+        summands.extend(dc.summands)
+    return DiagonalCircuit(n, k, tuple(summands), dc.scale)
+
+
+def mod_p(x, p: int):
+    """A circuit, a diagonal circuit or a point with its scalars mapped to
+    residues mod p, as the residue kernels take them; a diagonal circuit
+    keeps its scale, which `scaled_hadamard_eval` maps itself."""
+    def r(v):
+        return residue(v, p)
+
+    if isinstance(x, Circuit):
+        return map_scalars(x, r)
+    if isinstance(x, DiagonalCircuit):
+        summands = tuple((r(coef), LinearForm(tuple(map(r, form.coeffs)), r(form.const))) for coef, form in x.summands)
+        return DiagonalCircuit(x.n, x.degree, summands, x.scale)
+    return [r(v) for v in x]
+
+
+def identity(n: int) -> Matrix:
+    return Matrix([[F(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    cols = b.transpose().rows
+    return Matrix([[reduce(add, map(mul, r, c)) for c in cols] for r in a.rows])
 
 
 def map_coeffs(f: SparsePoly, fn) -> SparsePoly:

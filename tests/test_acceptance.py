@@ -24,6 +24,7 @@ from helpers import (
     literal_scaled_hadamard,
     map_coeffs,
     one_in_three_assignments,
+    power_decompose_product,
     random_circuit_capped_degree,
     random_low_rank_matrix,
     random_lowrank_instance,
@@ -40,7 +41,6 @@ from unideal.circuits import (
     CircuitBuilder,
     DiagonalCircuit,
     expand,
-    power_decompose_product,
     syntactic_degree,
 )
 from unideal.certifier import (

@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from helpers import multiset_permanent, permutation_permanent, random_low_rank_matrix, walk_eval
+from helpers import identity, multiset_permanent, permutation_permanent, random_low_rank_matrix, walk_eval
 from unideal import apps, fields
 from unideal.apps import (
     Graph,
@@ -50,7 +50,7 @@ def test_ryser_against_permutation_sum():
 
 def test_ryser_size_guard():
     with pytest.raises(ValueError):
-        ryser_permanent(Matrix.identity(21))
+        ryser_permanent(identity(21))
 
 
 def test_permanent_all_ones_factorial():

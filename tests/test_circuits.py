@@ -4,14 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import diagonal_evaluate, diagonal_to_sparse, random_circuit, random_circuit_capped_degree
+from helpers import (
+    diagonal_evaluate,
+    diagonal_to_sparse,
+    mod_p,
+    power_decompose_product,
+    random_circuit,
+    random_circuit_capped_degree,
+)
 from unideal.circuits import (
     CapExceeded,
     CircuitBuilder,
     DiagonalCircuit,
     expand,
     homogeneous_part_eval,
-    power_decompose_product,
     syntactic_degree,
 )
 from unideal.fields import GF
@@ -120,7 +126,7 @@ def test_homogeneous_part_over_small_fields():
                     F(0),
                 )
                 want = want.numerator * pow(want.denominator, -1, p) % p
-                assert homogeneous_part_eval(c, k, [pt], p)[0] == want
+                assert homogeneous_part_eval(mod_p(c, p), k, [pt], p)[0] == want
                 assert homogeneous_part_eval(c, k, [[GF(p)(x) for x in pt]])[0] == want
 
 
@@ -164,10 +170,11 @@ def test_homogeneous_part_block_matches_single_points(size):
             assert got == [_degree_part(f, k, pt) for pt in pts]
             assert got == [homogeneous_part_eval(c, k, [pt])[0] for pt in pts]
             ipts = [[rng.randrange(p) for _ in range(n)] for _ in range(size)]
-            got = homogeneous_part_eval(c, k, ipts, p)
+            cp = mod_p(c, p)
+            got = homogeneous_part_eval(cp, k, ipts, p)
             want = [_degree_part(f, k, pt) for pt in ipts]
             assert got == [w.numerator * pow(w.denominator, -1, p) % p for w in want]
-            assert got == [homogeneous_part_eval(c, k, [pt], p)[0] for pt in ipts]
+            assert got == [homogeneous_part_eval(cp, k, [pt], p)[0] for pt in ipts]
             assert all(type(v) is int and 0 <= v < p for v in got)
 
 

@@ -3,12 +3,15 @@
 The coloring-coverage rate behind the power-ideal test: a batch of
 coverage_trials(k) colorings misses a fixed degree-k monomial with
 probability at most 2^-k, and `scripts/coverage_experiment.py` exits 1 when
-an observed miss count is improbable under that rate.
+an observed miss count is improbable under that rate.  The growth of the
+detection circuit's fan-in that README states next to its asymptotic base.
 """
 
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
+
+from unideal.hadamard import _color_count, degree_trials
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "coverage_experiment.py"
 
@@ -40,3 +43,14 @@ def test_coverage_experiment_fails_on_a_planted_shortfall(monkeypatch, capsys):
     monkeypatch.setattr(module, "coverage_trials", lambda k: 1)
     assert module.main(["--runs", "200", "--seed", "0"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_fan_in_grows_about_22_per_two_steps():
+    # README: with the automatic trial count at m = 3k, the fan-in
+    # degree_trials(k, 3k) * 2^(ceil(1.5k) - 1) grows about 22x per two steps
+    # of k for k = 4..12, above the asymptotic 4.44^2 (about 19.7), because
+    # the trial count's log binom(m,k) + 20 factor still shows at these k.
+    fan_in = {k: degree_trials(k, 3 * k) * 2 ** (_color_count(k) - 1) for k in range(4, 13)}
+    ratios = [Fraction(fan_in[k], fan_in[k - 2]) for k in range(6, 13)]
+    assert all(21 < r < 24 for r in ratios), [float(r) for r in ratios]
+    assert min(ratios) > Fraction(444, 100) ** 2

@@ -10,7 +10,9 @@ from helpers import (
     diagonal_evaluate,
     diagonal_to_sparse,
     literal_scaled_hadamard,
+    mod_p,
     random_circuit_capped_degree,
+    reference_detection_circuit,
 )
 from unideal.circuits import (
     Add,
@@ -84,7 +86,7 @@ def test_scaled_hadamard_matches_literal_definition():
         d = DiagonalCircuit(n, k, summands, F(scales.randint(-9, 9) or 1, scales.randint(2, 9)))
         want = literal_scaled_hadamard(expand(c), diagonal_to_sparse(d), pt)
         assert scaled_hadamard_eval(c, d, pt) == want
-        assert scaled_hadamard_eval(c, d, pt, p) == fields.residue(want, p)
+        assert scaled_hadamard_eval(mod_p(c, p), mod_p(d, p), mod_p(pt, p), p) == fields.residue(want, p)
 
 
 @pytest.mark.parametrize("fan_in", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
@@ -120,7 +122,7 @@ def test_scaled_hadamard_one_pass_per_block(monkeypatch, fan_in):
     assert scaled_hadamard_eval(c, d, pt) == want
     assert passes == blocks
     passes.clear()
-    assert scaled_hadamard_eval(c, d, pt, p) == want.numerator * pow(want.denominator, -1, p) % p
+    assert scaled_hadamard_eval(mod_p(c, p), mod_p(d, p), pt, p) == want.numerator * pow(want.denominator, -1, p) % p
     assert passes == blocks
 
 
@@ -170,6 +172,22 @@ def test_detection_circuit_holds_ints_and_one_scale():
         for coef, form in d.summands:
             assert type(coef) is int and type(form.const) is int
             assert all(type(x) is int for x in form.coeffs)
+
+
+def test_detection_circuit_matches_per_coloring_reference():
+    # Fischer's table, built once per degree, gives what the identity gives
+    # applied to each coloring's own product of forms: the same summands in
+    # the same order under the same scale, and the same draws from the rng.
+    # The grid holds k = 0 and k = m (every placeholder copy in the monomial).
+    for exps in [(2, 2), (4,), (2,) * 6, (2, 2, 3, 1, 2), (3,) * 6]:
+        m = sum(e - 1 for e in exps)
+        for k in range(min(6, m) + 1):
+            spec = PowerIdealSpec(exps, k)
+            for trials in (1, 3):
+                for seed in (0, 1):
+                    rng, ref = random.Random(seed), random.Random(seed)
+                    assert build_detection_circuit(spec, trials, rng) == reference_detection_circuit(spec, trials, ref)
+                    assert rng.getstate() == ref.getstate()
 
 
 def test_zero_trials_rejected():
@@ -369,7 +387,7 @@ def test_homogeneous_part_and_scaled_hadamard_match_sympy():
 
         want = part([sympy.Rational(x.numerator, x.denominator) for x in pt])
         assert homogeneous_part_eval(c, k, [pt])[0] == F(int(want.p), int(want.q))
-        assert homogeneous_part_eval(c, k, [ipt], p)[0] == _to_residue(part([sympy.Integer(x) for x in ipt]), p)
+        assert homogeneous_part_eval(mod_p(c, p), k, [ipt], p)[0] == _to_residue(part([sympy.Integer(x) for x in ipt]), p)
 
         # The literal definition: sum over monomials m of m! [m]f [m]D b^m.
         summands = tuple(
@@ -396,7 +414,7 @@ def test_homogeneous_part_and_scaled_hadamard_match_sympy():
         want = literal([sympy.Rational(x.numerator, x.denominator) for x in pt])
         assert scaled_hadamard_eval(c, d, pt) == F(int(want.p), int(want.q))
         field = GF(p)
-        got = scaled_hadamard_eval(c, d, ipt, p)
+        got = scaled_hadamard_eval(mod_p(c, p), mod_p(d, p), ipt, p)
         assert got == field(_to_residue(literal([sympy.Integer(x) for x in ipt]), p))
 
     check()

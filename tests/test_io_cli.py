@@ -270,11 +270,15 @@ def test_cli_determinism(workdir, capsys):
 
 
 def test_cli_mlmd(workdir, capsys):
-    code, out = run_cli(
-        capsys, "mlmd", "--circuit", str(workdir / "mlc.txt"), "--k", "2",
-        "--exponents", "2 2", "--trials", "auto", "--seed", "11",
-    )
+    argv = ["mlmd", "--circuit", str(workdir / "mlc.txt"), "--exponents", "2 2", "--trials", "auto", "--seed", "11"]
+    code, out = run_cli(capsys, *argv)
     assert code == 0 and "decision: NOT-IN-IDEAL" in out
+    assert "degrees 0..2" in out
+    # The degree is the circuit's syntactic degree; there is no --k to override it.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--k", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 1" in capsys.readouterr().err
 
 
 def test_cli_certify_search_then_verify(workdir, capsys):
@@ -380,6 +384,9 @@ MALFORMED = {
     "circuit-in-without-var": ("bad.txt", "vars 1\nin\nout 0\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
     "circuit-dangling-plus": ("bad.txt", "vars 1\nlin 1 +\nout 0\n", ["mlmd", "--circuit", "bad.txt", "--exponents", "2"]),
     "ideal-short-line": ("bad.txt", "var 0\n", ["member", "--circuit", "mlc.txt", "--ideal", "bad.txt"]),
+    "ideal-two-generators-one-var": (
+        "bad.txt", "var 0 : -1 0 1\nvar 0 : 1/2 1\n", ["member", "--circuit", "mlc.txt", "--ideal", "bad.txt"],
+    ),
     "graph-empty": ("bad.txt", "", ["vc", "--graph", "bad.txt", "--k", "1"]),
     "klineq-empty": ("bad.txt", "# nothing\n", ["reduce", "klineq", "--in", "bad.txt"]),
     "klineq-without-b": ("bad.txt", "1 2\n", ["reduce", "klineq", "--in", "bad.txt"]),

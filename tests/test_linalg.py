@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import charpoly
+from helpers import charpoly, identity, matmul
 from unideal.fields import GF, QQ, Mod
 from unideal.linalg import (
     Matrix,
@@ -20,11 +20,11 @@ def frac_matrix(rows):
 
 
 def test_rank_identity():
-    m = Matrix.identity(3)
+    m = identity(3)
     rank, basis, coords = rank_and_row_basis(m)
     assert rank == 3
     assert basis == [0, 1, 2]
-    assert coords == Matrix.identity(3)
+    assert coords == identity(3)
 
 
 def test_rank_all_ones():
@@ -85,7 +85,7 @@ def _check_congruence(a, field=QQ):
     rank(A) nonzero entries."""
     p, d = congruence_diagonalize(a, field)
     n = a.nrows
-    assert p * d * p.transpose() == Matrix([[field(x) for x in row] for row in a.rows])
+    assert matmul(matmul(p, d), p.transpose()) == Matrix([[field(x) for x in row] for row in a.rows])
     assert p.rank() == n
     assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
     assert sum(1 for i in range(n) if d[i, i]) == a.rank()
@@ -93,10 +93,10 @@ def _check_congruence(a, field=QQ):
 
 
 def test_congruence_identity():
-    a = Matrix.identity(3)
+    a = identity(3)
     p, d = _check_congruence(a)
-    assert p == Matrix.identity(3)
-    assert d == Matrix.identity(3)
+    assert p == identity(3)
+    assert d == identity(3)
 
 
 def test_congruence_hyperbolic_plane():

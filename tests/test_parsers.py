@@ -142,7 +142,7 @@ if __name__ == "__main__":
 
 
 # The hypothesis tests; the script above runs without hypothesis.
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 _no_exponent = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not re.fullmatch("e", c, re.I))
 _digit_runs = st.from_regex(r"\A\s?[+-]?\d{1,4}(_\d{1,3})?\s?\Z")
@@ -209,6 +209,7 @@ def test_parse_lowrank_raises_only_value_error(text):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_word_texts, _mutations(VALID_IDEAL)))
+@example("var 0 : -1 0 1\nvar 0 : 1/2 1\n")  # two different generators for one variable
 def test_parse_ideal_raises_only_value_error(text):
     _parses_or_value_error(uio.parse_ideal, text)
 
