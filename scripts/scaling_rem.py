@@ -41,7 +41,7 @@ def build_instance(rng, n):
         )
     )
     alpha = [F(rng.randint(-4, 4)) for _ in range(n)]
-    return LowRankInput(outer, forms, 3), ideal, alpha
+    return LowRankInput(outer, forms), ideal, alpha
 
 
 def main():

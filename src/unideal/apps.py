@@ -147,7 +147,7 @@ def _permanent_input(a: Matrix, field):
     b = CircuitBuilder(rank)
     outer = b.build(b.product([b.linear(LinearForm(tuple(row))) for row in coord_rows]))
     forms = tuple(LinearForm(a.rows[i]) for i in basis)
-    return LowRankInput(outer, forms, max(n, 1)), rank, scale
+    return LowRankInput(outer, forms), rank, scale
 
 
 def permanent_lowrank(a: Matrix, field=QQ):
@@ -209,7 +209,7 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False):
     outer = b.build(b.product(factor_ids))
     boolean = UnivariatePoly([Fraction(0), Fraction(-1), Fraction(1)])
     ideal = UnivariateIdeal(tuple((i, boolean) for i in range(n)))
-    return LowRankInput(outer, tuple(forms), deg_bound), ideal, deg_bound
+    return LowRankInput(outer, tuple(forms)), ideal, deg_bound
 
 
 VC_PRIME = 2**61 - 1

@@ -191,7 +191,7 @@ def syntactic_degree(c: Circuit) -> int:
     return deg[c.out]
 
 
-def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> SparsePoly:
+def expand(c: Circuit, monomial_cap: int | None = 10**6, images=None, reducer=None) -> SparsePoly:
     """Exact sparse expansion; aborts with CapExceeded past the term budget.
 
     With `images` (one SparsePoly per input variable, all over the same
@@ -204,12 +204,21 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
     factor of total degree at most 2 (an image form, its square, or a
     quadratic form shifted by a constant, as in the vertex-cover factors
     q - s) in shift-and-fold passes, without the unreduced product.
+    Those products take no cap, and `monomial_cap` (None for none) then
+    bounds only the Add gates: a reduced product of degree D over w
+    variables has at most C(D + w, w) terms.  Only the gates the output
+    reaches are expanded.
     """
     n = c.n if images is None else (images[0].n if images else 0)
     p = images[0].p if images else None
     reduce = (lambda f: f) if reducer is None else reducer.reduce
+    live = {c.out}
+    for i in range(c.out, -1, -1):  # children precede parents
+        if i in live and isinstance(c.nodes[i], (Add, Mul)):
+            live.update(c.nodes[i].children)
     vals: list = [None] * len(c.nodes)
-    for i, node in enumerate(c.nodes):
+    for i in sorted(live):
+        node = c.nodes[i]
         if isinstance(node, Input):
             vals[i] = reduce(SparsePoly.variable(n, node.var) if images is None else images[node.var])
         elif isinstance(node, Const):
@@ -218,7 +227,7 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
             acc = vals[node.children[0]]
             for ch in node.children[1:]:
                 acc = acc + vals[ch]
-            if len(acc.terms) > monomial_cap:
+            if monomial_cap is not None and len(acc.terms) > monomial_cap:
                 raise CapExceeded(f"term count exceeded cap {monomial_cap}")
             vals[i] = acc
         elif isinstance(node, Mul):
@@ -227,7 +236,7 @@ def expand(c: Circuit, monomial_cap: int = 10**6, images=None, reducer=None) -> 
                 if reducer is None:
                     acc = acc.mul(vals[ch], cap=monomial_cap)
                 else:
-                    acc = reducer.mul(acc, vals[ch], monomial_cap)
+                    acc = reducer.mul(acc, vals[ch])
             vals[i] = acc
         else:
             # One dict pass over the images, so a gate over plain variables

@@ -119,10 +119,8 @@ def _cmd_member(args) -> int:
             raise ValueError("lowrank mode needs --forms")
         sd = syntactic_degree(circuit)
         d = max(sd, max(p.degree() for _, p in ideal.generators))
-        inp = LowRankInput(circuit, forms, d)
-        ev = RemEvaluator(inp, ideal)
-        n = inp.n
-        nonzero = random_zero_test(ev.schedule(), n, d, args.trials, rng, field=QQ)
+        ev = RemEvaluator(LowRankInput(circuit, forms), ideal)
+        nonzero = random_zero_test(ev.schedule(), ev.inp.n, d, args.trials, rng, field=QQ)
         # The remainder has degree < deg p_i in each x_i, and at most the circuit's.
         deg_rem = min(sd, sum(p.degree() - 1 for _, p in ideal.generators))
         err = 0 if nonzero else zero_test_miss_bound(deg_rem, d, args.trials)
@@ -157,7 +155,7 @@ def _cmd_member(args) -> int:
 
 
 def _cmd_rem_eval(args) -> int:
-    inp = uio.parse_lowrank(_read(args.input), degree_bound=args.degree_bound)
+    inp = uio.parse_lowrank(_read(args.input))
     ideal = uio.parse_ideal(_read(args.ideal))
     point = uio.parse_point(args.point)
     t0 = time.perf_counter()
@@ -180,15 +178,12 @@ def _cmd_perm(args) -> int:
         mode = "lowrank" if rank < n or n > 20 else "ryser"
     t0 = time.perf_counter()
     value = permanent_lowrank(matrix) if mode == "lowrank" else ryser_permanent(matrix)
-    fields = {
+    _emit(args, {
         "value": uio.format_scalar(value),
         "algorithm": f"dispatch={args.mode}->{mode} (rank {rank})",
         "error_bound": "0 (exact)",
         "timings": f"{time.perf_counter() - t0:.6f}s",
-    }
-    if args.rank is not None and args.rank != rank:
-        fields["note"] = f"declared rank {args.rank} differs from computed rank {rank}"
-    _emit(args, fields)
+    })
     return 0
 
 
@@ -335,13 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--ideal", required=True)
     sp.add_argument("--point", required=True)
-    sp.add_argument("--degree-bound", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=_cmd_rem_eval)
 
     sp = sub.add_parser("perm", help="matrix permanent")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--rank", type=int, default=None)
     sp.add_argument("--mode", choices=["auto", "ryser", "lowrank"], default="auto")
     common(sp)
     sp.set_defaults(fn=_cmd_perm)

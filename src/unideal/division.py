@@ -108,8 +108,8 @@ class _Reducer:
                 sub.folds[j] = self.folds[offset + j]
         return sub
 
-    def mul(self, f: SparsePoly, h: SparsePoly, cap: int | None = None) -> SparsePoly:
-        """reduce(f.mul(h, cap=cap)) for a reduced f.
+    def mul(self, f: SparsePoly, h: SparsePoly) -> SparsePoly:
+        """reduce(f.mul(h)) for a reduced f.
 
         When h has total degree at most 2 no unreduced product is formed.
         f * x^e is (f * x^(e - e_v)) * x_v, v the last variable of e, and
@@ -121,18 +121,19 @@ class _Reducer:
         output, and the sums are reduced mod p once, at the end.  h need not
         be reduced.
 
-        Two cases stay `reduce(f.mul(h, cap=cap))`.  One is h of degree 3 or
-        more: chaining the passes there made the certifier's threshold,
-        whose dense R has 36-138 terms of degree 4-6, 1.5-2.7x slower.  At
-        degree 2 the passes cut the level-0 expansion of the 13 `vc` ops of
-        the `lowrank` benchmark (seed 9001, 2 vCPUs, Python 3.11) from
-        210-237 ms to 125-133 ms.  The other is len(f) * len(h) > `cap`,
-        where `mul` may raise CapExceeded partway, so this raises exactly
-        when `mul` would.
+        An h of degree 3 or more stays `reduce(f.mul(h))`: chaining the
+        passes there made the certifier's threshold, whose dense R has
+        36-138 terms of degree 4-6, 1.5-2.7x slower.  At degree 2 the passes
+        cut the level-0 expansion of the 13 `vc` ops of the `lowrank`
+        benchmark (seed 9001, 2 vCPUs, Python 3.11) from 210-237 ms to
+        125-133 ms.  No term cap is needed: in `expand` and on the low-rank
+        levels, f and h are reduced over w variables and their product has
+        degree D at most its gate's syntactic degree, so at most
+        C(D + w, w) terms, (d+1)^(2r) on a level (w <= 2r).
         """
         p = _same_modulus(f, h)
-        if (cap is not None and len(f.terms) * len(h.terms) > cap) or any(sum(e) > 2 for e in h.terms):
-            return self.reduce(f.mul(h, cap=cap))
+        if any(sum(e) > 2 for e in h.terms):
+            return self.reduce(f.mul(h))
         items = f.terms.items()
         # The constant term of h maps f's distinct terms to distinct terms.
         c0 = h.terms.get((0,) * f.n)

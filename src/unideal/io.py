@@ -208,15 +208,10 @@ def parse_graph(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def parse_lowrank(text: str, degree_bound: int | None = None) -> LowRankInput:
+def parse_lowrank(text: str) -> LowRankInput:
     lines = list(_content_lines(text))
     outer = _parse_circuit_lines([l for l in lines if not l.startswith("form ")])
-    forms = _parse_form_lines(lines)
-    if degree_bound is None:
-        from .circuits import syntactic_degree
-
-        degree_bound = syntactic_degree(outer)
-    return LowRankInput(outer, forms, degree_bound)
+    return LowRankInput(outer, _parse_form_lines(lines))
 
 
 def parse_forms(text: str):

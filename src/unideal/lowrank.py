@@ -15,8 +15,7 @@ touching more than 2r variables at a time:
   2. write the polynomial over the s + r' local variables: at the first level
      expand the outer circuit, deeper down compose the previous level's
      polynomial with the local forms, reducing by the generators of the
-     consumed variables after every product so intermediate term counts stay
-     inside the (d+1)^(2r) budget,
+     consumed variables after every product,
   3. substitute alpha for the consumed variables,
   4. recurse on the surviving fresh variables, which stand for the
      independent rest-forms, against the ideal on the remaining variables.
@@ -52,6 +51,12 @@ Each product that builds a column is a reduced polynomial times an affine
 form, and each product of the level-0 expansion is one by a factor of
 degree at most 2; both are formed and reduced in shift-and-fold passes by
 `division._Reducer.mul`.
+
+No term cap or declared degree bound is needed: a level's polynomials are
+reduced over its w <= 2r variables, and an unreduced product of two of them
+has degree D at most its gate's syntactic degree (`expand` skips gates the
+output does not reach), so at most C(D + w, w) <= (d+1)^(2r) terms, d the
+larger of the outer circuit's syntactic degree and the generators' degrees.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ class LowRankInput:
 
     outer: Circuit
     forms: tuple
-    degree_bound: int
 
     def __post_init__(self):
         if self.outer.n != len(self.forms):
@@ -87,8 +91,6 @@ class LowRankInput:
             n = self.forms[0].n
             if any(f.n != n for f in self.forms):
                 raise ValueError("forms must share one variable count")
-        if self.degree_bound < 0:
-            raise ValueError("negative degree bound")
 
     @property
     def n(self) -> int:
@@ -119,7 +121,7 @@ class RemEvaluator:
     fixed sparse matrix (`_compile`), and a point is one product per level
     (`_run`).  `eval` compiles the levels for one point and drops each once
     applied; `schedule` compiles them once and keeps them for many points.
-    Every product is capped at (d+1)^(2r) terms.
+    No product is capped; the module docstring bounds each by (d+1)^(2r).
 
     `field` is QQ (the default) or a `fields.GF(p)`.  Every scalar of the
     input (form coefficients and constants, generator coefficients, and the
@@ -144,7 +146,7 @@ class RemEvaluator:
         split = scalar if self.p is None else field
         outer = map_scalars(inp.outer, scalar)
         forms = tuple(LinearForm(tuple(map(split, f.coeffs)), split(f.const)) for f in inp.forms)
-        self.inp = inp = LowRankInput(outer, forms, inp.degree_bound)
+        self.inp = inp = LowRankInput(outer, forms)
         ideal = ideal.over(split)
         n = inp.n
         support = set()
@@ -156,10 +158,7 @@ class RemEvaluator:
         missing = sorted(v for v in support if v not in gens)
         if missing:
             raise ValueError(f"no generator for live variables {missing}")
-        gen_deg = max((p.degree() for _, p in ideal.generators), default=0)
-        d = max(inp.degree_bound, gen_deg)
         r = len(inp.forms)
-        self.cap = (d + 1) ** (2 * r)
         self.levels: list[_Level] = []
         # Every level's forms are tails of a subset of the input rows, so one
         # elimination of the whole coefficient matrix serves all levels, and
@@ -178,10 +177,10 @@ class RemEvaluator:
         # every form is a constant, and so is the expansion.
         if self.levels:
             lvl = self.levels[0]
-            self._base = expand(inp.outer, self.cap, lvl.hats, lvl.reducer)
+            self._base = expand(inp.outer, None, lvl.hats, lvl.reducer)
         else:
             images = [SparsePoly.const(0, scalar(f.const), self.p) for f in inp.forms]
-            self._base = expand(inp.outer, self.cap, images)
+            self._base = expand(inp.outer, None, images)
 
     def _prepare_level(self, rows, offset: int, reducer: _Reducer, pivots) -> _Level:
         """Split the tails from `offset` of the input rows `rows`.
@@ -259,7 +258,7 @@ class RemEvaluator:
         level, support = _compile_level([self._base], 0, self.levels[0].s if self.levels else 0, exact)
         yield level
         for lvl in self.levels[1:]:
-            level, support = _compile_level(_columns(lvl, support, self.cap), lvl.offset, lvl.s, exact)
+            level, support = _compile_level(_columns(lvl, support), lvl.offset, lvl.s, exact)
             yield level
         if any(support):
             raise AssertionError("recursion left live variables")
@@ -332,7 +331,7 @@ def _compile_level(cols, offset: int, s: int, exact: bool):
     return (offset, s, list(consumed), rows, len(tails), scale), list(tails)
 
 
-def _columns(lvl: _Level, support, cap: int):
+def _columns(lvl: _Level, support):
     """The columns reduce(prod_j hat_j^a_j) of one level, for the incoming
     monomials a in `support`.
 
@@ -350,7 +349,7 @@ def _columns(lvl: _Level, support, cap: int):
             a = a[:j] + (a[j] - 1,) + a[j + 1 :]
         col = memo[a]
         for b, j in reversed(chain):
-            col = memo[b] = reducer.mul(col, hats[j], cap)
+            col = memo[b] = reducer.mul(col, hats[j])
         cols.append(col)
     return cols
 

@@ -78,7 +78,7 @@ def run_selftest(seed: int = 0) -> list:
         forms = tuple(
             LinearForm(tuple(F(rng.randint(-2, 2)) for _ in range(n))) for _ in range(r)
         )
-        inp = LowRankInput(outer, forms, max(syntactic_degree(outer), 1))
+        inp = LowRankInput(outer, forms)
         ideal = _random_ideal(rng, n, 3)
         alpha = [F(rng.randint(-4, 4)) for _ in range(n)]
         want = divide(expand(inline_forms(inp)), ideal).evaluate(alpha)
@@ -133,12 +133,13 @@ def run_selftest(seed: int = 0) -> list:
             while syntactic_degree(outer) > 4:
                 outer = _random_outer(rng, outer.n)
         ideal = PowerIdealSpec(exps, 0).to_ideal(QQ)
-        inp = LowRankInput(outer, tuple(forms[: outer.n]), max(syntactic_degree(outer), *exps))
+        inp = LowRankInput(outer, tuple(forms[: outer.n]))
+        deg_bound = max(syntactic_degree(outer), *exps)
         c = inline_forms(inp)
         brute = is_member_brute(c, ideal)
         powers = not membership_powers(c, PowerIdealSpec(exps, syntactic_degree(c)), rng=random.Random(seed + t))
         lowrank = not random_zero_test(
-            RemEvaluator(inp, ideal).schedule(), n, inp.degree_bound, 5, random.Random(seed + t), field=QQ
+            RemEvaluator(inp, ideal).schedule(), n, deg_bound, 5, random.Random(seed + t), field=QQ
         )
         if not brute == powers == lowrank:
             failures.append(f"engines disagree on instance {t}: brute={brute} powers={powers} lowrank={lowrank}")

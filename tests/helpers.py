@@ -35,7 +35,6 @@ from unideal.circuits import (
     Mul,
     expand,
     map_scalars,
-    syntactic_degree,
 )
 from unideal.division import UnivariateIdeal
 from unideal.fields import QQ, _inverse, residue
@@ -107,20 +106,6 @@ def lift_forms(forms, field):
     return tuple(
         LinearForm(tuple(field(c) for c in f.coeffs), field(f.const)) for f in forms
     )
-
-
-def lift_circuit(c: Circuit, field) -> Circuit:
-    from unideal.circuits import Add, Const, Input, Linear, Mul
-
-    nodes = []
-    for node in c.nodes:
-        if isinstance(node, Const):
-            nodes.append(Const(field(node.value)))
-        elif isinstance(node, Linear):
-            nodes.append(Linear(LinearForm(tuple(field(x) for x in node.form.coeffs), field(node.form.const))))
-        else:
-            nodes.append(node)
-    return Circuit(c.n, nodes, c.out)
 
 
 def ideal_power_exponents(ideal: UnivariateIdeal):
@@ -312,8 +297,7 @@ def random_lowrank_instance(rng: random.Random, n_max=6, r_max=3, d_max=4):
     r = rng.randint(1, r_max)
     outer = random_circuit_capped_degree(rng, r, d_max)
     forms = random_forms(rng, r, n)
-    d = max(syntactic_degree(outer), 1)
-    inp = LowRankInput(outer, forms, d)
+    inp = LowRankInput(outer, forms)
     ideal = random_ideal(rng, n, d_max)
     alpha = [F(rng.randint(-4, 4)) for _ in range(n)]
     return inp, ideal, alpha

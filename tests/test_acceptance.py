@@ -18,7 +18,6 @@ from helpers import (
     brute_power_membership,
     diagonal_to_sparse,
     klineq_solutions,
-    lift_circuit,
     lift_forms,
     lift_ideal,
     literal_scaled_hadamard,
@@ -41,6 +40,7 @@ from unideal.circuits import (
     CircuitBuilder,
     DiagonalCircuit,
     expand,
+    map_scalars,
     syntactic_degree,
 )
 from unideal.certifier import (
@@ -81,9 +81,7 @@ def test_criterion_01_remainder_oracle_equivalence():
         want = oracle_poly.evaluate(alpha)
         assert rem_eval(inp, ideal, alpha) == want
         for g in fields:
-            inp_p = LowRankInput(
-                lift_circuit(inp.outer, g), lift_forms(inp.forms, g), inp.degree_bound
-            )
+            inp_p = LowRankInput(map_scalars(inp.outer, g), lift_forms(inp.forms, g))
             ideal_p = lift_ideal(ideal, g)
             alpha_p = [g(a) for a in alpha]
             got_p = rem_eval(inp_p, ideal_p, alpha_p, g)
@@ -352,7 +350,7 @@ def test_criterion_10_scaling_smoke():
         forms = tuple(
             LinearForm(tuple(F(rng.randint(-3, 3)) for _ in range(n))) for _ in range(2)
         )
-        inp = LowRankInput(outer, forms, 3)
+        inp = LowRankInput(outer, forms)
         gens = tuple(
             (
                 i,

@@ -14,6 +14,7 @@ from helpers import (
 )
 from unideal.circuits import (
     CapExceeded,
+    Circuit,
     CircuitBuilder,
     DiagonalCircuit,
     expand,
@@ -75,6 +76,9 @@ def test_expand_cap():
     c = b.build(b.mul(s, s))
     with pytest.raises(CapExceeded):
         expand(c, monomial_cap=1)
+    # A gate the output does not reach is not expanded, so it cannot exceed
+    # the cap: here the square is left dangling and the output is s.
+    assert expand(Circuit(2, c.nodes, s), monomial_cap=2).terms == {(1, 0): F(1), (0, 1): F(1)}
 
 
 def test_homogeneous_part_linear_slice():

@@ -69,7 +69,7 @@ def power_ideal_instances(draw):
         forms[1] = LinearForm(tuple(F(int(i == 0)) for i in range(n)))
     else:
         outer = draw(_outer(draw(st.integers(1, 2))))
-    inp = LowRankInput(outer, tuple(forms[: outer.n]), max(syntactic_degree(outer), *exps))
+    inp = LowRankInput(outer, tuple(forms[: outer.n]))
     return inp, exps, member
 
 
@@ -81,7 +81,8 @@ def test_brute_lowrank_and_powers_agree(instance, seed):
     c = inline_forms(inp)
     brute = is_member_brute(c, ideal)
     lowrank = not random_zero_test(
-        RemEvaluator(inp, ideal).schedule(), inp.n, inp.degree_bound, 5, random.Random(seed), field=QQ
+        RemEvaluator(inp, ideal).schedule(), inp.n, max(syntactic_degree(inp.outer), *exps), 5, random.Random(seed),
+        field=QQ
     )
     powers = not membership_powers(c, PowerIdealSpec(exps, syntactic_degree(c)), rng=random.Random(seed))
     assert brute == lowrank == powers

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import map_coeffs, random_ideal, random_sparse
-from unideal.circuits import CircuitBuilder, expand
+from unideal.circuits import CircuitBuilder, expand, map_scalars
 from unideal.division import (
     UnivariateIdeal,
     _Reducer,
@@ -153,9 +153,7 @@ def test_member_brute_triangle_coloring():
     assert not is_member_brute(c, ideal)
     g = GF(7)
     roots = [g(1), g(2), g(4)]
-    from helpers import lift_circuit
-
-    assert lift_circuit(c, g).evaluate(roots) != g(0)
+    assert map_scalars(c, g).evaluate(roots) != g(0)
 
 
 def test_member_brute_cap():
@@ -278,7 +276,7 @@ KERNEL_FIELDS = {"qq-int": None, "qq-fraction": None, "gf7": 7, "gf-mersenne": 2
 
 @st.composite
 def kernel_products(draw):
-    """A reducer, a reduced f, an h of degree <= 2 and a cap.
+    """A reducer, a reduced f and an h of degree <= 2.
 
     Some variables have no generator (they never fold) and some generators
     have degree 1 (every shift folds); h gets constants, variables, squares
@@ -313,24 +311,17 @@ def kernel_products(draw):
                 h[tuple(e)] = scalar(True)
     if draw(st.booleans()):
         h[(0,) * n] = scalar(True)
-    return reducer, f, SparsePoly(n, h, p), draw(st.integers(0, 40))
+    return reducer, f, SparsePoly(n, h, p)
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_products())
 def test_reducer_mul_is_reduced_product(case):
-    reducer, f, h, cap = case
+    reducer, f, h = case
     want = reducer.reduce(f.mul(h))
     got = reducer.mul(f, h)
     assert got == want and got.p == h.p
     assert all(type(c) is not float for c in got.terms.values())
-    try:
-        want = reducer.reduce(f.mul(h, cap=cap))
-    except CapExceeded:
-        with pytest.raises(CapExceeded):
-            reducer.mul(f, h, cap)
-    else:
-        assert reducer.mul(f, h, cap) == want
 
 
 def test_reducer_mul_edge_cases():
@@ -346,8 +337,8 @@ def test_reducer_mul_edge_cases():
 
 
 def test_reducer_mul_forms_no_product_below_degree_three(monkeypatch):
-    # h of degree <= 2 runs the shift-and-fold passes only; a cubic h, and an
-    # h past the cap, multiply with `SparsePoly.mul` and reduce after.
+    # h of degree <= 2 runs the shift-and-fold passes only; a cubic h
+    # multiplies with `SparsePoly.mul` and reduces after.
     reducer = _Reducer(UnivariateIdeal(((0, boolean_gen()), (2, UnivariatePoly([1, -1, 0, 1])))))
     f = SparsePoly(3, {(1, 0, 2): 2, (0, 3, 1): -1, (0, 0, 0): 5})
     quadratic = SparsePoly(3, {(0, 1, 1): 1, (0, 0, 2): -3, (2, 0, 0): 4, (0, 0, 0): -1})
@@ -363,9 +354,6 @@ def test_reducer_mul_forms_no_product_below_degree_three(monkeypatch):
     monkeypatch.setattr(SparsePoly, "mul", spy)
     assert reducer.mul(f, quadratic) == want[quadratic] and calls == []
     assert reducer.mul(f, cubic) == want[cubic] and calls == [cubic]
-    with pytest.raises(CapExceeded):
-        reducer.mul(f, quadratic, cap=1)
-    assert calls == [cubic, quadratic]
 
 
 def test_expand_with_reducer_reduces_plain_inputs():

@@ -10,9 +10,9 @@ from unideal.apps import Graph
 from unideal.certifier import Certificate
 from unideal.circuits import CircuitBuilder, expand
 from unideal.cli import main
-from unideal.division import UnivariateIdeal
+from unideal.division import UnivariateIdeal, divide
 from unideal.linalg import LinearForm
-from unideal.lowrank import LowRankInput
+from unideal.lowrank import LowRankInput, inline_forms
 from unideal.poly import UnivariatePoly
 
 F = Fraction
@@ -47,11 +47,10 @@ def test_graph_parsing():
 def test_lowrank_roundtrip():
     b = CircuitBuilder(1)
     outer = b.build(b.mul(b.input(0), b.input(0)))
-    inp = LowRankInput(outer, (LinearForm((F(1), F(1)), F(2)),), 2)
+    inp = LowRankInput(outer, (LinearForm((F(1), F(1)), F(2)),))
     text = uio.write_lowrank(inp)
     back = uio.parse_lowrank(text)
     assert back.forms == inp.forms
-    assert back.degree_bound == 2
 
 
 def test_certificate_roundtrip():
@@ -92,9 +91,10 @@ def run_cli(capsys, *argv) -> tuple:
 
 
 def test_cli_perm(workdir, capsys):
-    code, out = run_cli(capsys, "perm", "--matrix", str(workdir / "ones4.txt"), "--rank", "1")
+    code, out = run_cli(capsys, "perm", "--matrix", str(workdir / "ones4.txt"))
     assert code == 0
     assert "value: 24" in out
+    assert "(rank 1)" in out
 
 
 def test_cli_member_brute_zero(workdir, capsys):
@@ -434,6 +434,41 @@ def test_cli_rem_eval(workdir, capsys, tmp_path):
         "--point", "1 1",
     )
     assert code == 0 and "value: 2" in out
+
+
+def test_cli_rem_eval_gate_the_output_does_not_reach(capsys, tmp_path):
+    # Gate 4, ((z + 1)^4)^2, is expanded but not reached from the output
+    # z = x0 + x1.  No term cap stops it: the answer is the oracle's.
+    text = "vars 1\nin 0\nconst 1\nadd 0 1\nmul 2 2 2 2\nmul 3 3\nout 0\nform 1 1\n"
+    ideal_text = "var 0 : 0 0 0 0 0 1\nvar 1 : 0 0 0 0 0 1\n"
+    (tmp_path / "lr.txt").write_text(text)
+    (tmp_path / "ideal.txt").write_text(ideal_text)
+    ideal = uio.parse_ideal(ideal_text)
+    want = divide(expand(inline_forms(uio.parse_lowrank(text))), ideal).evaluate([2, 3])
+    assert want == 5
+    code, out = run_cli(
+        capsys, "rem-eval", "--input", str(tmp_path / "lr.txt"), "--ideal", str(tmp_path / "ideal.txt"),
+        "--point", "2 3",
+    )
+    assert code == 0 and "value: 5" in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rem-eval", "--input", "lr.txt", "--ideal", "sq.txt", "--point", "1 1"], ["--degree-bound", "1"]),
+        (["perm", "--matrix", "ones4.txt"], ["--rank", "1"]),
+    ],
+    ids=["rem-eval-degree-bound", "perm-rank"],
+)
+def test_cli_deleted_options_exit_2(workdir, capsys, monkeypatch, argv, flag):
+    # The degree and the rank are read off the input; neither is declared.
+    (workdir / "lr.txt").write_text("vars 1\nin 0\nmul 0 0\nout 1\nform 1 1\n")
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_cli_reduce_one_in_three(workdir, capsys, tmp_path):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    lift_circuit,
     lift_forms,
     lift_ideal,
     oracle_rem_eval,
@@ -13,7 +12,7 @@ from helpers import (
     walk_eval,
 )
 from unideal import io as uio
-from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
+from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand, map_scalars
 from unideal.division import UnivariateIdeal, divide, is_member_brute
 from unideal.fields import GF, QQ, FieldMismatch, Mod
 from unideal.linalg import LinearForm, Matrix, rank_and_row_basis
@@ -32,7 +31,7 @@ def test_rem_eval_square_of_sum():
     b = CircuitBuilder(1)
     z = b.input(0)
     outer = b.build(b.mul(z, z))
-    inp = LowRankInput(outer, (LinearForm((F(1), F(1))),), 2)
+    inp = LowRankInput(outer, (LinearForm((F(1), F(1))),))
     assert rem_eval(inp, square_ideal(2), [F(1), F(1)]) == 2
 
 
@@ -40,7 +39,7 @@ def test_rem_eval_already_reduced_is_plain_eval():
     b = CircuitBuilder(2)
     outer = b.build(b.add(b.input(0), b.mul(b.input(1), b.const(F(3)))))
     forms = (LinearForm((F(1), F(0), F(0))), LinearForm((F(0), F(1), F(1))))
-    inp = LowRankInput(outer, forms, 1)
+    inp = LowRankInput(outer, forms)
     ideal = square_ideal(3)
     alpha = [F(2), F(3), F(5)]
     composed = inline_forms(inp)
@@ -54,7 +53,7 @@ def test_rem_eval_rank_one_permanent():
     b = CircuitBuilder(1)
     z = b.input(0)
     outer = b.build(b.mul(z, z))
-    inp = LowRankInput(outer, (LinearForm((F(1), F(1))),), 2)
+    inp = LowRankInput(outer, (LinearForm((F(1), F(1))),))
     got = rem_eval(inp, square_ideal(2), [F(1), F(1)])
     assert got == ryser_permanent(a) == 2
 
@@ -74,7 +73,7 @@ def rational_instance(rng, inp, ideal):
         for f in inp.forms
     )
     gens = {v: UnivariatePoly([c / rng.choice([1, 2, 5]) for c in p.coeffs]) for v, p in ideal.generators}
-    return LowRankInput(outer, forms, inp.degree_bound), UnivariateIdeal(tuple(sorted(gens.items())))
+    return LowRankInput(outer, forms), UnivariateIdeal(tuple(sorted(gens.items())))
 
 
 def test_oracle_equivalence_random():
@@ -113,7 +112,7 @@ def test_oracle_equivalence_prime_field():
     g = GF(10007)
     for _ in range(25):
         inp, ideal, alpha = random_lowrank_instance(rng, n_max=4)
-        inp_p = LowRankInput(lift_circuit(inp.outer, g), lift_forms(inp.forms, g), inp.degree_bound)
+        inp_p = LowRankInput(map_scalars(inp.outer, g), lift_forms(inp.forms, g))
         ideal_p = lift_ideal(ideal, g)
         alpha_p = [g(a) for a in alpha]
         want = divide(expand(inline_forms(inp_p)), ideal_p).evaluate(alpha_p)
@@ -131,7 +130,7 @@ def test_residue_evaluator_field_mismatch():
     b = CircuitBuilder(2)
     outer = b.build(b.mul(b.input(0), b.input(1), b.const(F(3))))
     forms = (LinearForm((F(1), F(1, 7), F(0))), LinearForm((F(0), F(1), F(2))))
-    inp = LowRankInput(outer, forms, 2)
+    inp = LowRankInput(outer, forms)
     ideal = square_ideal(3)
     alpha = [F(1), F(2), F(3)]
     # A form coefficient 1/7 has no image in GF(7), but one in GF(11).
@@ -140,13 +139,13 @@ def test_residue_evaluator_field_mismatch():
     assert RemEvaluator(inp, ideal, GF(11)).eval(alpha) == GF(11)(rem_eval(inp, ideal, alpha))
     # A generator whose leading coefficient is a multiple of p loses its degree mod p.
     gens = {v: UnivariatePoly([F(0), F(1), F(7)]) for v in range(3)}
-    integral = LowRankInput(outer, (forms[1], forms[1]), 2)
+    integral = LowRankInput(outer, (forms[1], forms[1]))
     assert RemEvaluator(integral, square_ideal(3), GF(7)).eval(alpha) == GF(7)(rem_eval(integral, square_ideal(3), alpha))
     with pytest.raises(FieldMismatch):
         RemEvaluator(integral, UnivariateIdeal(tuple(sorted(gens.items()))), GF(7))
     # Scalars of one field cannot be evaluated over another.
     g = GF(10007)
-    lifted = LowRankInput(lift_circuit(outer, g), lift_forms(forms, g), 2)
+    lifted = LowRankInput(map_scalars(outer, g), lift_forms(forms, g))
     with pytest.raises(FieldMismatch):
         RemEvaluator(lifted, ideal, QQ)
     with pytest.raises(FieldMismatch):
@@ -162,14 +161,14 @@ def test_default_field_rejects_mod_scalars():
     b = CircuitBuilder(2)
     outer = b.build(b.mul(b.input(0), b.linear(LinearForm((F(1), F(2)), F(1))), b.const(F(3))))
     forms = (LinearForm((F(1), F(2), F(0))), LinearForm((F(0), F(1), F(2)), F(1)))
-    inp = LowRankInput(outer, forms, 3)
+    inp = LowRankInput(outer, forms)
     ideal = square_ideal(3)
     alpha = [F(1), F(2), F(3)]
     assert RemEvaluator(inp, ideal).field == QQ
     for lifted in (
-        LowRankInput(lift_circuit(outer, g), forms, 3),
-        LowRankInput(outer, lift_forms(forms, g), 3),
-        LowRankInput(lift_circuit(outer, g), lift_forms(forms, g), 3),
+        LowRankInput(map_scalars(outer, g), forms),
+        LowRankInput(outer, lift_forms(forms, g)),
+        LowRankInput(map_scalars(outer, g), lift_forms(forms, g)),
     ):
         with pytest.raises(FieldMismatch):
             RemEvaluator(lifted, ideal)
@@ -198,7 +197,7 @@ def test_transform_soundness_random():
         n = rng.randint(1, 8)
         r = rng.randint(1, min(3, n))
         b = CircuitBuilder(r)
-        inp = LowRankInput(b.build(b.mul(*[b.input(i) for i in range(r)])), random_forms(rng, r, n), r)
+        inp = LowRankInput(b.build(b.mul(*[b.input(i) for i in range(r)])), random_forms(rng, r, n))
         ev = RemEvaluator(inp, ideal_of_degrees(rng, n, 2, 3))
         forms = list(inp.forms)
         for lvl in ev.levels:
@@ -271,7 +270,7 @@ def test_prepared_levels_match_full_tail_elimination():
             r = rng.randint(1, 4)
             b = CircuitBuilder(r)
             outer = b.build(b.mul(*[b.input(i) for i in range(r)]))
-            inp = LowRankInput(outer, structured_forms(rng, r, n, field), r)
+            inp = LowRankInput(outer, structured_forms(rng, r, n, field))
             ev = RemEvaluator(inp, lift_ideal(ideal_of_degrees(rng, n, 1, 3), field), field)
             want = reference_levels(inp, ev.p)
             assert len(ev.levels) == len(want)
@@ -305,7 +304,7 @@ def test_preparation_solves_small_systems(monkeypatch):
     n, r = 320, 3
     b = CircuitBuilder(r)
     outer = b.build(b.add(b.mul(b.input(0), b.input(1)), b.mul(b.input(2), b.input(2))))
-    inp = LowRankInput(outer, random_forms(rng, r, n, lo=-3, hi=3), 2)
+    inp = LowRankInput(outer, random_forms(rng, r, n, lo=-3, hi=3))
     ev = RemEvaluator(inp, ideal_of_degrees(rng, n, 2, 3))
     assert ev.depth >= n // r - 1
     assert len(seen) == ev.depth
@@ -329,7 +328,7 @@ def test_membership_corollary_zero_everywhere():
     z1, z2 = b.input(0), b.input(1)
     # outer = z1^2 * z2 with forms l1 = x1, l2 = x1 + x2 and ideal <x1^2, x2^2>
     outer = b.build(b.mul(z1, z1, z2))
-    inp = LowRankInput(outer, (LinearForm((F(1), F(0))), LinearForm((F(1), F(1)))), 3)
+    inp = LowRankInput(outer, (LinearForm((F(1), F(0))), LinearForm((F(1), F(1)))))
     ideal = square_ideal(2)
     assert is_member_brute(inline_forms(inp), ideal)
     for _ in range(20):
@@ -340,7 +339,7 @@ def test_membership_corollary_zero_everywhere():
 def test_missing_generator_rejected():
     b = CircuitBuilder(1)
     outer = b.build(b.input(0))
-    inp = LowRankInput(outer, (LinearForm((F(1), F(1))),), 1)
+    inp = LowRankInput(outer, (LinearForm((F(1), F(1))),))
     ideal = UnivariateIdeal(((0, UnivariatePoly([F(0), F(0), F(1)])),))
     with pytest.raises(ValueError):
         rem_eval(inp, ideal, [F(1), F(1)])
@@ -349,13 +348,13 @@ def test_missing_generator_rejected():
 def test_zero_rank_constant_outer():
     b = CircuitBuilder(0)
     outer = b.build(b.const(F(7)))
-    inp = LowRankInput(outer, (), 0)
+    inp = LowRankInput(outer, ())
     ideal = square_ideal(0)
     assert rem_eval(inp, ideal, []) == 7
     # Forms over no variables are constants.
     b = CircuitBuilder(2)
     outer = b.build(b.mul(b.input(0), b.input(1), b.const(F(2))))
-    inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5))), 2)
+    inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5))))
     assert rem_eval(inp, ideal, []) == 30
 
 
@@ -367,7 +366,7 @@ def gate_mix_instance(rng, n, lo, hi):
            for _ in range(2)]
     outer = b.build(b.add(b.mul(lin[0], lin[1], b.input(0)), b.input(1), b.const(F(3))))
     forms = tuple(LinearForm(f.coeffs, F(rng.randint(-2, 2))) for f in random_forms(rng, 2, n))
-    return LowRankInput(outer, forms, 3), ideal_of_degrees(rng, n, lo, hi)
+    return LowRankInput(outer, forms), ideal_of_degrees(rng, n, lo, hi)
 
 
 def test_evaluator_reuse_matches_one_shot():
@@ -452,11 +451,11 @@ def test_integral_input_walks_on_ints(monkeypatch):
     outer = b.build(b.add(b.mul(lin, b.input(0), b.input(1)), b.mul(b.input(1), b.input(1)), b.const(F(-5))))
     forms = (LinearForm((F(1), F(2), F(-1), F(3), F(1), F(0)), F(2)),
              LinearForm((F(0), F(1), F(2), F(-1), F(1), F(1))))
-    inp = LowRankInput(outer, forms, 3)
+    inp = LowRankInput(outer, forms)
     gens = [[F(2), F(-1), F(0), F(1)], [F(0), F(-1), F(1)], [F(-3), F(1), F(1), F(1)],
             [F(1), F(0), F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(4), F(2), F(0), F(1)]]
     ideal = UnivariateIdeal(tuple((v, UnivariatePoly(g)) for v, g in enumerate(gens)))
-    parsed = uio.parse_lowrank(uio.write_lowrank(inp), 3), uio.parse_ideal(uio.write_ideal(ideal))
+    parsed = uio.parse_lowrank(uio.write_lowrank(inp)), uio.parse_ideal(uio.write_ideal(ideal))
     assert {type(c) for f in parsed[0].forms for c in f.coeffs} == {int}
     remainder = divide(expand(inline_forms(inp)), ideal)
     rng = random.Random(17)
@@ -508,7 +507,7 @@ def test_rem_eval_matches_independent_oracle():
             inp, ideal = rational_instance(rng, inp, ideal)
             alpha = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in alpha]
         else:
-            inp = uio.parse_lowrank(uio.write_lowrank(inp), inp.degree_bound)
+            inp = uio.parse_lowrank(uio.write_lowrank(inp))
             ideal = uio.parse_ideal(uio.write_ideal(ideal))
             alpha = uio.parse_point(" ".join(uio.format_scalar(a) for a in alpha))
         kinds.add(frozenset(type(c) for f in inp.forms for c in f.coeffs))
@@ -573,14 +572,14 @@ def test_schedule_edge_cases():
     # length check.
     b = CircuitBuilder(2)
     outer = b.build(b.add(b.mul(b.input(0), b.input(1), b.const(F(2, 3))), b.const(F(1))))
-    inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5, 2))), 2)
+    inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5, 2))))
     for field in (QQ, GF(10007)):
         ev = RemEvaluator(inp, square_ideal(0), field)
         assert ev.depth == 0 and ev.schedule()([]) == ev.eval([]) == walk_eval(ev, []) == field(6)
     b = CircuitBuilder(2)
-    zero = LowRankInput(b.build(b.const(F(0))), (LinearForm((F(1), F(0))), LinearForm((F(1), F(1)))), 1)
+    zero = LowRankInput(b.build(b.const(F(0))), (LinearForm((F(1), F(0))), LinearForm((F(1), F(1)))))
     b = CircuitBuilder(2)
-    member = LowRankInput(b.build(b.mul(b.input(0), b.input(0), b.input(1))), zero.forms, 3)
+    member = LowRankInput(b.build(b.mul(b.input(0), b.input(0), b.input(1))), zero.forms)
     for inp in (zero, member):
         for field in (QQ, GF(7)):
             ev = RemEvaluator(inp, square_ideal(2), field)
@@ -590,7 +589,7 @@ def test_schedule_edge_cases():
     b = CircuitBuilder(1)
     z = b.input(0)
     outer = b.build(b.add(b.mul(z, z, z), b.mul(b.const(F(-1, 2)), z)))
-    inp = LowRankInput(outer, (LinearForm((F(2, 3),), F(1)),), 3)
+    inp = LowRankInput(outer, (LinearForm((F(2, 3),), F(1)),))
     ideal = UnivariateIdeal(((0, UnivariatePoly([F(1), F(0), F(3)])),))
     remainder = divide(expand(inline_forms(inp)), ideal)
     for field in (QQ, GF(10007)):

@@ -222,6 +222,6 @@ def test_parse_point_raises_only_value_error(text):
 
 def test_valid_files_parse():
     inp = uio.parse_lowrank(VALID_LOWRANK)
-    assert inp.n == 3 and len(inp.forms) == 2 and inp.degree_bound == 3
+    assert inp.n == 3 and len(inp.forms) == 2
     assert [g.degree() for _, g in uio.parse_ideal(VALID_IDEAL).generators] == [2, 3, 1]
     assert uio.parse_point(VALID_POINT) == [1, -2, Fraction(3, 4)]
