@@ -9,12 +9,7 @@ matrices and vertex cover on low-rank graphs.
 """
 
 from .fields import GF, QQ, FieldMismatch, Mod, is_probable_prime, random_prime
-from .linalg import (
-    LinearForm,
-    Matrix,
-    congruence_diagonalize,
-    rank_and_row_basis,
-)
+from .linalg import LinearForm, Matrix, rank_and_row_basis
 from .poly import CapExceeded, SparsePoly, UnivariatePoly, poly_gcd
 from .circuits import (
     Add,

@@ -13,8 +13,9 @@ x_i x_j, the polynomial
 
 is outside <x_i^2 - x_i> exactly when some 0/1 point has q = 0 and at least
 n - k ones, i.e. when the zero coordinates form a vertex cover of size <= k.
-Congruence-diagonalizing q's Gram matrix exposes f as a polynomial in
-rank(A) + 1 linear forms.  S defaults to C(n,2), the full range the paper's
+The row-basis split of the adjacency matrix A, the one `perm` uses, writes q
+in rank(A) linear forms (see `build_vc_instance`), so f is a polynomial in
+rank(A) + 1 of them.  S defaults to C(n,2), the full range the paper's
 polynomial uses; tight=True shortens it to |E| with identical semantics.
 """
 
@@ -28,8 +29,8 @@ from itertools import combinations
 
 from .circuits import CircuitBuilder
 from .division import UnivariateIdeal, random_zero_test, zero_test_sample_size
-from .fields import GF, QQ, FieldMismatch
-from .linalg import LinearForm, Matrix, congruence_diagonalize, rank_and_row_basis
+from .fields import GF, QQ
+from .linalg import LinearForm, Matrix, rank_and_row_basis
 from .lowrank import LowRankInput, RemEvaluator
 from .poly import UnivariatePoly
 
@@ -69,11 +70,9 @@ class Graph:
         return cls(n, tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
 
     def adjacency(self) -> Matrix:
-        a = [[Fraction(0)] * self.n for _ in range(self.n)]
+        a = [[0] * self.n for _ in range(self.n)]
         for u, v in self.edges:
-            a[u][v] = Fraction(1)
-            a[v][u] = Fraction(1)
-
+            a[u][v] = a[v][u] = 1
         return Matrix(a)
 
 
@@ -177,37 +176,33 @@ def vc_degrees(g: Graph, k: int, tight: bool = False) -> tuple[int, int]:
     return s_range, 2 * s_range + (g.n - k)
 
 
-def build_vc_instance(g: Graph, k: int, tight: bool = False):
-    """Low-rank input, boolean ideal and degree bound for the cover polynomial."""
+def build_vc_instance(g: Graph, k: int, tight: bool = False, field=QQ):
+    """Low-rank input, boolean ideal and degree bound for the cover
+    polynomial, its forms over `field`.
+
+    With B the basis rows and C the coordinates of the adjacency matrix's
+    row-basis split, A = C A[B,:]; taking columns B and using symmetry,
+    A = C A[B,B] C^T.  A's diagonal is zero, so with y = C^T x,
+    q = x^T A x / 2 = sum_{s<t} A[b_s,b_t] y_s y_t: the forms are the
+    columns of C, rank(A) of them, plus the all-ones size form, and the
+    quadratic gate has 0/1 coefficients.
+    """
     n = g.n
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     s_range, deg_bound = vc_degrees(g, k, tight)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for u, v in g.edges:
-        gram[u][v] = Fraction(1, 2)
-        gram[v][u] = Fraction(1, 2)
-    pmat, d = congruence_diagonalize(Matrix(gram))
-    diag = [(i, d[i, i]) for i in range(n) if d[i, i]]
-    r = len(diag)
-    # q(x) = x^T P D P^T x = sum_i d_i * y_i(x)^2 with y_i = column i of P dotted with x.
-    cols = pmat.transpose().rows
-    forms = [LinearForm(cols[i]) for i, _ in diag]
-    forms.append(LinearForm((Fraction(1),) * n))
+    adj = Matrix([[field(x) for x in row] for row in g.adjacency().rows])
+    r, basis, coords = rank_and_row_basis(adj)
+    forms = [LinearForm(tuple(map(field, col))) for col in zip(*coords.rows)]
+    forms.append(LinearForm((field.one,) * n))
     b = CircuitBuilder(r + 1)
-    sq_ids = [b.mul(b.input(i), b.input(i)) for i in range(r)]
-    quad_terms = []
-    for idx, (_, di) in enumerate(diag):
-        quad_terms.append(b.mul(b.const(di), sq_ids[idx]))
-    if quad_terms:
-        quad = b.add(*quad_terms) if len(quad_terms) > 1 else quad_terms[0]
-    else:
-        quad = b.const(Fraction(0))
-    factor_ids = [b.add(quad, b.const(Fraction(-s))) for s in range(1, s_range + 1)]
+    cross = [b.mul(b.input(s), b.input(t)) for s, t in combinations(range(r), 2) if adj[basis[s], basis[t]]]
+    quad = b.add(*cross) if len(cross) > 1 else cross[0] if cross else b.const(0)
+    factor_ids = [b.add(quad, b.const(-s)) for s in range(1, s_range + 1)]
     size_var = b.input(r)
-    factor_ids += [b.add(size_var, b.const(Fraction(-t))) for t in range(0, n - k)]
+    factor_ids += [b.add(size_var, b.const(-t)) for t in range(0, n - k)]
     outer = b.build(b.product(factor_ids))
-    boolean = UnivariatePoly([Fraction(0), Fraction(-1), Fraction(1)])
+    boolean = UnivariatePoly([0, -1, 1])
     ideal = UnivariateIdeal(tuple((i, boolean) for i in range(n)))
     return LowRankInput(outer, tuple(forms)), ideal, deg_bound
 
@@ -225,19 +220,19 @@ def vertex_cover_lowrank(
     deg_bound, trials)`: the remainder is multilinear, of degree at most
     min(n, deg_bound).
 
-    The whole test runs over GF(p) with p = VC_PRIME = 2^61 - 1: the
-    evaluator maps the instance's rational scalars into GF(p), a ring
-    homomorphism on rationals whose denominators p does not divide, so it
-    evaluates the remainder R_p of f mod p, the multilinear polynomial that
-    agrees with f mod p on {0,1}^n.  At a 0/1 point every factor q - s and
-    sum(x) - t of f is an integer of absolute value at most max(C(n,2), n),
-    so when p exceeds that, f vanishes mod p at exactly the 0/1 points where
-    it vanishes, and R_p = 0 exactly when the exact remainder is.  When p
-    also exceeds the zero test's sample-set size S
+    The field is chosen first, and the instance is built in it.  The whole
+    test runs over GF(p) with p = VC_PRIME = 2^61 - 1: f has integer
+    coefficients, and the instance over GF(p) represents f mod p, so the
+    evaluator computes the remainder R_p of f mod p, the multilinear
+    polynomial that agrees with f mod p on {0,1}^n.  At a 0/1 point every
+    factor q - s and sum(x) - t of f is an integer of absolute value at most
+    max(C(n,2), n), so when p exceeds that, f vanishes mod p at exactly the
+    0/1 points where it vanishes, and R_p = 0 exactly when the exact
+    remainder is.  When p also exceeds the zero test's sample-set size S
     (`division.zero_test_sample_size`), Schwartz-Zippel over GF(p) gives
-    that bound.  The test falls back to exact arithmetic over QQ when p is
-    not larger than max(C(n,2), n, S), or when a denominator vanishes mod p
-    (FieldMismatch); the points drawn from `rng` are the same either way.
+    that bound.  The test runs over QQ, exactly, only when p is not larger
+    than max(C(n,2), n, S); the points drawn from `rng` are the same either
+    way.
 
     The evaluator is prepared once and its levels compiled once
     (`RemEvaluator.schedule`), so each of the up to `trials` points costs
@@ -246,13 +241,10 @@ def vertex_cover_lowrank(
     a YES answer usually pays the compile and one run.
     """
     rng = rng or random.Random(0)
-    inp, ideal, deg_bound = build_vc_instance(g, k, tight=tight)
+    _, deg_bound = vc_degrees(g, k, tight)
     field = GF(VC_PRIME) if VC_PRIME > max(math.comb(g.n, 2), g.n, zero_test_sample_size(deg_bound)) else QQ
-    try:
-        evaluator = RemEvaluator(inp, ideal, field)
-    except FieldMismatch:
-        field = QQ
-        evaluator = RemEvaluator(inp, ideal, field)
+    inp, ideal, _ = build_vc_instance(g, k, tight=tight, field=field)
+    evaluator = RemEvaluator(inp, ideal, field)
     return random_zero_test(evaluator.schedule(), g.n, deg_bound, trials, rng, field=field)
 
 

@@ -205,7 +205,6 @@ class Mod:
 class Rationals:
     """The field Q; scalars are fractions.Fraction."""
 
-    char = 0
     p = None
 
     def __call__(self, x) -> Fraction:
@@ -246,7 +245,6 @@ class PrimeField:
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.char = p
 
     def __call__(self, x) -> Mod:
         return Mod(residue(x, self.p), self.p)

@@ -3,31 +3,29 @@
 Everything here is plain Gaussian elimination on small matrices of exact
 scalars.  The nonstandard entry points are `rank_and_row_basis` (the basis
 is a subset of the input rows, returned as their indices, so the
-variable-separation transform reads its next level's forms by index),
-`suffix_pivots` (one right-to-left column elimination whose
-pivots give a column basis of every suffix m[:, c:] at once, so that
-transform solves each level on at most nrows columns) and
-`congruence_diagonalize` (A = P D P^T for symmetric A, valid in
-characteristic != 2).  The scalars are those of the caller's field; where a
-routine needs a one or a zero that no division reaches it uses the int
-literals, and the one routine that needs the field itself takes it.  Each
-pivot is inverted once, exactly (`fields._inverse`), and eliminations
-multiply by that inverse, so int entries give ints and Fractions, never
-floats.
+variable-separation transform reads its next level's forms by index, and
+the coordinates split a symmetric matrix as C A[B,B] C^T for the cover
+instance of `apps`) and `suffix_pivots` (one right-to-left column
+elimination whose pivots give a column basis of every suffix m[:, c:] at
+once, so that transform solves each level on at most nrows columns).  The
+scalars are those of the caller's matrix, and no routine takes a field:
+where one needs a one or a zero that no division reaches it uses the int
+literals.  Each pivot is inverted once, exactly (`fields._inverse`), and
+eliminations multiply by that inverse, so int entries give ints and
+Fractions, never floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import QQ, Scalar, _inverse
+from .fields import Scalar, _inverse
 
 __all__ = [
     "LinearForm",
     "Matrix",
     "rank_and_row_basis",
     "suffix_pivots",
-    "congruence_diagonalize",
 ]
 
 
@@ -79,16 +77,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.rows]})"
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.rows)) if self.rows else Matrix([])
-
-    def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
 
     def rank(self) -> int:
         return rank_and_row_basis(self)[0]
@@ -159,65 +147,3 @@ def suffix_pivots(m: Matrix) -> list:
             pivots.append(j)
     pivots.reverse()
     return pivots
-
-
-def congruence_diagonalize(a: Matrix, field=QQ):
-    """Invertible P and diagonal D with A == P * D * P^T, exactly, over `field`.
-
-    Symmetric Gaussian elimination: the same row operation is applied to rows
-    and columns, and P keeps the inverse of their product, so no matrix is
-    inverted.  Adding f times row/column j to row/column i subtracts f times
-    column i of P from its column j, and a swap of rows/columns swaps P's
-    columns.  A zero diagonal pivot with a nonzero entry below it is fixed by
-    a swap with a nonzero diagonal entry below, else by adding row/column j
-    to row/column i, which requires characteristic different from 2.  The
-    updates skip zero entries.  The number of nonzero diagonal entries of D
-    equals rank(A).  The entries of A are mapped into `field`, and P and D
-    hold field scalars.
-    """
-    if not a.is_symmetric():
-        raise ValueError("matrix is not symmetric")
-    if field.char == 2:
-        raise ValueError("characteristic 2 is not supported")
-    n = a.nrows
-    if n == 0:
-        return Matrix([]), Matrix([])
-    one, zero = field.one, field.zero
-    m = [[field(x) for x in r] for r in a.rows]
-    pt = [[one if i == j else zero for j in range(n)] for i in range(n)]  # P^T: pt[i] is column i of P
-
-    def add_row_col(i, j, f):
-        # row_i += f*row_j and col_i += f*col_j in m; col_j(P) -= f*col_i(P)
-        for t, x in enumerate(m[j]):
-            if x:
-                m[i][t] = m[i][t] + f * x
-        for row in m:
-            x = row[j]
-            if x:
-                row[i] = row[i] + f * x
-        pj = pt[j]
-        for t, x in enumerate(pt[i]):
-            if x:
-                pj[t] = pj[t] - f * x
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        pt[i], pt[j] = pt[j], pt[i]
-
-    for i in range(n):
-        if not m[i][i]:
-            j = next((t for t in range(i + 1, n) if m[t][i]), None)
-            if j is None:
-                continue  # column already clear; diagonal entry stays zero
-            if m[j][j]:
-                swap(i, j)
-            else:
-                add_row_col(i, j, one)
-        inv = _inverse(m[i][i])
-        for j in range(i + 1, n):
-            if m[j][i]:
-                add_row_col(j, i, -m[j][i] * inv)
-    d = Matrix([[m[i][j] if i == j else zero for j in range(n)] for i in range(n)])
-    return Matrix(pt).transpose(), d

@@ -220,11 +220,12 @@ def run_selftest(seed: int = 0) -> list:
             # the compiled schedule the zero test runs vs interpolation: under
             # the boolean ideal the remainder is the multilinear polynomial
             # sum over c in {0,1}^n of f(c) prod_i (a_i if c_i else 1 - a_i)
-            inp, ideal, deg = build_vc_instance(g, k)
+            inp, _, deg = build_vc_instance(g, k)
             f = inline_forms(inp)
             cube = [(c, f.evaluate([F(x) for x in c])) for c in itertools.product((0, 1), repeat=g.n)]
             for field in (QQ, GF(VC_PRIME)):
-                run = RemEvaluator(inp, ideal, field).schedule()
+                inp_f, ideal_f, _ = build_vc_instance(g, k, field=field)
+                run = RemEvaluator(inp_f, ideal_f, field).schedule()
                 for _ in range(3):
                     alpha = [rng.randint(0, 100 * deg) for _ in range(g.n)]
                     want = sum(fc * math.prod(a if ci else 1 - a for a, ci in zip(alpha, c)) for c, fc in cube)

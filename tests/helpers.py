@@ -22,8 +22,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import add, mul
 
 from unideal.circuits import (
     Add,
@@ -235,13 +233,6 @@ def mod_p(x, p: int):
 
 def identity(n: int) -> Matrix:
     return Matrix([[F(int(i == j)) for j in range(n)] for i in range(n)])
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.ncols != b.nrows:
-        raise ValueError("shape mismatch")
-    cols = b.transpose().rows
-    return Matrix([[reduce(add, map(mul, r, c)) for c in cols] for r in a.rows])
 
 
 def map_coeffs(f: SparsePoly, fn) -> SparsePoly:

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from helpers import identity, multiset_permanent, permutation_permanent, random_low_rank_matrix, walk_eval
-from unideal import apps, fields
+from unideal import apps
 from unideal.apps import (
     Graph,
     blowup_graph,
@@ -32,6 +32,16 @@ def frac_matrix(rows):
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K13 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 K2 = Graph.from_edges(2, [(0, 1)])
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# Blow-ups whose classes are not contiguous in vertex order.
+K34_RELABELLED = relabel(blowup_graph(K2, [3, 4]), [0, 1, 3, 2, 4, 5, 6])
+K222_RELABELLED = relabel(blowup_graph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), [2, 2, 2]), [0, 2, 4, 1, 3, 5])
 
 
 def test_ryser_examples():
@@ -149,15 +159,19 @@ def test_vc_instance_star_rank():
     assert len(inp.forms) <= 3  # quadratic rank 2 plus the size form
 
 
-def test_vc_instance_scalars_are_fractions():
-    # The forms are columns of the congruence transform P, whose int
-    # literals must never reach a division (1 / 1 is the float 1.0).
+def test_vc_instance_scalars_are_field_scalars():
+    # The row-basis coordinates hold the ints 0 and 1 beside the field's
+    # scalars; the instance maps every form coefficient into its field.
     isolated = Graph.from_edges(5, [(0, 1), (1, 2)])
+    gf = GF(apps.VC_PRIME)
     for g in (C4, K13, K2, isolated, blowup_graph(K2, [2, 3])):
-        inp, ideal, _ = build_vc_instance(g, 1)
+        inp, _, _ = build_vc_instance(g, 1, field=gf)
+        coeffs = [c for f in inp.forms for c in f.coeffs]
+        assert coeffs and all(isinstance(c, Mod) and c.p == gf.p for c in coeffs), g
+        inp, _, _ = build_vc_instance(g, 1)
         scalars = [c for f in inp.forms for c in f.coeffs]
         scalars += [node.value for node in inp.outer.nodes if isinstance(node, Const)]
-        assert scalars and all(type(c) is Fraction for c in scalars), g
+        assert scalars and not any(isinstance(c, float) for c in scalars), g
 
 
 def test_vc_instance_k2_witnesses():
@@ -221,6 +235,8 @@ def test_vc_matches_brute_on_low_rank_family():
         K13,
         blowup_graph(K2, [2, 2]),
         blowup_graph(Graph.from_edges(3, [(0, 1), (1, 2)]), [2, 1, 2]),
+        K34_RELABELLED,
+        K222_RELABELLED,
     ]
     for g in fams:
         assert g.adjacency().rank() <= 3
@@ -249,6 +265,26 @@ def field_spy(monkeypatch):
 VC_FAMILY = [C4, K13, blowup_graph(K2, [2, 3]), blowup_graph(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), [2, 2, 1])]
 
 
+def test_vc_instance_matches_the_cover_polynomial():
+    # inline_forms(inp) against prod_{s=1..S} (q - s) * prod_{t<n-k} (sum x - t),
+    # q summed from the edge list, at random points over QQ and GF(VC_PRIME).
+    rng = random.Random(24)
+    gf = GF(apps.VC_PRIME)
+    for g in VC_FAMILY + [K34_RELABELLED, K222_RELABELLED]:
+        for k in range(g.n + 1):
+            for tight in (False, True):
+                s_range, _ = apps.vc_degrees(g, k, tight)
+                for field, draw in ((QQ, lambda: F(rng.randint(-9, 9), rng.randint(1, 5))),
+                                    (gf, lambda: rng.randrange(gf.p))):
+                    f = inline_forms(build_vc_instance(g, k, tight, field)[0])
+                    for _ in range(2):
+                        x = [draw() for _ in range(g.n)]
+                        q = sum(x[u] * x[v] for u, v in g.edges)
+                        want = math.prod(q - s for s in range(1, s_range + 1))
+                        want *= math.prod(sum(x) - t for t in range(g.n - k))
+                        assert f.evaluate([field(c) for c in x]) == field(want), (g, k, tight, field)
+
+
 def test_vc_runs_over_the_mersenne_prime(monkeypatch):
     calls = field_spy(monkeypatch)
     for g in VC_FAMILY:
@@ -265,25 +301,6 @@ def test_vc_falls_back_to_qq_below_the_prime_precondition(monkeypatch):
         for k in range(g.n + 1):
             assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
     assert set(calls) == {(QQ, True)}
-
-
-def test_vc_falls_back_to_qq_on_a_vanishing_denominator(monkeypatch):
-    # A residue map under which every non-integer rational has a denominator
-    # that vanishes mod p; the cover instances all carry such constants.
-    real = fields.residue
-
-    def strict(x, p):
-        if isinstance(x, Fraction) and x.denominator != 1:
-            raise FieldMismatch(f"denominator of {x} vanishes mod {p}")
-        return real(x, p)
-
-    monkeypatch.setattr(fields, "residue", strict)
-    calls = field_spy(monkeypatch)
-    for g in VC_FAMILY:
-        for k in range(g.n + 1):
-            assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
-    assert set(calls) == {(GF(2**61 - 1), False), (QQ, True)}
-    assert calls.count((QQ, True)) == sum(g.n + 1 for g in VC_FAMILY)
 
 
 @pytest.mark.parametrize("prime", [2**61 - 1, 101], ids=["mersenne", "qq-fallback"])

@@ -25,7 +25,8 @@ and nonmember over 6 variables, `perm --mode lowrank` on a rank-2 6x6
 matrix and `rem-eval` on the cubic family at n = 5.  For each it keeps the
 input files and the plain and `--json` stdout, as printed at commit a7bdedc,
 before the level-0 expansion multiplied by quadratic factors in the fused
-kernel and before the congruence tracked P = Q^-1 in place of inverting Q.
+kernel, before the congruence tracked P = Q^-1 in place of inverting Q, and
+before the row-basis split replaced the congruence.
 The points come from the seeded rng alone and every value is exact, so a
 change to how the instance is built or evaluated must not move a byte.
 """

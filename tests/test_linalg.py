@@ -1,13 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from helpers import charpoly, identity, matmul
-from unideal.fields import GF, QQ, Mod
+from helpers import charpoly, identity
+from unideal.fields import GF
 from unideal.linalg import (
     Matrix,
-    congruence_diagonalize,
     rank_and_row_basis,
     suffix_pivots,
 )
@@ -78,86 +75,6 @@ def test_suffix_pivots_count_suffix_ranks():
             assert pivots == sorted(set(pivots))
             for c in range(n + 1):
                 assert sum(j >= c for j in pivots) == Matrix([row[c:] for row in rows]).rank()
-
-
-def _check_congruence(a, field=QQ):
-    """P and D of `a` with A == P D P^T, P of full rank, D diagonal with
-    rank(A) nonzero entries."""
-    p, d = congruence_diagonalize(a, field)
-    n = a.nrows
-    assert matmul(matmul(p, d), p.transpose()) == Matrix([[field(x) for x in row] for row in a.rows])
-    assert p.rank() == n
-    assert all(d[i, j] == 0 for i in range(n) for j in range(n) if i != j)
-    assert sum(1 for i in range(n) if d[i, i]) == a.rank()
-    return p, d
-
-
-def test_congruence_identity():
-    a = identity(3)
-    p, d = _check_congruence(a)
-    assert p == identity(3)
-    assert d == identity(3)
-
-
-def test_congruence_hyperbolic_plane():
-    a = frac_matrix([[0, 1], [1, 0]])
-    p, d = _check_congruence(a)
-    assert (d[0, 0], d[1, 1]) == (F(2), F(-1, 2))
-
-
-def test_congruence_star_rank():
-    # K_{1,3}: center 0 joined to 1,2,3; adjacency rank 2
-    a = frac_matrix(
-        [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
-    )
-    p, d = _check_congruence(a)
-    assert sum(1 for i in range(4) if d[i, i]) == 2
-
-
-def test_congruence_random_property():
-    # a[0][0] == 0 != a[1][0] sends the first pivot to the swap branch when
-    # a[1][1] != 0 and to the add branch when a[1][1] == 0; the rest is random.
-    rng = random.Random(11)
-    for field in (QQ, GF(7), GF(2**61 - 1)):
-        for branch in ["swap", "add"] * 20:
-            n = rng.randint(2, 6)
-            base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            a = [[field(base[i][j] + base[j][i]) for j in range(n)] for i in range(n)]
-            a[0][0] = field(0)
-            a[1][0] = a[0][1] = field(rng.choice([-2, -1, 1, 2]))
-            a[1][1] = field(rng.choice([-2, -1, 1, 2]) if branch == "swap" else 0)
-            _check_congruence(Matrix(a), field)
-
-
-def test_congruence_rejects_asymmetric_and_char2():
-    with pytest.raises(ValueError):
-        congruence_diagonalize(frac_matrix([[0, 1], [2, 0]]))
-    g = GF(2)
-    with pytest.raises(ValueError):
-        congruence_diagonalize(Matrix([[g(0), g(1)], [g(1), g(0)]]), g)
-
-
-def test_congruence_works_in_odd_characteristic():
-    g = GF(7)
-    a = Matrix([[g(0), g(1)], [g(1), g(0)]])
-    p, d = _check_congruence(a, g)
-    assert sum(1 for i in range(2) if d[i, i]) == 2
-
-
-def test_congruence_over_gf7_keeps_field_scalars():
-    # P and D hold GF(7) scalars, also in columns the elimination never
-    # touches.
-    g = GF(7)
-    rng = random.Random(12)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        zero_row = rng.randrange(n + 1)  # n: no forced zero row
-        a = Matrix([
-            [g(0 if zero_row in (i, j) else base[i][j] + base[j][i]) for j in range(n)] for i in range(n)
-        ])
-        p, d = _check_congruence(a, g)
-        assert all(isinstance(x, Mod) and x.p == 7 for row in p.rows + d.rows for x in row)
 
 
 def test_int_entries_eliminate_exactly():
