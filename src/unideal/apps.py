@@ -220,19 +220,18 @@ def vertex_cover_lowrank(
     deg_bound, trials)`: the remainder is multilinear, of degree at most
     min(n, deg_bound).
 
-    The field is chosen first, and the instance is built in it.  The whole
-    test runs over GF(p) with p = VC_PRIME = 2^61 - 1: f has integer
-    coefficients, and the instance over GF(p) represents f mod p, so the
-    evaluator computes the remainder R_p of f mod p, the multilinear
+    The whole test runs over GF(p) with p = VC_PRIME = 2^61 - 1: f has
+    integer coefficients, and the instance over GF(p) represents f mod p, so
+    the evaluator computes the remainder R_p of f mod p, the multilinear
     polynomial that agrees with f mod p on {0,1}^n.  At a 0/1 point every
     factor q - s and sum(x) - t of f is an integer of absolute value at most
     max(C(n,2), n), so when p exceeds that, f vanishes mod p at exactly the
     0/1 points where it vanishes, and R_p = 0 exactly when the exact
     remainder is.  When p also exceeds the zero test's sample-set size S
     (`division.zero_test_sample_size`), Schwartz-Zippel over GF(p) gives
-    that bound.  The test runs over QQ, exactly, only when p is not larger
-    than max(C(n,2), n, S); the points drawn from `rng` are the same either
-    way.
+    that bound.  When p is not larger than max(C(n,2), n, S), which takes
+    about 1.5 * 10^8 declared vertices without `tight`, ValueError is
+    raised before the instance is built.
 
     The evaluator is prepared once and its levels compiled once
     (`RemEvaluator.schedule`), so each of the up to `trials` points costs
@@ -242,7 +241,9 @@ def vertex_cover_lowrank(
     """
     rng = rng or random.Random(0)
     _, deg_bound = vc_degrees(g, k, tight)
-    field = GF(VC_PRIME) if VC_PRIME > max(math.comb(g.n, 2), g.n, zero_test_sample_size(deg_bound)) else QQ
+    if VC_PRIME <= max(math.comb(g.n, 2), g.n, zero_test_sample_size(deg_bound)):
+        raise ValueError(f"a graph on {g.n} vertices is too large for the zero test over GF({VC_PRIME})")
+    field = GF(VC_PRIME)
     inp, ideal, _ = build_vc_instance(g, k, tight=tight, field=field)
     evaluator = RemEvaluator(inp, ideal, field)
     return random_zero_test(evaluator.schedule(), g.n, deg_bound, trials, rng, field=field)

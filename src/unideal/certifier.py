@@ -55,7 +55,8 @@ from fractions import Fraction
 
 from .circuits import Circuit, expand
 from .division import UnivariateIdeal, _Reducer
-from .poly import SparsePoly, UnivariatePoly, _integral, poly_gcd
+from .fields import rational
+from .poly import SparsePoly, UnivariatePoly, poly_gcd
 
 __all__ = [
     "NotSquarefree",
@@ -426,7 +427,7 @@ def _grid_charpoly(r: SparsePoly, reducer: _Reducer, degs, grid: int) -> list:
     for v, d in enumerate(degs):
         s = _root_power_sums(reducer.rows[v])
         trace = {e + (j,): t * s[j] for e, t in trace.items() for j in range(d)}
-    r = SparsePoly.raw(r.n, {e: _integral(c) for e, c in r.terms.items()})
+    r = SparsePoly.raw(r.n, {e: rational(c) for e, c in r.terms.items()})
     sums = []
     cur = r
     for k in range(grid):

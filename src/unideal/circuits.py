@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
+from .fields import rational
 from .linalg import LinearForm
 from .poly import CapExceeded, SparsePoly, _acc, _mod_terms
 
@@ -194,16 +195,19 @@ def syntactic_degree(c: Circuit) -> int:
 def expand(c: Circuit, monomial_cap: int | None = 10**6, images=None, reducer=None) -> SparsePoly:
     """Exact sparse expansion; aborts with CapExceeded past the term budget.
 
-    With `images` (one SparsePoly per input variable, all over the same
+    Without `images` the result is over QQ, and the circuit's scalars are
+    mapped by `fields.rational` (a `Mod` raises FieldMismatch).  With
+    `images` (one SparsePoly per input variable, all over the same
     variables and with one modulus) the result is c(images) instead of c
-    itself; over a modulus p the circuit's scalars must already be residues
-    (`map_scalars`).  With a `reducer` (a `division._Reducer`) every product
-    and linear gate is reduced as soon as it is formed, so intermediate term
-    counts stay within the residue grid and the result is the unique
-    remainder; products go through `reducer.mul`, which forms a product by a
-    factor of total degree at most 2 (an image form, its square, or a
-    quadratic form shifted by a constant, as in the vertex-cover factors
-    q - s) in shift-and-fold passes, without the unreduced product.
+    itself, and the circuit's scalars must already be mapped into the
+    images' field (`map_scalars`).  With a `reducer` (a
+    `division._Reducer`) every product and linear gate is reduced as soon
+    as it is formed, so intermediate term counts stay within the residue
+    grid and the result is the unique remainder; products go through
+    `reducer.mul`, which forms a product by a factor of total degree at most
+    2 (an image form, its square, or a quadratic form shifted by a constant,
+    as in the vertex-cover factors q - s) in shift-and-fold passes, without
+    the unreduced product.
     Those products take no cap, and `monomial_cap` (None for none) then
     bounds only the Add gates: a reduced product of degree D over w
     variables has at most C(D + w, w) terms.  Only the gates the output
@@ -242,7 +246,10 @@ def expand(c: Circuit, monomial_cap: int | None = 10**6, images=None, reducer=No
             # One dict pass over the images, so a gate over plain variables
             # costs O(n) terms rather than n copies of a growing sum.
             terms: dict = {}
-            for j, coef in enumerate(node.form.coeffs):
+            coeffs, const = node.form.coeffs, node.form.const
+            if images is None:
+                coeffs, const = map(rational, coeffs), rational(const)
+            for j, coef in enumerate(coeffs):
                 if not coef:
                     continue
                 if images is None:
@@ -252,15 +259,14 @@ def expand(c: Circuit, monomial_cap: int | None = 10**6, images=None, reducer=No
                 else:
                     for e, v in images[j].terms.items():
                         _acc(terms, e, coef * v)
-            const = node.form.const
             if const:
                 _acc(terms, (0,) * n, const)
             vals[i] = reduce(SparsePoly.raw(n, _mod_terms(terms, p), p))
     return vals[c.out]
 
 
-def homogeneous_part_eval(c: Circuit, k: int, points, p: int | None = None) -> list:
-    """Values of the degree-k homogeneous component of the circuit at each of `points`.
+def homogeneous_part_eval(c: Circuit, k: int, points, p: int) -> list:
+    """Values mod p of the degree-k homogeneous component of the circuit at each of `points`.
 
     The t^k coefficient of f(t * b) for every point b of the block, from one
     pass over the gates in power series truncated after t^k: an input is
@@ -272,10 +278,10 @@ def homogeneous_part_eval(c: Circuit, k: int, points, p: int | None = None) -> l
     per-gate work of the interpreter is paid once per block rather than once
     per point.  Space is
     O(|c| * (k+1) * len(points)); callers bound the block to keep it
-    polynomial.  Any field size works.  `p=None` keeps exact scalars; with an
-    int `p` the circuit's scalars must already be residues (`map_scalars`),
-    the points may hold any ints, each gate's values are reduced mod p once,
-    and the values returned are residues in [0, p).
+    polynomial.  Any prime p works, however small against the degree.  The
+    circuit's scalars must already be residues mod p (`map_scalars`), the
+    points may hold any ints, each gate's values are reduced mod p once, and
+    the values returned are residues in [0, p).
     """
     if any(len(b) != c.n for b in points):
         raise ValueError("point length mismatch")
@@ -309,10 +315,7 @@ def homogeneous_part_eval(c: Circuit, k: int, points, p: int | None = None) -> l
                 if cc:
                     lin = _coef_add(lin, [cc * x for x in col])
             s = [form.const, lin]
-        s = s[:top]
-        if p is not None:
-            s = [[x % p for x in v] if type(v) is list else v % p for v in s]
-        vals[i] = s
+        vals[i] = [[x % p for x in v] if type(v) is list else v % p for v in s[:top]]
     out = vals[c.out]
     v = out[k] if k < len(out) else 0
     return v if type(v) is list else [v] * size

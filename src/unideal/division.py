@@ -20,10 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .circuits import Circuit, expand
-from .fields import QQ, FieldMismatch, _inverse, residue
-from .poly import SparsePoly, UnivariatePoly, _acc, _integral, _mod_terms, _same_modulus
+from .fields import QQ, FieldMismatch, _inverse, rational, residue
+from .poly import SparsePoly, _acc, _mod_terms, _same_modulus
 
 __all__ = [
     "UnivariateIdeal",
@@ -52,40 +53,25 @@ class UnivariateIdeal:
                 raise ValueError("generators must be nonconstant")
             seen.add(var)
 
-    def over(self, field) -> "UnivariateIdeal":
-        """The same generators with their coefficients mapped into `field`.
-
-        `field` is a field or any map of scalars into one (over QQ the
-        low-rank evaluator passes the map that keeps integral scalars as
-        ints).  A coefficient with no image there, or a leading coefficient
-        that vanishes there, raises FieldMismatch.
-        """
-        gens = []
-        for var, g in self.generators:
-            coeffs = [field(c) for c in g.coeffs]
-            if not coeffs[-1]:
-                raise FieldMismatch(f"leading coefficient of generator {var} vanishes in {field}")
-            gens.append((var, UnivariatePoly(coeffs)))
-        return UnivariateIdeal(tuple(gens))
-
 
 class _Reducer:
     """Reduction modulo the ideal through one fold row per generator.
 
     The row of p_v (degree d, leading coefficient lc) holds the coefficients
     of x_v^d mod p_v, that is -p_v[j] / lc for j < d, computed once here.
-    With a modulus p they are plain-int residues, and a generator whose
-    leading coefficient vanishes mod p raises FieldMismatch.  Without one
-    they are exact scalars, each integral one as an int, so the rows of
-    monic integer generators hold ints and reducing a polynomial with int
-    coefficients builds no Fraction.  Each coefficient is mapped so before
-    it is divided by lc, so building those rows builds no Fraction either,
-    even from integral Fractions.
+    The generators enter the field here, each coefficient mapped before it
+    is divided by lc: with a modulus p by `fields.residue`, so the rows are
+    plain-int residues; without one by `fields.rational`, so the rows of
+    monic integer generators hold ints, even from integral Fractions, and
+    reducing a polynomial with int coefficients builds no Fraction.  A
+    coefficient with no image in the field (a `Mod` over QQ, another
+    modulus, a denominator that vanishes mod p), or a leading coefficient
+    that vanishes there, raises FieldMismatch.
     """
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
         self.p = p
-        scalar = _integral if p is None else (lambda c: residue(c, p))
+        scalar = rational if p is None else partial(residue, p=p)
         self.rows: dict[int, tuple] = {}
         for var, g in sorted(ideal.generators):
             *low, lc = map(scalar, g.coeffs)
@@ -220,7 +206,8 @@ class _Reducer:
 
 
 def divide(f: SparsePoly, ideal: UnivariateIdeal) -> SparsePoly:
-    """The unique remainder R with f = R (mod ideal) and deg_{x_i} R < deg p_i."""
+    """The unique remainder R with f = R (mod ideal) and deg_{x_i} R < deg p_i,
+    in f's field: over QQ, or mod f.p with the generators mapped there."""
     return _Reducer(ideal, f.p).reduce(f)
 
 
@@ -247,13 +234,15 @@ def random_zero_test(r_eval, n: int, deg_bound: int, trials: int, rng: random.Ra
 
     Points are drawn from {1..S}, S = `zero_test_sample_size(deg_bound)`, so
     a nonzero answer is certain and a zero one errs with probability at most
-    `zero_test_miss_bound`.
+    `zero_test_miss_bound`.  They are plain ints: `r_eval` maps them into
+    its field, and `field` is read only to check that a prime field is
+    larger than S.
     """
     size = zero_test_sample_size(deg_bound)
     if field.p is not None and field.p <= size:
         raise ValueError(f"field GF({field.p}) smaller than sample set of size {size}")
     for _ in range(trials):
-        point = [field(rng.randint(1, size)) for _ in range(n)]
+        point = [rng.randint(1, size) for _ in range(n)]
         if r_eval(point):
             return True
     return False

@@ -4,10 +4,12 @@ A field is the singleton `QQ` or `GF(p)`, and the caller states it: nothing
 in this package infers a field from the type of its scalars.  Both are
 callables that map integers and rationals into the field once, at an API
 boundary (`QQ` to `fractions.Fraction`, rejecting a `Mod`; `GF(p)` to `Mod`).
-`field.p` (None for QQ) is the one bridge to the residue kernels, which work
-on plain ints in [0, p) mapped by `residue`; `Mod` is the type of values
-handed back to callers.  No floating point is used anywhere in the algebraic
-core.
+`field.p` (None for QQ) is the one bridge to the kernels, and each kind of
+field has one map into them: the exact kernels (p = None) hold rationals
+mapped by `rational` (an int when integral, else a Fraction; a `Mod` is
+rejected), the residue kernels plain ints in [0, p) mapped by `residue`.
+`Mod` is the type of values handed back to callers.  No floating point is
+used anywhere in the algebraic core.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "Scalar",
     "is_probable_prime",
     "random_prime",
+    "rational",
     "residue",
 ]
 
@@ -94,6 +97,19 @@ def _inverse(c):
     if type(c) is int:
         return c if c in (1, -1) else Fraction(1, c)
     return 1 / c
+
+
+def rational(x):
+    """x as the exact kernels hold a rational: an int when it is integral,
+    else a Fraction (a float maps to the Fraction it equals); a `Mod`
+    raises FieldMismatch."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Mod):
+        raise FieldMismatch(f"{x!r} is not a rational")
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def residue(x, p: int) -> int:

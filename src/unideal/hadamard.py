@@ -23,7 +23,7 @@ cancels the multinomial denominator.  `scaled_hadamard_eval` sums this over
 the summands, BLOCK of them at a time: the scaled points (l_1 b_1, ...,
 l_n b_n) of a block go through one pass of the circuit over power series
 truncated after t^j whose coefficients hold one value per point
-(`circuits.homogeneous_part_eval`, which works over any field).  A fan-in of
+(`circuits.homogeneous_part_eval`, on residues mod p).  A fan-in of
 F costs ceil(F / BLOCK) passes, and the memory the evaluation adds is
 O(|c| * (j+1) * BLOCK) whatever F is, as the paper's poly(n, k) space bound
 needs; one pass over all F summands would hold O(|c| * (j+1) * F).  (D_j
@@ -111,16 +111,15 @@ class PowerIdealSpec:
         return UnivariateIdeal(tuple(gens))
 
 
-def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point, p: int | None = None):
-    """(f o^s D)(point) for f computed by `c`, via the closed per-summand form.
+def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point, p: int) -> int:
+    """(f o^s D)(point) mod p for f computed by `c`, via the closed per-summand form.
 
     Sums c_j * k! * f_k(l_j1 b_1, ..., l_jn b_n) over the summands c_j * l_j^k
     of `d` and multiplies by d.scale, BLOCK summands at a time: each block's
     scaled points go through one `homogeneous_part_eval` pass over the
     circuit, so the circuit is walked ceil(fan-in / BLOCK) times and the
-    extra space is O(|c| * (k+1) * BLOCK) whatever the fan-in.  `p=None`
-    keeps exact scalars and returns a Fraction.  With an int `p` the
-    circuit's scalars must be residues (`map_scalars`), the point, the
+    extra space is O(|c| * (k+1) * BLOCK) whatever the fan-in.  The
+    circuit's scalars must be residues mod p (`map_scalars`), the point, the
     summand coefficients and the forms must be ints, d.scale * k! is the
     one scalar mapped with `residue`, and the value is a residue in [0, p).
     """
@@ -132,8 +131,7 @@ def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point, p: int | None = 
         block = d.summands[start : start + BLOCK]
         scaled = [list(map(mul, form.coeffs, point)) for _, form in block]
         total += sum(map(mul, [coef for coef, _ in block], homogeneous_part_eval(c, k, scaled, p)))
-    factor = d.scale * math.factorial(k)
-    return Fraction(total * factor) if p is None else total * residue(factor, p) % p
+    return total * residue(d.scale * math.factorial(k), p) % p
 
 
 def _color_count(k: int) -> int:

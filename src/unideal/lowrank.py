@@ -35,12 +35,12 @@ a level, applying it and dropping it, so one-point callers (`rem_eval`,
 `rem_eval` is the one-shot wrapper.
 
 The evaluator works over the field the caller states, QQ or GF(p).  Every
-input scalar is mapped into it once, at construction.  Over QQ every
-integral scalar is held as a Python int from there on and only the others
-as Fractions: the form coefficients the split (step 1) eliminates, the
-generator coefficients, the outer circuit's scalars, the hats, the fold
-rows and the point.  An input read by `io` holds its integers as ints
-already, so an integer instance with monic generators builds a Fraction
+input scalar is mapped into it once, at construction, by `fields.rational`
+over QQ (an int when integral, else a Fraction) or `fields.residue` over
+GF(p): the form coefficients the split (step 1) eliminates, the generator
+coefficients (in the evaluator's `division._Reducer`), the outer circuit's
+scalars, the hats, the fold rows and the point.  An input read by `io`
+holds its integers as ints already, so an integer instance with monic generators builds a Fraction
 only where the split divides by a pivot other than 1 or -1.  Each level's
 entries are then cleared to integers by the lcm of their denominators, so
 a point with integer coordinates runs on ints.  Over GF(p) the split runs
@@ -70,9 +70,9 @@ from operator import mul
 
 from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, map_scalars
 from .division import UnivariateIdeal, _Reducer
-from .fields import QQ, residue
+from .fields import QQ, rational, residue
 from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
-from .poly import SparsePoly, _integral
+from .poly import SparsePoly
 
 __all__ = ["LowRankInput", "rem_eval", "RemEvaluator", "inline_forms"]
 
@@ -128,7 +128,7 @@ class RemEvaluator:
     outer circuit's constants and linear-gate coefficients) is mapped into it
     here, so a scalar with no image there (a `Mod` under QQ, another
     modulus, a denominator that vanishes mod p) or a generator leading
-    coefficient that vanishes mod p raises FieldMismatch.  Over GF(p) the
+    coefficient that vanishes there raises FieldMismatch.  Over GF(p) the
     levels, the reducers and the expansion are residues and `eval` (and the
     schedule) return a `Mod`; over QQ they hold integral scalars as ints,
     the point is mapped the same way, and the exact value comes back as a
@@ -138,23 +138,22 @@ class RemEvaluator:
     def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=QQ):
         self.field = field
         self.p = field.p
-        self._scalar = scalar = _walk_scalar(field)
+        self._scalar = scalar = rational if self.p is None else partial(residue, p=self.p)
         # The outer circuit goes straight to the expansion's scalars.  The
         # split eliminates the form coefficients, inverting pivots: over
         # GF(p) it runs on `Mod`s (a plain-int residue would invert to a
-        # Fraction), over QQ on the walk's ints and Fractions.
+        # Fraction), over QQ on `rational`'s ints and Fractions.
         split = scalar if self.p is None else field
         outer = map_scalars(inp.outer, scalar)
         forms = tuple(LinearForm(tuple(map(split, f.coeffs)), split(f.const)) for f in inp.forms)
         self.inp = inp = LowRankInput(outer, forms)
-        ideal = ideal.over(split)
         n = inp.n
         support = set()
         for f in inp.forms:
             for j, c in enumerate(f.coeffs):
                 if c:
                     support.add(j)
-        gens = {v: p for v, p in ideal.generators}
+        gens = {v for v, _ in ideal.generators}
         missing = sorted(v for v in support if v not in gens)
         if missing:
             raise ValueError(f"no generator for live variables {missing}")
@@ -179,7 +178,7 @@ class RemEvaluator:
             lvl = self.levels[0]
             self._base = expand(inp.outer, None, lvl.hats, lvl.reducer)
         else:
-            images = [SparsePoly.const(0, scalar(f.const), self.p) for f in inp.forms]
+            images = [SparsePoly.const(0, f.const, self.p) for f in inp.forms]
             self._base = expand(inp.outer, None, images)
 
     def _prepare_level(self, rows, offset: int, reducer: _Reducer, pivots) -> _Level:
@@ -215,7 +214,7 @@ class RemEvaluator:
             # Only the input forms carry constants; deeper ones are rests.
             if offset == 0 and f.const:
                 terms[(0,) * w] = scalar(f.const)
-            hats.append(SparsePoly(w, terms, self.p))
+            hats.append(SparsePoly.raw(w, terms, self.p))
         reducer = reducer.window(offset, s)
         for h in range(len(hats)):
             hats[h] = reducer.reduce(hats[h])
@@ -253,6 +252,12 @@ class RemEvaluator:
         have no levels, and the expansion, over no variables, is the value:
         it compiles as one level that consumes nothing.  No level's columns
         outlive its compile.
+
+        A level holds at most C(D + r, r) * C(D + 2r, 2r) entries, D the
+        outer circuit's syntactic degree: its incoming monomials have degree
+        at most D in r' <= r variables, and each column is a reduced
+        polynomial of degree at most D in w <= 2r variables.  With at most n
+        levels, that is the d^O(r) * poly(n) of `rem_eval`.
         """
         exact = self.p is None
         level, support = _compile_level([self._base], 0, self.levels[0].s if self.levels else 0, exact)
@@ -326,7 +331,7 @@ def _compile_level(cols, offset: int, s: int, exact: bool):
     for e, row in by_exp.items():
         srcs, coeffs = zip(*row)
         if scale != 1:
-            coeffs = tuple(_integral(c * scale) for c in coeffs)
+            coeffs = tuple(rational(c * scale) for c in coeffs)
         rows.append((consumed.setdefault(e[:s], len(consumed)), tails.setdefault(e[s:], len(tails)), srcs, coeffs))
     return (offset, s, list(consumed), rows, len(tails), scale), list(tails)
 
@@ -352,14 +357,6 @@ def _columns(lvl: _Level, support):
             col = memo[b] = reducer.mul(col, hats[j])
         cols.append(col)
     return cols
-
-
-def _walk_scalar(field):
-    """How the levels hold a scalar of `field`: as its residue over GF(p);
-    over QQ as an int when it is integral, else as a Fraction."""
-    if field.p is not None:
-        return partial(residue, p=field.p)
-    return lambda x: x if type(x) is int else _integral(field(x))
 
 
 def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha, field=QQ):

@@ -1,15 +1,17 @@
 """Sparse multivariate and dense univariate polynomials over an exact field.
 
 SparsePoly maps exponent vectors (tuples of length n) to nonzero coefficients.
-Its modulus `p` says which field they live in: with p = None they are exact
-scalars of the caller's field (Fraction, or Mod for a prime field) and every
-operation is exact arithmetic on them; with an int p they are plain ints in
-[0, p), the residues mod p.  A residue polynomial accumulates products and
-sums as unreduced ints and reduces each output term mod p once, at the end
-of the operation, so the inner loops never normalize a Fraction or build a
-Mod.  Scalars entering a
-residue polynomial are mapped by `fields.residue`; a denominator that
-vanishes mod p, or two polynomials with different moduli, raise FieldMismatch.
+Its modulus `p` says which field they live in: with p = None they are
+rationals (ints and Fractions) and every operation is exact arithmetic on
+them; with an int p they are plain ints in [0, p), the residues mod p.  A
+residue polynomial accumulates products and sums as unreduced ints and
+reduces each output term mod p once, at the end of the operation, so the
+inner loops never normalize a Fraction or build a Mod.  Scalars entering a
+polynomial (the constructor, `scale` and the point of `evaluate`) are mapped
+once, by `fields.rational` when p is None and by `fields.residue` otherwise:
+a `Mod` in an exact polynomial, a denominator that vanishes mod p, or two
+polynomials with different moduli raise FieldMismatch.  `SparsePoly.raw`
+wraps terms that are already mapped.
 
 UnivariatePoly stores coefficients low-to-high with the trailing zeros
 stripped.  Multiplication can be capped by a term budget; exceeding it raises
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .fields import FieldMismatch, _inverse, residue
+from .fields import FieldMismatch, _inverse, rational, residue
 
 __all__ = [
     "CapExceeded",
@@ -67,11 +69,6 @@ def _mod_terms(terms: dict, p) -> dict:
     return {e: r for e, c in terms.items() if (r := c % p)}
 
 
-def _integral(c):
-    """An integral Fraction as the int it equals; any other scalar as it is."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
 def _same_modulus(a: "SparsePoly", b: "SparsePoly"):
     if a.n != b.n:
         raise ValueError("variable count mismatch")
@@ -91,8 +88,7 @@ class SparsePoly:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
                 if len(e) != n:
                     raise ValueError("exponent vector length mismatch")
-                if p is not None:
-                    c = residue(c, p)
+                c = rational(c) if p is None else residue(c, p)
                 if c:
                     _acc(clean, tuple(e), c)
         self.terms = _mod_terms(clean, p)
@@ -154,8 +150,7 @@ class SparsePoly:
 
     def scale(self, c) -> "SparsePoly":
         p = self.p
-        if p is not None:
-            c = residue(c, p)
+        c = rational(c) if p is None else residue(c, p)
         if not c:
             return SparsePoly.zero(self.n, p)
         return SparsePoly.raw(self.n, _mod_terms({e: c * v for e, v in self.terms.items()}, p), p)
@@ -200,12 +195,11 @@ class SparsePoly:
 
     def evaluate(self, point):
         """The value at `point`: a residue int for a residue polynomial,
-        else a scalar of the point's field (the int 0 for the zero polynomial)."""
+        else a rational (an int or a Fraction)."""
         if len(point) != self.n:
             raise ValueError("point length mismatch")
         p = self.p
-        if p is not None:
-            point = [residue(x, p) for x in point]
+        point = [rational(x) if p is None else residue(x, p) for x in point]
         total = 0
         for e, c in self.terms.items():
             for x, exp in zip(point, e):

@@ -216,6 +216,11 @@ def reference_detection_circuit(spec: PowerIdealSpec, trials: int, rng: random.R
     return DiagonalCircuit(n, k, tuple(summands), dc.scale)
 
 
+# The Mersenne prime the residue kernels' exact oracles are checked at: large
+# enough that no value of the small test instances wraps unnoticed.
+P61 = 2**61 - 1
+
+
 def mod_p(x, p: int):
     """A circuit, a diagonal circuit or a point with its scalars mapped to
     residues mod p, as the residue kernels take them; a diagonal circuit

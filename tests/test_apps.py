@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from helpers import identity, multiset_permanent, permutation_permanent, random_low_rank_matrix, walk_eval
-from unideal import apps
+from unideal import apps, cli
 from unideal.apps import (
     Graph,
     blowup_graph,
@@ -293,17 +293,26 @@ def test_vc_runs_over_the_mersenne_prime(monkeypatch):
     assert set(calls) == {(GF(2**61 - 1), True)}
 
 
-def test_vc_falls_back_to_qq_below_the_prime_precondition(monkeypatch):
-    # 101 is not larger than the sample set 100 * deg_bound.
+def test_vc_rejects_a_graph_beyond_the_prime_precondition(monkeypatch, tmp_path, capsys):
+    # 101 is not larger than the sample set 100 * deg_bound.  The check comes
+    # before the instance is built: the 2 * 10**8 declared vertices allocate
+    # no adjacency matrix, and the command exits 2.
     monkeypatch.setattr(apps, "VC_PRIME", 101)
-    calls = field_spy(monkeypatch)
-    for g in VC_FAMILY:
-        for k in range(g.n + 1):
-            assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
-    assert set(calls) == {(QQ, True)}
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr(apps, "build_vc_instance", no_build)
+    monkeypatch.setattr(Graph, "adjacency", no_build)
+    with pytest.raises(ValueError, match="GF\\(101\\)"):
+        vertex_cover_lowrank(Graph(2 * 10**8, ()), 0)
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"{2 * 10**8} 0\n")
+    assert cli.main(["vc", "--graph", str(graph), "--k", "0"]) == 2
+    assert "GF(101)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("prime", [2**61 - 1, 101], ids=["mersenne", "qq-fallback"])
+@pytest.mark.parametrize("prime", [2**61 - 1], ids=["mersenne"])
 def test_vc_schedule_keeps_the_rng_stream(monkeypatch, prime):
     # The zero test on the compiled schedule draws the same points from the
     # same stream as on the sparse walk of `helpers.walk_eval` and stops at

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    P61,
     diagonal_evaluate,
     diagonal_to_sparse,
     mod_p,
@@ -21,7 +22,7 @@ from unideal.circuits import (
     homogeneous_part_eval,
     syntactic_degree,
 )
-from unideal.fields import GF
+from unideal.fields import residue
 from unideal.hadamard import BLOCK
 from unideal.linalg import LinearForm
 
@@ -85,17 +86,16 @@ def test_homogeneous_part_linear_slice():
     # f = 1 + x + x^2: degree-1 part at b is b.
     b = CircuitBuilder(1)
     x = b.input(0)
-    c = b.build(b.add(b.const(F(1)), x, b.mul(x, x)))
-    assert homogeneous_part_eval(c, 1, [[F(7)]])[0] == 7
-    assert homogeneous_part_eval(c, 0, [[F(7)]])[0] == 1
-    assert homogeneous_part_eval(c, 5, [[F(7)]])[0] == 0
+    c = mod_p(b.build(b.add(b.const(F(1)), x, b.mul(x, x))), P61)
+    assert homogeneous_part_eval(c, 1, [[7]], P61)[0] == 7
+    assert homogeneous_part_eval(c, 0, [[7]], P61)[0] == 1
+    assert homogeneous_part_eval(c, 5, [[7]], P61)[0] == 0
 
 
 def test_homogeneous_input_is_identity():
     b = CircuitBuilder(2)
     c = b.build(b.mul(b.input(0), b.input(1)))
-    pt = [F(3), F(5)]
-    assert homogeneous_part_eval(c, 2, [pt])[0] == 15
+    assert homogeneous_part_eval(c, 2, [[3, 5]], P61)[0] == 15
 
 
 def test_homogeneous_parts_sum_to_eval():
@@ -104,13 +104,13 @@ def test_homogeneous_parts_sum_to_eval():
         c = random_circuit(rng, rng.randint(1, 3))
         d = syntactic_degree(c)
         pt = [F(rng.randint(-3, 3)) for _ in range(c.n)]
-        total = sum((homogeneous_part_eval(c, k, [pt])[0] for k in range(d + 1)), F(0))
-        assert total == c.evaluate(pt)
+        cp, ipt = mod_p(c, P61), mod_p(pt, P61)
+        total = sum(homogeneous_part_eval(cp, k, [ipt], P61)[0] for k in range(d + 1))
+        assert total % P61 == residue(c.evaluate(pt), P61)
 
 
 def test_homogeneous_part_over_small_fields():
-    # Degree >= p is fine: compare with the degree-k terms of the expansion,
-    # on plain-int residues and on a point of Mods.
+    # Degree >= p is fine: compare with the degree-k terms of the expansion.
     rng = random.Random(11)
     for p in (3, 5):
         for _ in range(20):
@@ -131,7 +131,6 @@ def test_homogeneous_part_over_small_fields():
                 )
                 want = want.numerator * pow(want.denominator, -1, p) % p
                 assert homogeneous_part_eval(mod_p(c, p), k, [pt], p)[0] == want
-                assert homogeneous_part_eval(c, k, [[GF(p)(x) for x in pt]])[0] == want
 
 
 def _degree_part(f, k, point):
@@ -160,8 +159,9 @@ def _block_shapes(rng, n):
 @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
 def test_homogeneous_part_block_matches_single_points(size):
     # One pass over a block of points gives, at every point, the value of a
-    # one-point block and the degree-k terms of the expansion, over QQ and
-    # mod p; k = 0 and k past the degree (value 0) included.
+    # one-point block and the degree-k terms of the expansion, at rational
+    # points mapped mod P61 and at unreduced int points mod a smaller p;
+    # k = 0 and k past the degree (value 0) included.
     rng = random.Random(size)
     p = 10007
     n = 3
@@ -170,9 +170,10 @@ def test_homogeneous_part_block_matches_single_points(size):
         d = syntactic_degree(c)
         for k in sorted({0, 1, d, d + 2}):
             pts = [[F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(n)] for _ in range(size)]
-            got = homogeneous_part_eval(c, k, pts)
-            assert got == [_degree_part(f, k, pt) for pt in pts]
-            assert got == [homogeneous_part_eval(c, k, [pt])[0] for pt in pts]
+            c61, pts61 = mod_p(c, P61), [mod_p(pt, P61) for pt in pts]
+            got = homogeneous_part_eval(c61, k, pts61, P61)
+            assert got == [residue(_degree_part(f, k, pt), P61) for pt in pts]
+            assert got == [homogeneous_part_eval(c61, k, [pt], P61)[0] for pt in pts61]
             ipts = [[rng.randrange(p) for _ in range(n)] for _ in range(size)]
             cp = mod_p(c, p)
             got = homogeneous_part_eval(cp, k, ipts, p)
@@ -185,9 +186,9 @@ def test_homogeneous_part_block_matches_single_points(size):
 def test_homogeneous_part_block_edges():
     b = CircuitBuilder(2)
     c = b.build(b.mul(b.input(0), b.input(1)))
-    assert homogeneous_part_eval(c, 2, []) == []
+    assert homogeneous_part_eval(c, 2, [], P61) == []
     with pytest.raises(ValueError):
-        homogeneous_part_eval(c, 2, [[F(1), F(2)], [F(1)]])
+        homogeneous_part_eval(c, 2, [[1, 2], [1]], P61)
 
 
 def test_power_decompose_single_factor():
@@ -224,10 +225,11 @@ def test_power_decompose_matches_homogeneous_extraction():
         dc = power_decompose_product(forms, k)
         assert dc.fan_in == 2 ** (m - 1)
         b = CircuitBuilder(n)
-        prod = b.build(b.product([b.linear(f) for f in forms]))
+        prod = mod_p(b.build(b.product([b.linear(f) for f in forms])), P61)
         for _ in range(20):
             pt = [F(rng.randint(-4, 4)) for _ in range(n)]
-            assert diagonal_evaluate(dc, pt) == homogeneous_part_eval(prod, k, [pt])[0]
+            want = residue(diagonal_evaluate(dc, pt), P61)
+            assert homogeneous_part_eval(prod, k, [mod_p(pt, P61)], P61)[0] == want
 
 
 def test_diagonal_circuit_rejects_affine_summands():

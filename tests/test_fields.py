@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from unideal.fields import GF, FieldMismatch, Mod, is_probable_prime, random_prime
+from unideal.fields import GF, FieldMismatch, Mod, is_probable_prime, random_prime, rational
 
 F = Fraction
 
@@ -51,6 +51,43 @@ def test_fraction_lifting_into_prime_field():
     assert Mod(1, 7) + F(1, 2) == Mod(5, 7)
     with pytest.raises(FieldMismatch):
         g(F(1, 7))
+
+
+def test_exact_entry_points_reject_mods():
+    # With p = None a polynomial is over QQ: every exact entry point maps its
+    # scalars by `rational` (an int when integral, else a Fraction), so a
+    # `Mod` raises rather than running in GF(7).
+    from unideal.circuits import CircuitBuilder, expand
+    from unideal.division import UnivariateIdeal, _Reducer, divide
+    from unideal.linalg import LinearForm
+    from unideal.lowrank import LowRankInput, RemEvaluator
+    from unideal.poly import SparsePoly, UnivariatePoly
+
+    m = Mod(1, 7)
+    x = SparsePoly(1, {(1,): 1})
+    mod_ideal = UnivariateIdeal(((0, UnivariatePoly([m, 0, 1])),))
+    b = CircuitBuilder(1)
+    with_const = b.build(b.mul(b.input(0), b.const(m)))
+    b = CircuitBuilder(1)
+    with_linear = b.build(b.linear(LinearForm((m,), 0)))
+    b = CircuitBuilder(1)
+    outer = b.build(b.mul(b.input(0), b.input(0)))
+    attempts = [
+        lambda: SparsePoly(1, {(1,): m}),
+        lambda: x.scale(m),
+        lambda: x.evaluate([m]),
+        lambda: _Reducer(mod_ideal),
+        lambda: divide(x, mod_ideal),
+        lambda: expand(with_const),
+        lambda: expand(with_linear),
+        lambda: RemEvaluator(LowRankInput(outer, (LinearForm((m,)),)), UnivariateIdeal(((0, UnivariatePoly([0, 0, 1])),))),
+        lambda: RemEvaluator(LowRankInput(outer, (LinearForm((1,)),)), mod_ideal),
+    ]
+    for attempt in attempts:
+        with pytest.raises(FieldMismatch):
+            attempt()
+    assert type(rational(F(6, 2))) is int and rational(F(1, 2)) == F(1, 2)
+    assert SparsePoly(1, {(1,): 0.5}).terms == {(1,): F(1, 2)}
 
 
 def test_primality():
@@ -106,16 +143,16 @@ def test_mod_matches_integer_arithmetic(a, b):
 
 def test_pipeline_mod_p_consistency():
     # A rational result, reduced mod p, equals the prime-field pipeline.
-    from helpers import lift_ideal, map_coeffs, random_ideal, random_sparse
+    from helpers import random_ideal, random_sparse
     from unideal.division import divide
     from unideal.poly import SparsePoly
 
     rng = random.Random(5)
-    g = GF(10007)
+    p = 10007
     for _ in range(30):
         n = rng.randint(1, 4)
         ideal = random_ideal(rng, n, 3)
         f = random_sparse(rng, n)
         rq = divide(f, ideal)
-        rp = divide(map_coeffs(f, g), lift_ideal(ideal, g))
-        assert map_coeffs(rq, g) == rp
+        rp = divide(SparsePoly(n, f.terms, p), ideal)
+        assert SparsePoly(n, rq.terms, p) == rp

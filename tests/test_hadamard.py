@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    P61,
     brute_power_membership,
     diagonal_evaluate,
     diagonal_to_sparse,
@@ -45,31 +46,30 @@ def test_scaled_hadamard_hand_example():
     # f = x1 x2 against D = (x1 + x2)^2: the definition gives 2 x1 x2.
     b = CircuitBuilder(2)
     c = b.build(b.mul(b.input(0), b.input(1)))
-    d = DiagonalCircuit(2, 2, ((F(1), LinearForm((F(1), F(1)))),))
-    assert scaled_hadamard_eval(c, d, [F(1), F(1)]) == 2
-    assert scaled_hadamard_eval(c, d, [F(2), F(3)]) == 2 * 2 * 3
+    d = mod_p(DiagonalCircuit(2, 2, ((F(1), LinearForm((F(1), F(1)))),)), P61)
+    assert scaled_hadamard_eval(c, d, [1, 1], P61) == 2
+    assert scaled_hadamard_eval(c, d, [2, 3], P61) == 2 * 2 * 3
 
 
 def test_scaled_hadamard_disjoint_support():
     b = CircuitBuilder(2)
     c = b.build(b.mul(b.input(0), b.input(0)))  # x1^2
-    d = DiagonalCircuit(2, 2, ((F(1), LinearForm((F(0), F(1)))),))  # x2^2
-    assert scaled_hadamard_eval(c, d, [F(5), F(7)]) == 0
+    d = mod_p(DiagonalCircuit(2, 2, ((F(1), LinearForm((F(0), F(1)))),)), P61)  # x2^2
+    assert scaled_hadamard_eval(c, d, [5, 7], P61) == 0
 
 
 def test_scaled_hadamard_full_power_sum():
     # homogeneous f of degree k against (sum x_i)^k equals k! f(b)
     b = CircuitBuilder(3)
     c = b.build(b.mul(b.input(0), b.input(1), b.input(2)))
-    d = DiagonalCircuit(3, 3, ((F(1), LinearForm((F(1), F(1), F(1)))),))
-    pt = [F(2), F(3), F(5)]
-    assert scaled_hadamard_eval(c, d, pt) == math.factorial(3) * 30
+    d = mod_p(DiagonalCircuit(3, 3, ((F(1), LinearForm((F(1), F(1), F(1)))),)), P61)
+    assert scaled_hadamard_eval(c, d, [2, 3, 5], P61) == math.factorial(3) * 30
 
 
 def test_scaled_hadamard_matches_literal_definition():
     # Each instance also runs with a drawn non-unit scale (from its own rng,
-    # so the instances are those of the unit-scale check), exactly and as
-    # its image mod a prime.
+    # so the instances are those of the unit-scale check), mod P61 and mod a
+    # smaller prime.
     rng = random.Random(0)
     scales = random.Random(1)
     p = 10007
@@ -82,10 +82,12 @@ def test_scaled_hadamard_matches_literal_definition():
         )
         d = DiagonalCircuit(n, k, summands)
         pt = [F(rng.randint(1, 6)) for _ in range(n)]
-        assert scaled_hadamard_eval(c, d, pt) == literal_scaled_hadamard(expand(c), diagonal_to_sparse(d), pt)
+        c61, pt61 = mod_p(c, P61), mod_p(pt, P61)
+        want = literal_scaled_hadamard(expand(c), diagonal_to_sparse(d), pt)
+        assert scaled_hadamard_eval(c61, mod_p(d, P61), pt61, P61) == fields.residue(want, P61)
         d = DiagonalCircuit(n, k, summands, F(scales.randint(-9, 9) or 1, scales.randint(2, 9)))
         want = literal_scaled_hadamard(expand(c), diagonal_to_sparse(d), pt)
-        assert scaled_hadamard_eval(c, d, pt) == want
+        assert scaled_hadamard_eval(c61, mod_p(d, P61), pt61, P61) == fields.residue(want, P61)
         assert scaled_hadamard_eval(mod_p(c, p), mod_p(d, p), mod_p(pt, p), p) == fields.residue(want, p)
 
 
@@ -93,10 +95,10 @@ def test_scaled_hadamard_matches_literal_definition():
 def test_scaled_hadamard_one_pass_per_block(monkeypatch, fan_in):
     # ceil(fan-in / BLOCK) passes over the circuit with at most BLOCK points
     # each, so the extra space does not grow with the fan-in; the value is the
-    # per-summand sum, and the residue path is the image of the exact one.
+    # per-summand sum, mod P61 and mod a smaller prime.
     passes = []
 
-    def counted(c, k, points, p=None):
+    def counted(c, k, points, p):
         passes.append(len(points))
         return homogeneous_part_eval(c, k, points, p)
 
@@ -113,17 +115,20 @@ def test_scaled_hadamard_one_pass_per_block(monkeypatch, fan_in):
     )
     d = DiagonalCircuit(n, k, summands)
     pt = [rng.randint(1, 50) for _ in range(n)]
-    want = sum(
-        (coef * math.factorial(k) * homogeneous_part_eval(c, k, [[l * b for l, b in zip(form.coeffs, pt)]])[0]
-         for coef, form in summands),
-        F(0),
-    )
+
+    def per_summand(q):
+        cq = mod_p(c, q)
+        return sum(
+            fields.residue(coef, q) * math.factorial(k)
+            * homogeneous_part_eval(cq, k, [mod_p([l * b for l, b in zip(form.coeffs, pt)], q)], q)[0]
+            for coef, form in summands
+        ) % q
+
     blocks = [min(BLOCK, fan_in - start) for start in range(0, fan_in, BLOCK)]
-    assert scaled_hadamard_eval(c, d, pt) == want
-    assert passes == blocks
-    passes.clear()
-    assert scaled_hadamard_eval(mod_p(c, p), mod_p(d, p), pt, p) == want.numerator * pow(want.denominator, -1, p) % p
-    assert passes == blocks
+    for q in (P61, p):
+        passes.clear()
+        assert scaled_hadamard_eval(mod_p(c, q), mod_p(d, q), pt, q) == per_summand(q)
+        assert passes == blocks
 
 
 def test_coverage_trials_formula():
@@ -386,7 +391,7 @@ def test_homogeneous_part_and_scaled_hadamard_match_sympy():
             )
 
         want = part([sympy.Rational(x.numerator, x.denominator) for x in pt])
-        assert homogeneous_part_eval(c, k, [pt])[0] == F(int(want.p), int(want.q))
+        assert homogeneous_part_eval(mod_p(c, P61), k, [mod_p(pt, P61)], P61)[0] == _to_residue(want, P61)
         assert homogeneous_part_eval(mod_p(c, p), k, [ipt], p)[0] == _to_residue(part([sympy.Integer(x) for x in ipt]), p)
 
         # The literal definition: sum over monomials m of m! [m]f [m]D b^m.
@@ -412,7 +417,7 @@ def test_homogeneous_part_and_scaled_hadamard_match_sympy():
             return total
 
         want = literal([sympy.Rational(x.numerator, x.denominator) for x in pt])
-        assert scaled_hadamard_eval(c, d, pt) == F(int(want.p), int(want.q))
+        assert scaled_hadamard_eval(mod_p(c, P61), mod_p(d, P61), mod_p(pt, P61), P61) == _to_residue(want, P61)
         field = GF(p)
         got = scaled_hadamard_eval(mod_p(c, p), mod_p(d, p), ipt, p)
         assert got == field(_to_residue(literal([sympy.Integer(x) for x in ipt]), p))

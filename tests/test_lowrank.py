@@ -115,7 +115,7 @@ def test_oracle_equivalence_prime_field():
         inp_p = LowRankInput(map_scalars(inp.outer, g), lift_forms(inp.forms, g))
         ideal_p = lift_ideal(ideal, g)
         alpha_p = [g(a) for a in alpha]
-        want = divide(expand(inline_forms(inp_p)), ideal_p).evaluate(alpha_p)
+        want = divide(SparsePoly(inp.n, expand(inline_forms(inp)).terms, g.p), ideal).evaluate(alpha)
         ev = RemEvaluator(inp_p, ideal_p, g)
         # Over GF(p) the evaluator walks on the residue kernel.
         assert ev.field == g and ev._base.p == g.p

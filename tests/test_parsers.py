@@ -18,10 +18,13 @@ CPython's digit limit for int(str)) in absolute value, or is written with
 more digits than that, with ValueError.  The exponent check holds that
 bound without calling `Fraction` on a token past it.
 
-The fuzz tests feed `parse_ideal`, `parse_lowrank` and `parse_point` text
-built from the formats' own words, and valid files with tokens deleted,
-repeated or replaced.  Every input must parse or raise ValueError, which
-the CLI reports as a usage error (exit 2) rather than a traceback.
+The fuzz tests feed every text parser (`parse_ideal`, `parse_lowrank`,
+`parse_point`, `parse_circuit`, `parse_graph`, `parse_matrix`,
+`parse_forms`, `parse_certificate`, `parse_klineq` and
+`parse_one_in_three`) text built from the formats' own words, and valid
+files with tokens deleted, repeated or replaced.  Every input must parse
+or raise ValueError, which the CLI reports as a usage error (exit 2)
+rather than a traceback.
 """
 
 from __future__ import annotations
@@ -141,7 +144,8 @@ if __name__ == "__main__":
     sys.exit(0)
 
 
-# The hypothesis tests; the script above runs without hypothesis.
+# The hypothesis tests; the script above runs without pytest or hypothesis.
+import pytest  # noqa: E402
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 _no_exponent = st.characters(blacklist_categories=("Cs",)).filter(lambda c: not re.fullmatch("e", c, re.I))
@@ -171,8 +175,14 @@ VALID_POINT = "1, -2 3/4"
 WORDS = ["vars", "in", "const", "add", "mul", "lin", "out", "form", "var", ":", "+", "#", ",",
          "0", "1", "2", "3", "-1", "1/2", "1/0", "2.5", "1_0", "٣", "x", "-", "/", "99999999999"]
 
-_lines = st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join)
-_word_texts = st.lists(_lines, max_size=8).map("\n".join)
+
+
+def _texts(words):
+    """Lines of up to six of `words`, up to eight lines."""
+    return st.lists(st.lists(st.sampled_from(words), max_size=6).map(" ".join), max_size=8).map("\n".join)
+
+
+_word_texts = _texts(WORDS)
 
 
 @st.composite
@@ -218,6 +228,34 @@ def test_parse_ideal_raises_only_value_error(text):
 @given(st.one_of(_word_texts, _mutations(VALID_POINT), st.text(st.sampled_from(ALPHABET + ",\n"), max_size=12)))
 def test_parse_point_raises_only_value_error(text):
     _parses_or_value_error(uio.parse_point, text)
+
+
+# Each remaining parser: its valid file and the words of its format, beside
+# the number tokens every format shares.
+NUMBER_WORDS = ["0", "1", "2", "3", "-1", "1/2", "1/0", "2.5", "1_0", "٣", "x", "-", "/", "+", "#", "99999999999"]
+FORMATS = {
+    "circuit": (uio.parse_circuit, "vars 2\nin 0\nin 1\nmul 0 1\nconst -1/2\nlin 1 -2 + 3\nadd 2 3 4\nout 5\n",
+                ["vars", "in", "const", "add", "mul", "lin", "out"]),
+    "graph": (uio.parse_graph, "4 3\n0 1\n1 2 # a path\n2 3\n", []),
+    "matrix": (uio.parse_matrix, "1 2 1/2\n0 -1 3\n", []),
+    "forms": (uio.parse_forms, "form 1 0 -3\nform 0 2 1 + 5\n", ["form"]),
+    "certificate": (uio.parse_certificate, "1/2 -3/4\n0 1\n", []),
+    "klineq": (uio.parse_klineq, "2 3\n1 0\n1 1 0\n0 1 1\n", []),
+    "one_in_three": (uio.parse_one_in_three, "4 2\n0 1 2\n1 2 3\n", []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_format_parsers_raise_only_value_error(name):
+    parse, valid, words = FORMATS[name]
+    parse(valid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_texts(words + NUMBER_WORDS), _mutations(valid)))
+    def check(text):
+        _parses_or_value_error(parse, text)
+
+    check()
 
 
 def test_valid_files_parse():

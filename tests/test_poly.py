@@ -120,12 +120,13 @@ def test_residue_field_mismatch():
 
 
 def test_zero_poly_evaluates_to_int_zero():
-    # No field is inferred from the point: the empty sum is the int 0, which
-    # equals the zero of every field.
+    # No field is inferred from the point: the empty sum is the int 0, and an
+    # exact polynomial, zero or not, takes only a rational point.
     g = GF(7)
-    z = SparsePoly.zero(2).evaluate([g(1), g(3)])
-    assert type(z) is int and z == 0 and z == g(0)
-    assert SparsePoly.zero(2).evaluate([F(1), F(3)]) == 0
+    with pytest.raises(FieldMismatch):
+        SparsePoly.zero(2).evaluate([g(1), g(3)])
+    z = SparsePoly.zero(2).evaluate([F(1), F(3)])
+    assert type(z) is int and z == 0
     assert SparsePoly.zero(0).evaluate([]) == 0
     r = SparsePoly.zero(2, 7).evaluate([g(1), F(3)])
     assert type(r) is int and r == 0
