@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .circuits import CircuitBuilder
 from .division import UnivariateIdeal, random_zero_test, zero_test_sample_size
-from .fields import GF, QQ
+from .fields import GF, QQ, kernel_map
 from .linalg import LinearForm, Matrix, rank_and_row_basis
 from .lowrank import LowRankInput, RemEvaluator
 from .poly import UnivariatePoly
@@ -125,20 +125,22 @@ def ryser_permanent(a: Matrix):
     return total
 
 
-def _permanent_input(a: Matrix, field):
+def _permanent_input(a: Matrix, p: int | None):
     """The row product of `a` as a low-rank input, its rank, and a scale.
 
-    perm is linear in every row, so over QQ each row's coordinates in the
-    basis rows are scaled by the lcm of their denominators: the outer
-    circuit has integer scalars, and for an integral `a` the compiled
-    levels run on ints.  The input's remainder is `scale` times perm(a);
-    over GF(p) the scale is 1.
+    `a` holds kernel scalars of modulus p (`fields.kernel_map`), and the
+    row-basis split runs on them.  perm is linear in every row, so over QQ
+    each row's coordinates in the basis rows are scaled by the lcm of their
+    denominators: the outer circuit has integer scalars, and for an
+    integral `a` the compiled levels run on ints.  The input's remainder is
+    `scale` times perm(a); over GF(p) the coordinates are residues and the
+    scale is 1.
     """
     n = a.nrows
-    rank, basis, coords = rank_and_row_basis(a)
+    rank, basis, coords = rank_and_row_basis(a, p)
     coord_rows = [[coords[i, j] for j in range(rank)] for i in range(n)]
     scale = 1
-    if field.p is None:
+    if p is None:
         for i, row in enumerate(coord_rows):
             m = math.lcm(*(x.denominator for x in row))
             scale *= m
@@ -155,18 +157,21 @@ def permanent_lowrank(a: Matrix, field=QQ):
     multilinear part of the row product, evaluated at the one point (1..1)
     by `RemEvaluator.eval`, which streams the compiled levels.  Over QQ the
     rows' coordinates are scaled to integers first and the scale divided
-    out at the end (see `_permanent_input`)."""
+    out at the end (see `_permanent_input`); over GF(p) the scale is 1 and
+    the value is returned as is."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("permanent of non-square matrix")
     if n == 0:
         return field.one
-    inp, rank, scale = _permanent_input(Matrix([[field(x) for x in row] for row in a.rows]), field)
+    scalar = kernel_map(field.p)
+    inp, rank, scale = _permanent_input(Matrix([list(map(scalar, row)) for row in a.rows]), field.p)
     if rank == 0:  # zero matrix; every row product vanishes
         return field.zero
     square = UnivariatePoly([0, 0, 1])
     ideal = UnivariateIdeal(tuple((i, square) for i in range(n)))
-    return RemEvaluator(inp, ideal, field).eval([1] * n) / scale
+    value = RemEvaluator(inp, ideal, field).eval([1] * n)
+    return value if scale == 1 else value / scale
 
 
 def vc_degrees(g: Graph, k: int, tight: bool = False) -> tuple[int, int]:
@@ -178,7 +183,9 @@ def vc_degrees(g: Graph, k: int, tight: bool = False) -> tuple[int, int]:
 
 def build_vc_instance(g: Graph, k: int, tight: bool = False, field=QQ):
     """Low-rank input, boolean ideal and degree bound for the cover
-    polynomial, its forms over `field`.
+    polynomial, its forms over `field`: their coefficients are the
+    split's coordinates, kernel scalars of modulus `field.p` (residues in
+    [0, p) over GF(p)).
 
     With B the basis rows and C the coordinates of the adjacency matrix's
     row-basis split, A = C A[B,:]; taking columns B and using symmetry,
@@ -191,10 +198,10 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False, field=QQ):
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     s_range, deg_bound = vc_degrees(g, k, tight)
-    adj = Matrix([[field(x) for x in row] for row in g.adjacency().rows])
-    r, basis, coords = rank_and_row_basis(adj)
-    forms = [LinearForm(tuple(map(field, col))) for col in zip(*coords.rows)]
-    forms.append(LinearForm((field.one,) * n))
+    adj = g.adjacency()  # 0/1 ints: kernel scalars of every field
+    r, basis, coords = rank_and_row_basis(adj, field.p)
+    forms = [LinearForm(col) for col in zip(*coords.rows)]
+    forms.append(LinearForm((1,) * n))
     b = CircuitBuilder(r + 1)
     cross = [b.mul(b.input(s), b.input(t)) for s, t in combinations(range(r), 2) if adj[basis[s], basis[t]]]
     quad = b.add(*cross) if len(cross) > 1 else cross[0] if cross else b.const(0)

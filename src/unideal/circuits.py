@@ -89,7 +89,8 @@ class Circuit:
                 raise TypeError(f"unknown node {node!r}")
 
     def evaluate(self, point):
-        """Exact value at a point; scalars of any one field (duck-typed)."""
+        """Exact value at a point of ints and Fractions, over QQ.  `Mod`
+        has no arithmetic: over GF(p) evaluate on ints and reduce mod p."""
         if len(point) != self.n:
             raise ValueError("point length mismatch")
         vals: list = [None] * len(self.nodes)

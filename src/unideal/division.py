@@ -20,10 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .circuits import Circuit, expand
-from .fields import QQ, FieldMismatch, _inverse, rational, residue
+from .fields import QQ, FieldMismatch, _inverse, kernel_map
 from .poly import SparsePoly, _acc, _mod_terms, _same_modulus
 
 __all__ = [
@@ -71,13 +70,13 @@ class _Reducer:
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
         self.p = p
-        scalar = rational if p is None else partial(residue, p=p)
+        scalar = kernel_map(p)
         self.rows: dict[int, tuple] = {}
         for var, g in sorted(ideal.generators):
             *low, lc = map(scalar, g.coeffs)
             if not lc:
                 raise FieldMismatch(f"leading coefficient of generator {var} vanishes mod {p}")
-            inv = _inverse(lc) if p is None else pow(lc, -1, p)
+            inv = _inverse(lc, p)
             self.rows[var] = tuple(scalar(-c * inv) for c in low)
         self.folds = {var: [(j, rc) for j, rc in enumerate(row) if rc] for var, row in self.rows.items()}
 

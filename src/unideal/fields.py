@@ -4,19 +4,20 @@ A field is the singleton `QQ` or `GF(p)`, and the caller states it: nothing
 in this package infers a field from the type of its scalars.  Both are
 callables that map integers and rationals into the field once, at an API
 boundary (`QQ` to `fractions.Fraction`, rejecting a `Mod`; `GF(p)` to `Mod`).
-`field.p` (None for QQ) is the one bridge to the kernels, and each kind of
-field has one map into them: the exact kernels (p = None) hold rationals
+`field.p` (None for QQ) is the one bridge to the kernels, and `kernel_map(p)`
+is the one map into them: the exact kernels (p = None) hold rationals
 mapped by `rational` (an int when integral, else a Fraction; a `Mod` is
 rejected), the residue kernels plain ints in [0, p) mapped by `residue`.
-`Mod` is the type of values handed back to callers.  No floating point is
-used anywhere in the algebraic core.
+The linear algebra is such a kernel too.  `Mod` is only the type of values
+handed back to callers: it compares but does no arithmetic.  No floating
+point is used anywhere in the algebraic core.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Union
+from functools import partial
 
 __all__ = [
     "FieldMismatch",
@@ -27,6 +28,7 @@ __all__ = [
     "QQ",
     "Scalar",
     "is_probable_prime",
+    "kernel_map",
     "random_prime",
     "rational",
     "residue",
@@ -91,9 +93,13 @@ def random_prime(bits: int, rng: random.Random) -> int:
             return c
 
 
-def _inverse(c):
-    """1 / c, exactly: an int c gives an int (c = 1 or -1) or a Fraction,
-    never a float; a Fraction or a `Mod` gives one of its own kind."""
+def _inverse(c, p: int | None = None):
+    """1 / c for a nonzero kernel scalar c.  Over QQ (p None) exactly: an
+    int c gives an int (c = 1 or -1) or a Fraction, never a float; a
+    Fraction gives a Fraction.  Over GF(p) c is a residue and so is 1 / c,
+    pow(c, -1, p)."""
+    if p is not None:
+        return pow(c, -1, p)
     if type(c) is int:
         return c if c in (1, -1) else Fraction(1, c)
     return 1 / c
@@ -132,8 +138,19 @@ def residue(x, p: int) -> int:
     raise TypeError(f"cannot coerce {x!r} into GF({p})")
 
 
+def kernel_map(p: int | None):
+    """The one map of input scalars into the kernels of modulus p:
+    `rational` when p is None (QQ), else `residue` mod p."""
+    return rational if p is None else partial(residue, p=p)
+
+
 class Mod:
-    """Residue in Z_p for a prime p, always normalized into [0, p)."""
+    """Residue in Z_p for a prime p, always normalized into [0, p).
+
+    The type of values handed back to callers over GF(p).  It compares
+    (with ints, Fractions and `Mod`s of its modulus) but has no arithmetic:
+    the kernels compute on plain-int residues.
+    """
 
     __slots__ = ("value", "p")
 
@@ -141,75 +158,16 @@ class Mod:
         self.value = value % p
         self.p = p
 
-    def _lift(self, other):
-        # The residue of `other` in this field, or None for a foreign type.
-        if isinstance(other, (int, Fraction, Mod)):
-            return residue(other, self.p)
-        return None
-
-    def __add__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return Mod(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return Mod(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return Mod(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        return Mod(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise ZeroDivisionError("division by zero residue")
-        return Mod(self.value * pow(v, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        v = self._lift(other)
-        if v is None:
-            return NotImplemented
-        if self.value == 0:
-            raise ZeroDivisionError("division by zero residue")
-        return Mod(v * pow(self.value, self.p - 2, self.p), self.p)
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            return NotImplemented
-        return Mod(pow(self.value, e, self.p), self.p)
-
-    def __neg__(self):
-        return Mod(-self.value, self.p)
-
     def __bool__(self):
         return self.value != 0
 
     def __eq__(self, other):
+        if not isinstance(other, (int, Fraction, Mod)):
+            return NotImplemented
         try:
-            v = self._lift(other)
+            return self.value == residue(other, self.p)
         except FieldMismatch:
             return False
-        if v is None:
-            return NotImplemented
-        return self.value == v
 
     def __hash__(self):
         return hash((self.value, self.p))
@@ -297,4 +255,5 @@ def GF(p: int) -> PrimeField:
     return f
 
 
-Scalar = Union[Fraction, Mod]
+# A kernel scalar: an int or a Fraction over QQ, an int residue over GF(p).
+Scalar = int | Fraction

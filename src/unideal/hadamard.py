@@ -103,12 +103,9 @@ class PowerIdealSpec:
         monomial has degree at most m and may have degree below k."""
         return range(min(self.k, self.m) + 1)
 
-    def to_ideal(self, field) -> UnivariateIdeal:
-        gens = []
-        for i, e in enumerate(self.exponents):
-            coeffs = [field.zero] * e + [field.one]
-            gens.append((i, UnivariatePoly(coeffs)))
-        return UnivariateIdeal(tuple(gens))
+    def to_ideal(self) -> UnivariateIdeal:
+        """<x_0^e_0, ..., x_(n-1)^e_(n-1)>, with int coefficients."""
+        return UnivariateIdeal(tuple((i, UnivariatePoly([0] * e + [1])) for i, e in enumerate(self.exponents)))
 
 
 def scaled_hadamard_eval(c: Circuit, d: DiagonalCircuit, point, p: int) -> int:

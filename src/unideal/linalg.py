@@ -7,12 +7,17 @@ variable-separation transform reads its next level's forms by index, and
 the coordinates split a symmetric matrix as C A[B,B] C^T for the cover
 instance of `apps`) and `suffix_pivots` (one right-to-left column
 elimination whose pivots give a column basis of every suffix m[:, c:] at
-once, so that transform solves each level on at most nrows columns).  The
-scalars are those of the caller's matrix, and no routine takes a field:
-where one needs a one or a zero that no division reaches it uses the int
-literals.  Each pivot is inverted once, exactly (`fields._inverse`), and
-eliminations multiply by that inverse, so int entries give ints and
-Fractions, never floats.
+once, so that transform solves each level on at most nrows columns).
+
+Both eliminations are kernels like `poly.SparsePoly` and
+`division._Reducer`: they take the modulus p (None for QQ), never a field,
+and the caller maps the entries in first (`fields.kernel_map`).  Each pivot
+is inverted once (`fields._inverse`) and eliminations multiply by that
+inverse.  Over QQ the entries are ints and Fractions and the inverse is
+exact, so int entries give ints and Fractions, never floats.  Over GF(p)
+they are plain-int residues, a pivot is inverted with pow(c, -1, p), and
+each eliminated vector is reduced mod p once, after its last elimination
+step, so every output is an int in [0, p).
 """
 
 from __future__ import annotations
@@ -82,13 +87,14 @@ class Matrix:
         return rank_and_row_basis(self)[0]
 
 
-def rank_and_row_basis(m: Matrix):
+def rank_and_row_basis(m: Matrix, p: int | None = None):
     """Rank, the indices of a row-subset basis of the row space, and coordinates.
 
     Returns (rank, basis, coords) where `basis` lists, increasing, the
     indices of the first maximal independent subset of the rows of `m`, and
     `coords` is an nrows x rank matrix with coords * [m.rows[i] for i in
-    basis] == m.
+    basis] == m, over QQ when p is None, else mod p (the entries of `m`
+    then residues, and those of `coords` ints in [0, p)).
     """
     if not m.rows:
         return 0, [], Matrix([])
@@ -102,10 +108,13 @@ def rank_and_row_basis(m: Matrix):
         combo = [0] * len(basis)
         for evec, piv, inv, ecombo in echelon:
             if vec[piv]:
-                f = vec[piv] * inv
+                f = vec[piv] * inv if p is None else vec[piv] * inv % p
                 vec = [x - f * y for x, y in zip(vec, evec)]
                 for t, c in enumerate(ecombo):
                     combo[t] = combo[t] + f * c
+        if p is not None:
+            vec = [x % p for x in vec]
+            combo = [c % p for c in combo]
         piv = next((j for j, x in enumerate(vec) if x), None)
         if piv is None:
             coords.append(combo)
@@ -113,7 +122,7 @@ def rank_and_row_basis(m: Matrix):
             new_combo = [-c for c in combo] + [1]
             for entry in echelon:
                 entry[3].append(0)
-            echelon.append((vec, piv, _inverse(vec[piv]), new_combo))
+            echelon.append((vec, piv, _inverse(vec[piv], p), new_combo))
             coords.append([0] * len(basis) + [1])
             basis.append(i)
     rank = len(basis)
@@ -121,7 +130,7 @@ def rank_and_row_basis(m: Matrix):
     return rank, basis, Matrix(coords)
 
 
-def suffix_pivots(m: Matrix) -> list:
+def suffix_pivots(m: Matrix, p: int | None = None) -> list:
     """The columns j with rank(m[:, j:]) > rank(m[:, j+1:]), increasing.
 
     One elimination of the columns from the last to the first, each reduced
@@ -129,7 +138,7 @@ def suffix_pivots(m: Matrix) -> list:
     For every c the pivots >= c are a basis of the column space of m[:, c:],
     so every row subset of m[:, c:] has the same left kernel (rank,
     independent rows, coordinates) on those at most nrows columns as on all
-    of them.
+    of them.  Over QQ when p is None, else over GF(p) on residues.
     """
     echelon: list[tuple[list, int, object]] = []  # (column vector, pivot row, its inverse)
     pivots = []
@@ -139,11 +148,13 @@ def suffix_pivots(m: Matrix) -> list:
         vec = [row[j] for row in m.rows]
         for evec, piv, inv in echelon:
             if vec[piv]:
-                f = vec[piv] * inv
+                f = vec[piv] * inv if p is None else vec[piv] * inv % p
                 vec = [x - f * y for x, y in zip(vec, evec)]
+        if p is not None:
+            vec = [x % p for x in vec]
         piv = next((i for i, x in enumerate(vec) if x), None)
         if piv is not None:
-            echelon.append((vec, piv, _inverse(vec[piv])))
+            echelon.append((vec, piv, _inverse(vec[piv], p)))
             pivots.append(j)
     pivots.reverse()
     return pivots

@@ -35,18 +35,20 @@ a level, applying it and dropping it, so one-point callers (`rem_eval`,
 `rem_eval` is the one-shot wrapper.
 
 The evaluator works over the field the caller states, QQ or GF(p).  Every
-input scalar is mapped into it once, at construction, by `fields.rational`
-over QQ (an int when integral, else a Fraction) or `fields.residue` over
-GF(p): the form coefficients the split (step 1) eliminates, the generator
-coefficients (in the evaluator's `division._Reducer`), the outer circuit's
-scalars, the hats, the fold rows and the point.  An input read by `io`
-holds its integers as ints already, so an integer instance with monic generators builds a Fraction
-only where the split divides by a pivot other than 1 or -1.  Each level's
-entries are then cleared to integers by the lcm of their denominators, so
-a point with integer coordinates runs on ints.  Over GF(p) the split runs
-on `Mod`s, and its output, the level-0 expansion, the fold rows and the
-compiled levels are plain-int residues (see `poly.SparsePoly`).  All levels
-share the fold rows of one `division._Reducer`, built once per evaluator.
+input scalar is mapped into it once, at construction, by
+`fields.kernel_map(p)`: `rational` over QQ (an int when integral, else a
+Fraction), `residue` over GF(p).  That covers the form coefficients the
+split (step 1) eliminates, the generator coefficients (in the evaluator's
+`division._Reducer`), the outer circuit's scalars and the point; the hats
+and the fold rows are computed from them.  An input read by `io` holds its
+integers as ints already, so an integer instance with monic generators
+builds a Fraction only where the split divides by a pivot other than 1 or
+-1.  Each level's entries are then cleared to integers by the lcm of their
+denominators, so a point with integer coordinates runs on ints.  Over GF(p)
+the split, like every other kernel, takes the modulus and runs on
+plain-int residues, and so do the level-0 expansion, the fold rows and the
+compiled levels (see `poly.SparsePoly` and `linalg`).  All levels share
+the fold rows of one `division._Reducer`, built once per evaluator.
 Each product that builds a column is a reduced polynomial times an affine
 form, and each product of the level-0 expansion is one by a factor of
 degree at most 2; both are formed and reduced in shift-and-fold passes by
@@ -70,7 +72,7 @@ from operator import mul
 
 from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, map_scalars
 from .division import UnivariateIdeal, _Reducer
-from .fields import QQ, rational, residue
+from .fields import QQ, kernel_map, rational
 from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
 from .poly import SparsePoly
 
@@ -129,23 +131,18 @@ class RemEvaluator:
     here, so a scalar with no image there (a `Mod` under QQ, another
     modulus, a denominator that vanishes mod p) or a generator leading
     coefficient that vanishes there raises FieldMismatch.  Over GF(p) the
-    levels, the reducers and the expansion are residues and `eval` (and the
-    schedule) return a `Mod`; over QQ they hold integral scalars as ints,
-    the point is mapped the same way, and the exact value comes back as a
-    Fraction.
+    split, the levels, the reducers and the expansion are residues and
+    `eval` (and the schedule) return a `Mod`; over QQ they hold integral
+    scalars as ints, the point is mapped the same way, and the exact value
+    comes back as a Fraction.
     """
 
     def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=QQ):
         self.field = field
         self.p = field.p
-        self._scalar = scalar = rational if self.p is None else partial(residue, p=self.p)
-        # The outer circuit goes straight to the expansion's scalars.  The
-        # split eliminates the form coefficients, inverting pivots: over
-        # GF(p) it runs on `Mod`s (a plain-int residue would invert to a
-        # Fraction), over QQ on `rational`'s ints and Fractions.
-        split = scalar if self.p is None else field
+        self._scalar = scalar = kernel_map(self.p)
         outer = map_scalars(inp.outer, scalar)
-        forms = tuple(LinearForm(tuple(map(split, f.coeffs)), split(f.const)) for f in inp.forms)
+        forms = tuple(LinearForm(tuple(map(scalar, f.coeffs)), scalar(f.const)) for f in inp.forms)
         self.inp = inp = LowRankInput(outer, forms)
         n = inp.n
         support = set()
@@ -162,7 +159,7 @@ class RemEvaluator:
         # Every level's forms are tails of a subset of the input rows, so one
         # elimination of the whole coefficient matrix serves all levels, and
         # every level reduces by the rows of one reducer.
-        pivots = suffix_pivots(Matrix([f.coeffs for f in inp.forms]))
+        pivots = suffix_pivots(Matrix([f.coeffs for f in inp.forms]), self.p)
         reducer = _Reducer(ideal, self.p)
         rows = tuple(range(r))
         offset = 0
@@ -192,7 +189,7 @@ class RemEvaluator:
         s = min(len(rows), self.inp.n - offset)
         cols = pivots[bisect_left(pivots, offset + s):]
         rests = Matrix([[forms[i].coeffs[j] for j in cols] for i in rows])
-        rank, basis, coords = rank_and_row_basis(rests)
+        rank, basis, coords = rank_and_row_basis(rests, self.p)
         w = s + rank
         scalar = self._scalar
         hats = []
@@ -204,7 +201,7 @@ class RemEvaluator:
                 if c:
                     e = [0] * w
                     e[j] = 1
-                    terms[tuple(e)] = scalar(c)
+                    terms[tuple(e)] = c
             for j in range(rank):
                 g = coords[k, j]
                 if g:
@@ -213,7 +210,7 @@ class RemEvaluator:
                     terms[tuple(e)] = scalar(g)
             # Only the input forms carry constants; deeper ones are rests.
             if offset == 0 and f.const:
-                terms[(0,) * w] = scalar(f.const)
+                terms[(0,) * w] = f.const
             hats.append(SparsePoly.raw(w, terms, self.p))
         reducer = reducer.window(offset, s)
         for h in range(len(hats)):

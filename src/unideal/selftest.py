@@ -132,7 +132,7 @@ def run_selftest(seed: int = 0) -> list:
             outer = _random_outer(rng, rng.randint(1, 2))
             while syntactic_degree(outer) > 4:
                 outer = _random_outer(rng, outer.n)
-        ideal = PowerIdealSpec(exps, 0).to_ideal(QQ)
+        ideal = PowerIdealSpec(exps, 0).to_ideal()
         inp = LowRankInput(outer, tuple(forms[: outer.n]))
         deg_bound = max(syntactic_degree(outer), *exps)
         c = inline_forms(inp)

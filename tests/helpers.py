@@ -364,9 +364,8 @@ def det(m: Matrix):
 def charpoly(m: Matrix) -> UnivariatePoly:
     """det(w*I - M), monic, by exact Hessenberg reduction plus the minor recurrence.
 
-    The leading coefficient is Fraction(1), which a `Mod` absorbs, so
-    `monic` and `divmod` never divide by an int; the others are scalars of
-    M's field.
+    M holds ints and Fractions.  The leading coefficient is Fraction(1), so
+    `monic` and `divmod` never divide by an int.
     """
     n = m.nrows
     if n != m.ncols:

@@ -77,7 +77,7 @@ def power_ideal_instances(draw):
 @given(power_ideal_instances(), st.integers(0, 2**32))
 def test_brute_lowrank_and_powers_agree(instance, seed):
     inp, exps, member = instance
-    ideal = PowerIdealSpec(exps, 0).to_ideal(QQ)
+    ideal = PowerIdealSpec(exps, 0).to_ideal()
     c = inline_forms(inp)
     brute = is_member_brute(c, ideal)
     lowrank = not random_zero_test(

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from helpers import charpoly, identity
-from unideal.fields import GF
+from unideal.fields import kernel_map
 from unideal.linalg import (
     Matrix,
     rank_and_row_basis,
@@ -59,7 +62,8 @@ def test_suffix_pivots_count_suffix_ranks():
     # rank(m[:, c:]) pivots lie at or past c, for every c, on matrices with
     # zero columns, zero rows, repeated rows and rows whose support ends early.
     rng = random.Random(8)
-    for field in (F, GF(5), GF(10007)):
+    for p in (None, 5, 10007):
+        scalar = kernel_map(p)
         for _ in range(80):
             r, n = rng.randint(1, 5), rng.randint(0, 10)
             zero_cols = set(rng.sample(range(n), rng.randint(0, n)))
@@ -69,12 +73,12 @@ def test_suffix_pivots_count_suffix_ranks():
                     rows.append(list(rng.choice(rows)))
                     continue
                 end = rng.randint(0, n)
-                rows.append([field(0 if j >= end or j in zero_cols else rng.randint(-2, 2)) for j in range(n)])
+                rows.append([scalar(0 if j >= end or j in zero_cols else rng.randint(-2, 2)) for j in range(n)])
             m = Matrix(rows)
-            pivots = suffix_pivots(m)
+            pivots = suffix_pivots(m, p)
             assert pivots == sorted(set(pivots))
             for c in range(n + 1):
-                assert sum(j >= c for j in pivots) == Matrix([row[c:] for row in rows]).rank()
+                assert sum(j >= c for j in pivots) == rank_and_row_basis(Matrix([row[c:] for row in rows]), p)[0]
 
 
 def test_int_entries_eliminate_exactly():
@@ -98,3 +102,51 @@ def test_int_entries_eliminate_exactly():
         assert chi == charpoly(fracs) and exact(chi.coeffs)
         singular += rank < n
     assert singular >= 5
+
+
+def det(rows):
+    """Exact integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * rows[0][j] * det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j in range(len(rows)))
+
+
+def minor_rank(rows, p, c=0):
+    """rank(rows[:, c:]) over GF(p): the order of its largest minor that does
+    not vanish mod p."""
+    ncols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), ncols - c), 0, -1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(c, ncols), k):
+                if det([[rows[i][j] for j in cs] for i in rs]) % p:
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("p", [2, 7, 2**61 - 1])
+def test_residue_split(p):
+    # Given p, both eliminations run on residues: every coordinate is an int
+    # in [0, p), coords * basis == m mod p, and every suffix rank is that of
+    # the integer minors mod p.  The last row is sometimes a combination of
+    # two others plus p times anything, so the rank drops mod p only.
+    rng = random.Random(p)
+    drops = 0
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 4), rng.randint(0, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if nrows >= 3 and rng.random() < 0.5:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y + p * rng.randint(-2, 2) for x, y in zip(rows[0], rows[1])]
+        m = Matrix([[x % p for x in row] for row in rows])
+        rank, basis, coords = rank_and_row_basis(m, p)
+        assert rank == len(basis) == minor_rank(rows, p)
+        assert basis == sorted(basis)
+        assert all(type(c) is int and 0 <= c < p for row in coords.rows for c in row)
+        for i in range(nrows):
+            for j in range(ncols):
+                assert sum(coords[i, t] * m[basis[t], j] for t in range(rank)) % p == m[i, j]
+        pivots = suffix_pivots(m, p)
+        for c in range(ncols + 1):
+            assert sum(j >= c for j in pivots) == minor_rank(rows, p, c)
+        drops += rank < rank_and_row_basis(Matrix(rows))[0]
+    assert drops > 0

@@ -14,7 +14,7 @@ from helpers import (
 from unideal import io as uio
 from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand, map_scalars
 from unideal.division import UnivariateIdeal, divide, is_member_brute
-from unideal.fields import GF, QQ, FieldMismatch, Mod
+from unideal.fields import GF, QQ, FieldMismatch, Mod, kernel_map
 from unideal.linalg import LinearForm, Matrix, rank_and_row_basis
 from unideal.lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
 from unideal.poly import SparsePoly, UnivariatePoly
@@ -222,26 +222,28 @@ def structured_forms(rng, r, n, field):
     for _ in range(r):
         kind = rng.random()
         if rows and kind < 0.2:
-            row = [field(rng.choice([1, -1, 2])) * c for c in rng.choice(rows)]
+            row = [rng.choice([1, -1, 2]) * c for c in rng.choice(rows)]
         elif len(rows) >= 2 and kind < 0.4:
             a, b = rng.sample(rows, 2)
-            row = [x + field(rng.randint(-2, 2)) * y for x, y in zip(a, b)]
+            row = [x + rng.randint(-2, 2) * y for x, y in zip(a, b)]
         else:
             end = rng.randint(0, n)
-            row = [field(0) if j >= end or j in zero_cols else field(rng.randint(-2, 2)) for j in range(n)]
+            row = [0 if j >= end or j in zero_cols else rng.randint(-2, 2) for j in range(n)]
         rows.append(row)
-    return tuple(LinearForm(tuple(row), field(rng.choice([0, 0, 1, -3]))) for row in rows)
+    return tuple(LinearForm(tuple(map(field, row)), field(rng.choice([0, 0, 1, -3]))) for row in rows)
 
 
 def reference_levels(inp, p):
     """(offset, s, w, unreduced hats, residual tails) per level, from one
-    elimination of the whole remaining tail at every level."""
-    forms = [(f.coeffs, f.const) for f in inp.forms]
+    elimination of the whole remaining tail at every level, over the
+    kernel scalars of modulus p."""
+    scalar = kernel_map(p)
+    forms = [(tuple(map(scalar, f.coeffs)), scalar(f.const)) for f in inp.forms]
     offset, levels = 0, []
     while forms and inp.n - offset > 0:
         s = min(len(forms), inp.n - offset)
         rests = Matrix([c[s:] for c, _ in forms])
-        rank, basis, coords = rank_and_row_basis(rests)
+        rank, basis, coords = rank_and_row_basis(rests, p)
         w = s + rank
         hats = []
         for i, (coeffs, const) in enumerate(forms):
@@ -295,9 +297,9 @@ def test_preparation_solves_small_systems(monkeypatch):
     seen = []
     real = lowrank.rank_and_row_basis
 
-    def spy(m):
+    def spy(m, p=None):
         seen.append((m.nrows, m.ncols))
-        return real(m)
+        return real(m, p)
 
     monkeypatch.setattr(lowrank, "rank_and_row_basis", spy)
     rng = random.Random(19)
@@ -424,16 +426,17 @@ def test_integral_input_walks_on_ints(monkeypatch):
     # rows and the compiled levels' entries (at scale 1) hold no Fraction and
     # no float, whether the input holds its integers as Fractions or as the
     # ints `io` reads, and the value still comes back as a Fraction.  All
-    # levels share the fold rows of one reducer.  Over GF(p) the split runs
-    # on `Mod`s.
+    # levels share the fold rows of one reducer.  Over GF(p) the split is
+    # given the modulus and runs on residues.
     import unideal.lowrank as lowrank
 
-    split_types = set()
+    split_types, split_moduli = set(), set()
 
     def spy(fn):
-        def wrapped(m):
+        def wrapped(m, p=None):
             split_types.update(type(c) for row in m.rows for c in row)
-            return fn(m)
+            split_moduli.add(p)
+            return fn(m, p)
         return wrapped
 
     reducers = []
@@ -461,9 +464,10 @@ def test_integral_input_walks_on_ints(monkeypatch):
     rng = random.Random(17)
     for case in ((inp, ideal), parsed):
         split_types.clear()
+        split_moduli.clear()
         reducers.clear()
         ev = RemEvaluator(*case)
-        assert split_types == {int} and len(reducers) == 1
+        assert split_types == {int} and split_moduli == {None} and len(reducers) == 1
         for _ in range(5):
             alpha = [rng.randint(-4, 4) for _ in range(inp.n)]
             got = ev.eval(alpha)
@@ -478,8 +482,9 @@ def test_integral_input_walks_on_ints(monkeypatch):
             assert scale == 1 and all(type(c) is int for row in rows for c in row[3])
         g = GF(10007)
         split_types.clear()
+        split_moduli.clear()
         ev = RemEvaluator(*case, g)
-        assert split_types == {Mod}
+        assert split_types == {int} and split_moduli == {g.p}
         assert all(type(c) is int for lvl in ev.levels for hat in lvl.hats for c in hat.terms.values())
         assert ev.eval(alpha) == g(remainder.evaluate(alpha))
     # A fractional input (forms, constants, non-monic generators) still
