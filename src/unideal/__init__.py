@@ -8,7 +8,7 @@ when the generators have distinct roots.  Applications: permanents of low-rank
 matrices and vertex cover on low-rank graphs.
 """
 
-from .fields import GF, QQ, FieldMismatch, Mod, is_probable_prime, random_prime
+from .fields import FieldMismatch, is_probable_prime, random_prime
 from .linalg import LinearForm, Matrix, rank_and_row_basis
 from .poly import CapExceeded, SparsePoly, UnivariatePoly, poly_gcd
 from .circuits import (

@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .circuits import CircuitBuilder
 from .division import UnivariateIdeal, random_zero_test, zero_test_sample_size
-from .fields import GF, QQ, kernel_map
+from .fields import kernel_map
 from .linalg import LinearForm, Matrix, rank_and_row_basis
 from .lowrank import LowRankInput, RemEvaluator
 from .poly import UnivariatePoly
@@ -151,26 +151,28 @@ def _permanent_input(a: Matrix, p: int | None):
     return LowRankInput(outer, forms), rank, scale
 
 
-def permanent_lowrank(a: Matrix, field=QQ):
-    """Permanent of a matrix over `field` via remainder evaluation; exact,
-    n^O(rank) time.  Any field works: the remainder modulo <x_i^2> keeps the
-    multilinear part of the row product, evaluated at the one point (1..1)
-    by `RemEvaluator.eval`, which streams the compiled levels.  Over QQ the
-    rows' coordinates are scaled to integers first and the scale divided
-    out at the end (see `_permanent_input`); over GF(p) the scale is 1 and
-    the value is returned as is."""
+def permanent_lowrank(a: Matrix, p: int | None = None):
+    """Permanent of a matrix via remainder evaluation; exact, n^O(rank)
+    time.  Any field works: over QQ when p is None (a Fraction comes back),
+    else over GF(p) (an int in [0, p); a composite p raises ValueError).
+    The remainder modulo <x_i^2> keeps the multilinear part of the row
+    product, evaluated at the one point (1..1) by `RemEvaluator.eval`,
+    which streams the compiled levels.  Over QQ the rows' coordinates are
+    scaled to integers first and the scale divided out at the end (see
+    `_permanent_input`); over GF(p) the scale is 1 and the value is
+    returned as is."""
     n = a.nrows
     if n != a.ncols:
         raise ValueError("permanent of non-square matrix")
+    scalar = kernel_map(p)
     if n == 0:
-        return field.one
-    scalar = kernel_map(field.p)
-    inp, rank, scale = _permanent_input(Matrix([list(map(scalar, row)) for row in a.rows]), field.p)
+        return Fraction(1) if p is None else 1
+    inp, rank, scale = _permanent_input(Matrix([list(map(scalar, row)) for row in a.rows]), p)
     if rank == 0:  # zero matrix; every row product vanishes
-        return field.zero
+        return Fraction(0) if p is None else 0
     square = UnivariatePoly([0, 0, 1])
     ideal = UnivariateIdeal(tuple((i, square) for i in range(n)))
-    value = RemEvaluator(inp, ideal, field).eval([1] * n)
+    value = RemEvaluator(inp, ideal, p).eval([1] * n)
     return value if scale == 1 else value / scale
 
 
@@ -181,11 +183,11 @@ def vc_degrees(g: Graph, k: int, tight: bool = False) -> tuple[int, int]:
     return s_range, 2 * s_range + (g.n - k)
 
 
-def build_vc_instance(g: Graph, k: int, tight: bool = False, field=QQ):
+def build_vc_instance(g: Graph, k: int, tight: bool = False, p: int | None = None):
     """Low-rank input, boolean ideal and degree bound for the cover
-    polynomial, its forms over `field`: their coefficients are the
-    split's coordinates, kernel scalars of modulus `field.p` (residues in
-    [0, p) over GF(p)).
+    polynomial, its forms over the field of modulus p (None for QQ): their
+    coefficients are the split's coordinates, kernel scalars of modulus p
+    (residues in [0, p) over GF(p)).
 
     With B the basis rows and C the coordinates of the adjacency matrix's
     row-basis split, A = C A[B,:]; taking columns B and using symmetry,
@@ -198,8 +200,9 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False, field=QQ):
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
     s_range, deg_bound = vc_degrees(g, k, tight)
+    kernel_map(p)  # a composite p raises ValueError
     adj = g.adjacency()  # 0/1 ints: kernel scalars of every field
-    r, basis, coords = rank_and_row_basis(adj, field.p)
+    r, basis, coords = rank_and_row_basis(adj, p)
     forms = [LinearForm(col) for col in zip(*coords.rows)]
     forms.append(LinearForm((1,) * n))
     b = CircuitBuilder(r + 1)
@@ -250,10 +253,9 @@ def vertex_cover_lowrank(
     _, deg_bound = vc_degrees(g, k, tight)
     if VC_PRIME <= max(math.comb(g.n, 2), g.n, zero_test_sample_size(deg_bound)):
         raise ValueError(f"a graph on {g.n} vertices is too large for the zero test over GF({VC_PRIME})")
-    field = GF(VC_PRIME)
-    inp, ideal, _ = build_vc_instance(g, k, tight=tight, field=field)
-    evaluator = RemEvaluator(inp, ideal, field)
-    return random_zero_test(evaluator.schedule(), g.n, deg_bound, trials, rng, field=field)
+    inp, ideal, _ = build_vc_instance(g, k, tight=tight, p=VC_PRIME)
+    evaluator = RemEvaluator(inp, ideal, VC_PRIME)
+    return random_zero_test(evaluator.schedule(), g.n, deg_bound, trials, rng, p=VC_PRIME)
 
 
 def has_vertex_cover_brute(g: Graph, k: int) -> bool:

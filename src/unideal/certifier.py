@@ -359,10 +359,11 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal) -> PrecisionBudget:
     lower-bounds the nonzero grid values of the remainder R through the
     characteristic polynomial of multiplication by R on the quotient
     algebra, built from the power sums tr(R^k) by Newton's identities.
-    Sets M = B3/3 and eps = min(1, M/lip).
+    Sets M = B3/3 and eps = min(1, M/lip).  The ideal is checked (one
+    squarefree generator per variable, a root grid within CHARPOLY_GUARD)
+    before f is expanded.
     """
-    fp = expand(f, EXPAND_CAP)
-    n = fp.n
+    n = f.n
     gens = {v: p for v, p in ideal.generators}
     for v in range(n):
         if v not in gens:
@@ -373,6 +374,7 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal) -> PrecisionBudget:
     grid = math.prod(degs)
     if grid > CHARPOLY_GUARD:
         raise ValueError(f"root grid of size {grid} exceeds the threshold guard {CHARPOLY_GUARD}")
+    fp = expand(f, EXPAND_CAP)
     boxes = [root_bound(gens[v]) + 1 for v in range(n)]
     # sum_i sup |df/dx_i| <= sum over terms c x^e of |c| prod(box^e) * sum_i e_i / box_i
     lip = Fraction(0)

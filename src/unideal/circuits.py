@@ -89,8 +89,8 @@ class Circuit:
                 raise TypeError(f"unknown node {node!r}")
 
     def evaluate(self, point):
-        """Exact value at a point of ints and Fractions, over QQ.  `Mod`
-        has no arithmetic: over GF(p) evaluate on ints and reduce mod p."""
+        """Exact value at a point of ints and Fractions, over QQ.  Over
+        GF(p) evaluate on int residues and reduce the value mod p."""
         if len(point) != self.n:
             raise ValueError("point length mismatch")
         vals: list = [None] * len(self.nodes)
@@ -197,14 +197,13 @@ def expand(c: Circuit, monomial_cap: int | None = 10**6, images=None, reducer=No
     """Exact sparse expansion; aborts with CapExceeded past the term budget.
 
     Without `images` the result is over QQ, and the circuit's scalars are
-    mapped by `fields.rational` (a `Mod` raises FieldMismatch).  With
-    `images` (one SparsePoly per input variable, all over the same
-    variables and with one modulus) the result is c(images) instead of c
-    itself, and the circuit's scalars must already be mapped into the
-    images' field (`map_scalars`).  With a `reducer` (a
-    `division._Reducer`) every product and linear gate is reduced as soon
-    as it is formed, so intermediate term counts stay within the residue
-    grid and the result is the unique remainder; products go through
+    mapped by `fields.rational`.  With `images` (one SparsePoly per input
+    variable, all over the same variables and with one modulus p) the
+    result is c(images) instead of c itself, and the circuit's scalars must
+    already be mapped into the field of modulus p (`map_scalars`).  With a
+    `reducer` (a `division._Reducer`) every product and linear gate is
+    reduced as soon as it is formed, so intermediate term counts stay within
+    the residue grid and the result is the unique remainder; products go through
     `reducer.mul`, which forms a product by a factor of total degree at most
     2 (an image form, its square, or a quadratic form shifted by a constant,
     as in the vertex-cover factors q - s) in shift-and-fold passes, without

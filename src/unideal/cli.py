@@ -25,7 +25,6 @@ from .apps import permanent_lowrank, ryser_permanent, vc_degrees, vertex_cover_l
 from .certifier import Undecided, compute_threshold, search_nonmembership, verify_certificate
 from .circuits import syntactic_degree
 from .division import is_member_brute, random_zero_test, zero_test_miss_bound
-from .fields import QQ
 from .hadamard import PowerIdealSpec, in_ideal_coverage_bound, membership_powers
 from .lowrank import LowRankInput, RemEvaluator, rem_eval
 from .poly import CapExceeded
@@ -120,7 +119,7 @@ def _cmd_member(args) -> int:
         sd = syntactic_degree(circuit)
         d = max(sd, max(p.degree() for _, p in ideal.generators))
         ev = RemEvaluator(LowRankInput(circuit, forms), ideal)
-        nonzero = random_zero_test(ev.schedule(), ev.inp.n, d, args.trials, rng, field=QQ)
+        nonzero = random_zero_test(ev.schedule(), ev.inp.n, d, args.trials, rng)
         # The remainder has degree < deg p_i in each x_i, and at most the circuit's.
         deg_rem = min(sd, sum(p.degree() - 1 for _, p in ideal.generators))
         err = 0 if nonzero else zero_test_miss_bound(deg_rem, d, args.trials)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circuits import Circuit, expand
-from .fields import QQ, FieldMismatch, _inverse, kernel_map
+from .fields import FieldMismatch, _inverse, kernel_map
 from .poly import SparsePoly, _acc, _mod_terms, _same_modulus
 
 __all__ = [
@@ -58,14 +58,15 @@ class _Reducer:
 
     The row of p_v (degree d, leading coefficient lc) holds the coefficients
     of x_v^d mod p_v, that is -p_v[j] / lc for j < d, computed once here.
-    The generators enter the field here, each coefficient mapped before it
-    is divided by lc: with a modulus p by `fields.residue`, so the rows are
+    The field is the modulus p (None for QQ), and the generators enter it
+    here, each coefficient mapped by `fields.kernel_map(p)` before it is
+    divided by lc: with a modulus by `fields.residue`, so the rows are
     plain-int residues; without one by `fields.rational`, so the rows of
     monic integer generators hold ints, even from integral Fractions, and
     reducing a polynomial with int coefficients builds no Fraction.  A
-    coefficient with no image in the field (a `Mod` over QQ, another
-    modulus, a denominator that vanishes mod p), or a leading coefficient
-    that vanishes there, raises FieldMismatch.
+    coefficient with no image in the field (a denominator that vanishes
+    mod p), or a leading coefficient that vanishes there, raises
+    FieldMismatch.
     """
 
     def __init__(self, ideal: UnivariateIdeal, p: int | None = None):
@@ -228,18 +229,18 @@ def zero_test_miss_bound(degree: int, deg_bound: int, trials: int) -> Fraction:
     return Fraction(degree, zero_test_sample_size(deg_bound)) ** trials
 
 
-def random_zero_test(r_eval, n: int, deg_bound: int, trials: int, rng: random.Random, field=QQ) -> bool:
+def random_zero_test(r_eval, n: int, deg_bound: int, trials: int, rng: random.Random, p: int | None = None) -> bool:
     """Schwartz-Zippel zero test; True means a nonzero value was found.
 
     Points are drawn from {1..S}, S = `zero_test_sample_size(deg_bound)`, so
     a nonzero answer is certain and a zero one errs with probability at most
     `zero_test_miss_bound`.  They are plain ints: `r_eval` maps them into
-    its field, and `field` is read only to check that a prime field is
-    larger than S.
+    its field, and the modulus `p` of that field (None for QQ) is read only
+    to check that GF(p) is larger than S.
     """
     size = zero_test_sample_size(deg_bound)
-    if field.p is not None and field.p <= size:
-        raise ValueError(f"field GF({field.p}) smaller than sample set of size {size}")
+    if p is not None and p <= size:
+        raise ValueError(f"field GF({p}) smaller than sample set of size {size}")
     for _ in range(trials):
         point = [rng.randint(1, size) for _ in range(n)]
         if r_eval(point):

@@ -31,7 +31,7 @@ itself is still built whole by `build_detection_circuit`.)  Only the Fischer
 construction has a field condition: characteristic 0 or > ceil(1.5j).
 
 Evaluations run modulo fresh random 64-bit primes, on plain-int residues
-(no field object is built for a drawn prime: the circuit's scalars are
+(a drawn prime is the field, as every modulus is: the circuit's scalars are
 mapped once per prime, and the scale is the one scalar of D_j inverted), so
 that circuits over the integers whose values are doubly exponential stay
 cheap; a nonzero value modulo any prime certifies nonmembership, so that

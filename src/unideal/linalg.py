@@ -10,7 +10,7 @@ elimination whose pivots give a column basis of every suffix m[:, c:] at
 once, so that transform solves each level on at most nrows columns).
 
 Both eliminations are kernels like `poly.SparsePoly` and
-`division._Reducer`: they take the modulus p (None for QQ), never a field,
+`division._Reducer`: they take the field as its modulus p (None for QQ),
 and the caller maps the entries in first (`fields.kernel_map`).  Each pivot
 is inverted once (`fields._inverse`) and eliminations multiply by that
 inverse.  Over QQ the entries are ints and Fractions and the inverse is

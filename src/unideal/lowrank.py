@@ -34,20 +34,21 @@ a level, applying it and dropping it, so one-point callers (`rem_eval`,
 
 `rem_eval` is the one-shot wrapper.
 
-The evaluator works over the field the caller states, QQ or GF(p).  Every
-input scalar is mapped into it once, at construction, by
-`fields.kernel_map(p)`: `rational` over QQ (an int when integral, else a
-Fraction), `residue` over GF(p).  That covers the form coefficients the
-split (step 1) eliminates, the generator coefficients (in the evaluator's
-`division._Reducer`), the outer circuit's scalars and the point; the hats
-and the fold rows are computed from them.  An input read by `io` holds its
-integers as ints already, so an integer instance with monic generators
-builds a Fraction only where the split divides by a pivot other than 1 or
--1.  Each level's entries are then cleared to integers by the lcm of their
-denominators, so a point with integer coordinates runs on ints.  Over GF(p)
-the split, like every other kernel, takes the modulus and runs on
-plain-int residues, and so do the level-0 expansion, the fold rows and the
-compiled levels (see `poly.SparsePoly` and `linalg`).  All levels share
+A field is its modulus p, None for QQ (see `fields`), and the evaluator,
+like every kernel under it, takes p.  Every input scalar is mapped into the
+field once, at construction, by `fields.kernel_map(p)`: `rational` over QQ
+(an int when integral, else a Fraction), `residue` over GF(p).  That covers
+the form coefficients the split (step 1) eliminates, the generator
+coefficients (in the evaluator's `division._Reducer`), the outer circuit's
+scalars and the point; the hats and the fold rows are computed from them.
+An input read by `io` holds its integers as ints already, so an integer
+instance with monic generators builds a Fraction only where the split
+divides by a pivot other than 1 or -1.  Each level's entries are then
+cleared to integers by the lcm of their denominators, so a point with
+integer coordinates runs on ints, and the value comes back as a Fraction.
+Over GF(p) the split runs on plain-int residues, and so do the level-0
+expansion, the fold rows and the compiled levels (see `poly.SparsePoly`
+and `linalg`); the value comes back as an int in [0, p).  All levels share
 the fold rows of one `division._Reducer`, built once per evaluator.
 Each product that builds a column is a reduced polynomial times an affine
 form, and each product of the level-0 expansion is one by a factor of
@@ -72,7 +73,7 @@ from operator import mul
 
 from .circuits import Add, Circuit, CircuitBuilder, Const, Input, Mul, expand, map_scalars
 from .division import UnivariateIdeal, _Reducer
-from .fields import QQ, kernel_map, rational
+from .fields import kernel_map, rational
 from .linalg import LinearForm, Matrix, rank_and_row_basis, suffix_pivots
 from .poly import SparsePoly
 
@@ -125,22 +126,21 @@ class RemEvaluator:
     applied; `schedule` compiles them once and keeps them for many points.
     No product is capped; the module docstring bounds each by (d+1)^(2r).
 
-    `field` is QQ (the default) or a `fields.GF(p)`.  Every scalar of the
-    input (form coefficients and constants, generator coefficients, and the
-    outer circuit's constants and linear-gate coefficients) is mapped into it
-    here, so a scalar with no image there (a `Mod` under QQ, another
-    modulus, a denominator that vanishes mod p) or a generator leading
-    coefficient that vanishes there raises FieldMismatch.  Over GF(p) the
+    The field is the modulus `p`: None (the default) for QQ, else a prime,
+    and a composite p raises ValueError.  Every scalar of the input (form
+    coefficients and constants, generator coefficients, and the outer
+    circuit's constants and linear-gate coefficients) is mapped into it
+    here, so a denominator that vanishes mod p, or a generator leading
+    coefficient that vanishes there, raises FieldMismatch.  Over GF(p) the
     split, the levels, the reducers and the expansion are residues and
-    `eval` (and the schedule) return a `Mod`; over QQ they hold integral
-    scalars as ints, the point is mapped the same way, and the exact value
-    comes back as a Fraction.
+    `eval` (and the schedule) return an int in [0, p); over QQ they hold
+    integral scalars as ints, the point is mapped the same way, and the
+    exact value comes back as a Fraction.
     """
 
-    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, field=QQ):
-        self.field = field
-        self.p = field.p
-        self._scalar = scalar = kernel_map(self.p)
+    def __init__(self, inp: LowRankInput, ideal: UnivariateIdeal, p: int | None = None):
+        self.p = p
+        self._scalar = scalar = kernel_map(p)
         outer = map_scalars(inp.outer, scalar)
         forms = tuple(LinearForm(tuple(map(scalar, f.coeffs)), scalar(f.const)) for f in inp.forms)
         self.inp = inp = LowRankInput(outer, forms)
@@ -218,7 +218,7 @@ class RemEvaluator:
         return _Level(offset, s, w, hats, reducer, tuple(rows[t] for t in basis))
 
     def eval(self, alpha):
-        """(f mod I)(alpha), exactly over QQ, as a `Mod` over GF(p).
+        """(f mod I)(alpha): a Fraction over QQ, an int in [0, p) over GF(p).
 
         Streams the levels: each is compiled, applied to the point and
         dropped before the next is compiled, so a one-point caller holds one
@@ -296,7 +296,7 @@ class RemEvaluator:
             v = out if p is None else [x % p for x in out]
             total *= scale
         value = v[0] if v else 0
-        return self.field(Fraction(value, total) if p is None else value)
+        return Fraction(value, total) if p is None else value
 
 
 def _compile_level(cols, offset: int, s: int, exact: bool):
@@ -356,13 +356,14 @@ def _columns(lvl: _Level, support):
     return cols
 
 
-def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha, field=QQ):
+def rem_eval(inp: LowRankInput, ideal: UnivariateIdeal, alpha, p: int | None = None):
     """Evaluate the unique remainder of the composed polynomial at alpha.
 
     Equal to divide(expand(f), ideal) evaluated at alpha, in time
-    d^O(r) * poly(n) instead of the cost of the full expansion; over `field`.
+    d^O(r) * poly(n) instead of the cost of the full expansion; over QQ when
+    p is None, else over GF(p) (see `RemEvaluator`).
     """
-    return RemEvaluator(inp, ideal, field).eval(alpha)
+    return RemEvaluator(inp, ideal, p).eval(alpha)
 
 
 def inline_forms(inp: LowRankInput) -> Circuit:

@@ -6,17 +6,17 @@ rationals (ints and Fractions) and every operation is exact arithmetic on
 them; with an int p they are plain ints in [0, p), the residues mod p.  A
 residue polynomial accumulates products and sums as unreduced ints and
 reduces each output term mod p once, at the end of the operation, so the
-inner loops never normalize a Fraction or build a Mod.  Scalars entering a
-polynomial (the constructor, `scale` and the point of `evaluate`) are mapped
-once, by `fields.rational` when p is None and by `fields.residue` otherwise:
-a `Mod` in an exact polynomial, a denominator that vanishes mod p, or two
-polynomials with different moduli raise FieldMismatch.  `SparsePoly.raw`
-wraps terms that are already mapped.
+inner loops never normalize a Fraction.  Scalars entering a polynomial (the
+constructor, `scale` and the point of `evaluate`) are mapped once, by
+`fields.rational` when p is None and by `fields.residue` otherwise: a
+denominator that vanishes mod p, or two polynomials with different moduli,
+raise FieldMismatch.  `SparsePoly.raw` wraps terms that are already mapped.
+`SparsePoly.mul(cap=)` can bound a product's terms; past the cap it raises
+CapExceeded, which `circuits.expand`, its one user, passes on; the CLI
+reports it as an instance too large for its budget (exit 3), not a crash.
 
 UnivariatePoly stores coefficients low-to-high with the trailing zeros
-stripped.  Multiplication can be capped by a term budget; exceeding it raises
-CapExceeded, which callers treat as "instance too large for the declared
-parameters" rather than as a crash.
+stripped.
 """
 
 from __future__ import annotations

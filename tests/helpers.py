@@ -35,7 +35,7 @@ from unideal.circuits import (
     map_scalars,
 )
 from unideal.division import UnivariateIdeal
-from unideal.fields import QQ, _inverse, residue
+from unideal.fields import _inverse, residue
 from unideal.hadamard import PowerIdealSpec
 from unideal.linalg import LinearForm, Matrix
 from unideal.lowrank import LowRankInput
@@ -69,18 +69,18 @@ def random_circuit_capped_degree(rng: random.Random, n: int, max_deg: int, steps
     return b.build(ids[-1])
 
 
-def random_ideal(rng: random.Random, n: int, max_deg: int, field=QQ) -> UnivariateIdeal:
+def random_ideal(rng: random.Random, n: int, max_deg: int) -> UnivariateIdeal:
     gens = []
     for i in range(n):
         d = rng.randint(1, max_deg)
-        coeffs = [field(rng.randint(-3, 3)) for _ in range(d)] + [field(rng.choice([1, -1, 2]))]
+        coeffs = [F(rng.randint(-3, 3)) for _ in range(d)] + [F(rng.choice([1, -1, 2]))]
         gens.append((i, UnivariatePoly(coeffs)))
     return UnivariateIdeal(tuple(gens))
 
 
-def random_forms(rng: random.Random, r: int, n: int, field=QQ, lo: int = -2, hi: int = 2):
+def random_forms(rng: random.Random, r: int, n: int, lo: int = -2, hi: int = 2):
     return tuple(
-        LinearForm(tuple(field(rng.randint(lo, hi)) for _ in range(n))) for _ in range(r)
+        LinearForm(tuple(F(rng.randint(lo, hi)) for _ in range(n))) for _ in range(r)
     )
 
 
@@ -94,15 +94,21 @@ def random_sparse(rng: random.Random, n: int, max_exp: int = 4, terms: int = 5) 
     )
 
 
-def lift_ideal(ideal: UnivariateIdeal, field) -> UnivariateIdeal:
+def in_field(x, p):
+    """x as the engine returns a value over the field of modulus p: a
+    Fraction over QQ (p None), else its residue in [0, p)."""
+    return F(x) if p is None else residue(x, p)
+
+
+def lift_ideal(ideal: UnivariateIdeal, p) -> UnivariateIdeal:
     return UnivariateIdeal(
-        tuple((v, UnivariatePoly([field(c) for c in p.coeffs])) for v, p in ideal.generators)
+        tuple((v, UnivariatePoly([in_field(c, p) for c in g.coeffs])) for v, g in ideal.generators)
     )
 
 
-def lift_forms(forms, field):
+def lift_forms(forms, p):
     return tuple(
-        LinearForm(tuple(field(c) for c in f.coeffs), field(f.const)) for f in forms
+        LinearForm(tuple(in_field(c, p) for c in f.coeffs), in_field(f.const, p)) for f in forms
     )
 
 
@@ -419,7 +425,7 @@ def walk_eval(ev, alpha):
         g = _substitute_prefix(g, lvl.s, alpha[lvl.offset : lvl.offset + lvl.s])
     if g.n != 0:
         raise AssertionError("recursion left live variables")
-    return ev.field(g.terms.get((), 0))
+    return in_field(g.terms.get((), 0), ev.p)
 
 
 def _compose_reduced(g: SparsePoly, lvl) -> SparsePoly:

@@ -18,7 +18,7 @@ from unideal.apps import (
 )
 from unideal.circuits import Const
 from unideal.division import is_member_brute
-from unideal.fields import GF, QQ, FieldMismatch, Mod
+from unideal.fields import FieldMismatch, residue
 from unideal.linalg import Matrix
 from unideal.lowrank import inline_forms
 
@@ -122,15 +122,14 @@ def test_permanent_of_rational_matrix_matches_multiset_oracle():
 def test_permanent_over_prime_fields(p):
     # The permanent is an integer polynomial in the entries, so over GF(p) it
     # is the image of the rational one; GF(2) also exercises rank drops mod p.
-    g = GF(p)
     rng = random.Random(p)
     for _ in range(30):
         n = rng.randint(1, 7)
         a = random_low_rank_matrix(rng, n, rng.randint(1, min(3, n)))
-        a_p = Matrix([[g(x) for x in row] for row in a.rows])
-        got = permanent_lowrank(a_p, g)
-        assert isinstance(got, Mod) and got.p == p
-        assert got == g(ryser_permanent(a))
+        a_p = Matrix([[residue(x, p) for x in row] for row in a.rows])
+        got = permanent_lowrank(a_p, p)
+        assert type(got) is int and 0 <= got < p
+        assert got == permanent_lowrank(a, p) == residue(ryser_permanent(a), p)
 
 
 def test_graph_validation():
@@ -165,7 +164,7 @@ def test_vc_instance_scalars_are_field_scalars():
     isolated = Graph.from_edges(5, [(0, 1), (1, 2)])
     p = apps.VC_PRIME
     for g in (C4, K13, K2, isolated, blowup_graph(K2, [2, 3])):
-        inp, _, _ = build_vc_instance(g, 1, field=GF(p))
+        inp, _, _ = build_vc_instance(g, 1, p=p)
         coeffs = [c for f in inp.forms for c in f.coeffs]
         assert coeffs and all(type(c) is int and 0 <= c < p for c in coeffs), g
         inp, _, _ = build_vc_instance(g, 1)
@@ -246,17 +245,17 @@ def test_vc_matches_brute_on_low_rank_family():
 
 
 def field_spy(monkeypatch):
-    """Record (field asked for, constructed) for every evaluator vc builds."""
+    """Record (modulus asked for, constructed) for every evaluator vc builds."""
     calls = []
 
     class Spy(apps.RemEvaluator):
-        def __init__(self, inp, ideal, field=None):
+        def __init__(self, inp, ideal, p=None):
             try:
-                super().__init__(inp, ideal, field)
+                super().__init__(inp, ideal, p)
             except FieldMismatch:
-                calls.append((field, False))
+                calls.append((p, False))
                 raise
-            calls.append((field, True))
+            calls.append((p, True))
 
     monkeypatch.setattr(apps, "RemEvaluator", Spy)
     return calls
@@ -275,18 +274,18 @@ def test_vc_instance_matches_the_cover_polynomial():
         for k in range(g.n + 1):
             for tight in (False, True):
                 s_range, _ = apps.vc_degrees(g, k, tight)
-                for field, draw in ((QQ, lambda: F(rng.randint(-9, 9), rng.randint(1, 5))),
-                                    (GF(p), lambda: rng.randrange(p))):
-                    f = inline_forms(build_vc_instance(g, k, tight, field)[0])
+                for modulus, draw in ((None, lambda: F(rng.randint(-9, 9), rng.randint(1, 5))),
+                                      (p, lambda: rng.randrange(p))):
+                    f = inline_forms(build_vc_instance(g, k, tight, modulus)[0])
                     for _ in range(2):
                         x = [draw() for _ in range(g.n)]
                         q = sum(x[u] * x[v] for u, v in g.edges)
                         want = math.prod(q - s for s in range(1, s_range + 1))
                         want *= math.prod(sum(x) - t for t in range(g.n - k))
                         got = f.evaluate(x)
-                        if field.p is not None:
+                        if modulus is not None:
                             got, want = got % p, want % p
-                        assert got == want, (g, k, tight, field)
+                        assert got == want, (g, k, tight, modulus)
 
 
 def test_vc_runs_over_the_mersenne_prime(monkeypatch):
@@ -294,7 +293,7 @@ def test_vc_runs_over_the_mersenne_prime(monkeypatch):
     for g in VC_FAMILY:
         for k in range(g.n + 1):
             assert vertex_cover_lowrank(g, k, 20, random.Random(k)) == has_vertex_cover_brute(g, k)
-    assert set(calls) == {(GF(2**61 - 1), True)}
+    assert set(calls) == {(apps.VC_PRIME, True)}
 
 
 def test_vc_rejects_a_graph_beyond_the_prime_precondition(monkeypatch, tmp_path, capsys):

@@ -335,6 +335,28 @@ def test_dense_remainder_certified_through_cli(tmp_path, capsys):
     assert "decision: ACCEPT" in capsys.readouterr().out
 
 
+def test_certify_checks_the_ideal_before_expanding(monkeypatch, tmp_path, capsys):
+    # A missing generator, a repeated root and a root grid past the guard
+    # each exit 2 before f is expanded: expanding the circuit on 10^9
+    # variables would allocate an exponent tuple of that length per term.
+    def no_expand(*args, **kwargs):
+        raise AssertionError("f was expanded")
+
+    monkeypatch.setattr(certifier, "expand", no_expand)
+    cases = [
+        ("vars 1000000000\nin 0\nout 0\n", "var 0 : -1 0 1\n", "no generator for variable 1"),
+        ("vars 1\nin 0\nout 0\n", "var 0 : 0 0 1\n", "repeated root"),
+        ("vars 12\nin 0\nout 0\n", "".join(f"var {v} : -1 0 1\n" for v in range(12)), "threshold guard"),
+    ]
+    for circuit, ideal, message in cases:
+        (tmp_path / "f.txt").write_text(circuit)
+        (tmp_path / "i.txt").write_text(ideal)
+        files = ["--circuit", str(tmp_path / "f.txt"), "--ideal", str(tmp_path / "i.txt")]
+        for mode in (["--search"], ["--verify", str(tmp_path / "cert.txt")]):
+            assert main(["certify", *files, *mode]) == 2
+            assert message in capsys.readouterr().err
+
+
 # Unit directions with rational components, for complex offsets from a root.
 UNIT_DIRECTIONS = [(1, 0), (0, 1), (-1, 0), (0, -1), (F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)),
                    (F(-3, 5), F(-4, 5)), (F(4, 5), F(-3, 5))]

@@ -7,7 +7,8 @@ and the scaled-Hadamard power-ideal test.  Root certificates do not apply
 there: x^e with e >= 2 has a repeated root.
 
 On squarefree generators with distinct integer roots the root-grid search
-is checked against expand-and-divide, every certificate it returns against
+is checked against expand-and-divide and against the low-rank zero test on
+the identity forms, every certificate it returns against
 the verifier, and its exact grid evaluation `_grid_abs2` against the
 gate-by-gate `Circuit.evaluate` on Gaussian rationals, at the root grid and
 at tuples of rationals with unrelated denominators.
@@ -23,7 +24,6 @@ from helpers import circuit_abs2
 from unideal.certifier import _grid_abs2, compute_threshold, search_nonmembership, verify_certificate
 from unideal.circuits import CircuitBuilder, expand, syntactic_degree
 from unideal.division import UnivariateIdeal, is_member_brute, random_zero_test
-from unideal.fields import QQ
 from unideal.hadamard import PowerIdealSpec, membership_powers
 from unideal.linalg import LinearForm
 from unideal.lowrank import LowRankInput, RemEvaluator, inline_forms
@@ -81,8 +81,7 @@ def test_brute_lowrank_and_powers_agree(instance, seed):
     c = inline_forms(inp)
     brute = is_member_brute(c, ideal)
     lowrank = not random_zero_test(
-        RemEvaluator(inp, ideal).schedule(), inp.n, max(syntactic_degree(inp.outer), *exps), 5, random.Random(seed),
-        field=QQ
+        RemEvaluator(inp, ideal).schedule(), inp.n, max(syntactic_degree(inp.outer), *exps), 5, random.Random(seed)
     )
     powers = not membership_powers(c, PowerIdealSpec(exps, syntactic_degree(c)), rng=random.Random(seed))
     assert brute == lowrank == powers
@@ -123,7 +122,16 @@ _rational = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 def test_certify_search_verify_and_grid_agree(instance, data):
     c, ideal, roots = instance
     decision, cert = search_nonmembership(c, ideal)
-    assert (decision == "member") == is_member_brute(c, ideal)
+    member = is_member_brute(c, ideal)
+    assert (decision == "member") == member
+    # The low-rank zero test on the identity forms, a third engine: a
+    # nonzero value proves nonmembership, and a miss has probability at
+    # most (d / 100d)^5.
+    n = c.n
+    identity = tuple(LinearForm(tuple(int(i == j) for j in range(n))) for i in range(n))
+    d = max(syntactic_degree(c), *(g.degree() for _, g in ideal.generators))
+    run = RemEvaluator(LowRankInput(c, identity), ideal).schedule()
+    assert (not random_zero_test(run, n, d, 5, random.Random(0))) == member
     if cert is not None:
         assert verify_certificate(c, ideal, cert, compute_threshold(c, ideal))
     fp = expand(c)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from unideal.fields import GF, FieldMismatch, Mod, is_probable_prime, random_prime, rational, residue
+from unideal import fields
+from unideal.fields import FieldMismatch, is_probable_prime, random_prime, rational, residue
 
 F = Fraction
 
@@ -13,28 +14,38 @@ def test_rational_normalization_is_stdlib():
     assert x.numerator == -1 and x.denominator == 2
 
 
-def test_mod_normalized_into_range():
-    p = 13
-    assert Mod(-1, p).value == 12
-
-
-def test_mod_has_no_arithmetic():
-    # The kernels compute on plain-int residues; a `Mod` only compares.
-    with pytest.raises(TypeError):
-        Mod(3, 7) + 1
-    assert Mod(3, 7) == 10 and Mod(3, 7) == F(1, 5) and Mod(3, 7) != Mod(3, 11)
-
-
 def test_mismatched_moduli_rejected():
-    with pytest.raises(FieldMismatch):
-        residue(Mod(1, 13), 17)
     with pytest.raises(FieldMismatch):
         residue(Fraction(1, 13), 13)
 
 
-def test_gf_rejects_composite():
-    with pytest.raises(ValueError):
-        GF(91)  # 7 * 13
+def test_gf_rejects_composite(monkeypatch):
+    # A field is its modulus, and every entry point that computes a value
+    # checks that it is prime, once per modulus and process.
+    from unideal.apps import permanent_lowrank
+    from unideal.circuits import CircuitBuilder
+    from unideal.division import UnivariateIdeal
+    from unideal.linalg import LinearForm, Matrix
+    from unideal.lowrank import LowRankInput, RemEvaluator, rem_eval
+    from unideal.poly import UnivariatePoly
+
+    b = CircuitBuilder(1)
+    inp = LowRankInput(b.build(b.mul(b.input(0), b.input(0))), (LinearForm((1, 2)),))
+    ideal = UnivariateIdeal(tuple((v, UnivariatePoly([0, 0, 1])) for v in range(2)))
+    a = Matrix([[1, 2], [2, 4]])
+    attempts = [
+        lambda p: RemEvaluator(inp, ideal, p),
+        lambda p: rem_eval(inp, ideal, [1, 1], p),
+        lambda p: permanent_lowrank(a, p),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ValueError, match="91 is not prime"):
+            attempt(91)  # 7 * 13
+    checked = []
+    monkeypatch.setattr(fields, "is_probable_prime", lambda n: checked.append(n) or is_probable_prime(n))
+    values = [attempt(1000003) for attempt in attempts[1:] for _ in range(2)]
+    attempts[0](1000003)
+    assert values == [4, 4, 8, 8] and checked in ([], [1000003])
 
 
 def test_field_axioms_spot_check():
@@ -51,45 +62,16 @@ def test_field_axioms_spot_check():
 
 
 def test_fraction_lifting_into_prime_field():
-    g = GF(7)
-    assert g(F(1, 2)) == g(4)  # 2 * 4 = 8 = 1 mod 7
+    assert residue(F(1, 2), 7) == residue(4, 7) == 4  # 2 * 4 = 8 = 1 mod 7
     with pytest.raises(FieldMismatch):
-        g(F(1, 7))
+        residue(F(1, 7), 7)
 
 
-def test_exact_entry_points_reject_mods():
-    # With p = None a polynomial is over QQ: every exact entry point maps its
-    # scalars by `rational` (an int when integral, else a Fraction), so a
-    # `Mod` raises rather than running in GF(7).
-    from unideal.circuits import CircuitBuilder, expand
-    from unideal.division import UnivariateIdeal, _Reducer, divide
-    from unideal.linalg import LinearForm
-    from unideal.lowrank import LowRankInput, RemEvaluator
-    from unideal.poly import SparsePoly, UnivariatePoly
+def test_exact_entry_points_map_rationals():
+    # With p = None a scalar is a rational: `rational` keeps an integral one
+    # as an int, and the exact entry points map their scalars through it.
+    from unideal.poly import SparsePoly
 
-    m = Mod(1, 7)
-    x = SparsePoly(1, {(1,): 1})
-    mod_ideal = UnivariateIdeal(((0, UnivariatePoly([m, 0, 1])),))
-    b = CircuitBuilder(1)
-    with_const = b.build(b.mul(b.input(0), b.const(m)))
-    b = CircuitBuilder(1)
-    with_linear = b.build(b.linear(LinearForm((m,), 0)))
-    b = CircuitBuilder(1)
-    outer = b.build(b.mul(b.input(0), b.input(0)))
-    attempts = [
-        lambda: SparsePoly(1, {(1,): m}),
-        lambda: x.scale(m),
-        lambda: x.evaluate([m]),
-        lambda: _Reducer(mod_ideal),
-        lambda: divide(x, mod_ideal),
-        lambda: expand(with_const),
-        lambda: expand(with_linear),
-        lambda: RemEvaluator(LowRankInput(outer, (LinearForm((m,)),)), UnivariateIdeal(((0, UnivariatePoly([0, 0, 1])),))),
-        lambda: RemEvaluator(LowRankInput(outer, (LinearForm((1,)),)), mod_ideal),
-    ]
-    for attempt in attempts:
-        with pytest.raises(FieldMismatch):
-            attempt()
     assert type(rational(F(6, 2))) is int and rational(F(1, 2)) == F(1, 2)
     assert SparsePoly(1, {(1,): 0.5}).terms == {(1,): F(1, 2)}
 

@@ -27,7 +27,6 @@ from unideal.circuits import (
     syntactic_degree,
 )
 from unideal import fields, hadamard
-from unideal.fields import GF
 from unideal.hadamard import (
     BLOCK,
     PowerIdealSpec,
@@ -302,17 +301,6 @@ def test_membership_powers_multilinear_detection():
         assert got == has_multilinear
 
 
-def test_membership_powers_builds_no_prime_field():
-    # Each drawn prime is used as a plain modulus: no GF(p) is built for it,
-    # so the field cache does not grow with the number of primes drawn.
-    rng = random.Random(21)
-    before = len(fields._GF_CACHE)
-    for _ in range(5):
-        c = random_circuit_capped_degree(rng, 3, 3)
-        membership_powers(c, PowerIdealSpec((2, 2, 2), 3), rng=rng)
-    assert len(fields._GF_CACHE) == before
-
-
 def test_coverage_failure_bound_shrinks():
     assert coverage_failure_bound(3, 6, 40) < coverage_failure_bound(3, 6, 10)
     assert coverage_failure_bound(2, 4, 200) < Fraction(1, 2**20)
@@ -418,8 +406,7 @@ def test_homogeneous_part_and_scaled_hadamard_match_sympy():
 
         want = literal([sympy.Rational(x.numerator, x.denominator) for x in pt])
         assert scaled_hadamard_eval(mod_p(c, P61), mod_p(d, P61), mod_p(pt, P61), P61) == _to_residue(want, P61)
-        field = GF(p)
         got = scaled_hadamard_eval(mod_p(c, p), mod_p(d, p), ipt, p)
-        assert got == field(_to_residue(literal([sympy.Integer(x) for x in ipt]), p))
+        assert got == _to_residue(literal([sympy.Integer(x) for x in ipt]), p)
 
     check()

@@ -212,8 +212,8 @@ def test_cli_member_lowrank_schedule_keeps_the_rng_stream(workdir, capsys, monke
     real = cli.random_zero_test
     states = []
 
-    def spy(r_eval, n, d, trials, rng, field):
-        nonzero = real(r_eval, n, d, trials, rng, field=field)
+    def spy(r_eval, n, d, trials, rng, p=None):
+        nonzero = real(r_eval, n, d, trials, rng, p)
         states.append(rng.getstate())
         return nonzero
 

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    in_field,
     lift_forms,
     lift_ideal,
+    mod_p,
     oracle_rem_eval,
     random_forms,
     random_lowrank_instance,
     walk_eval,
 )
 from unideal import io as uio
-from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand, map_scalars
+from unideal.circuits import Add, Circuit, CircuitBuilder, Const, Input, Linear, Mul, expand
 from unideal.division import UnivariateIdeal, divide, is_member_brute
-from unideal.fields import GF, QQ, FieldMismatch, Mod, kernel_map
+from unideal.fields import FieldMismatch, kernel_map, residue
 from unideal.linalg import LinearForm, Matrix, rank_and_row_basis
 from unideal.lowrank import LowRankInput, RemEvaluator, inline_forms, rem_eval
 from unideal.poly import SparsePoly, UnivariatePoly
@@ -81,7 +83,7 @@ def test_oracle_equivalence_random():
     # GF(p) against the image of the same exact value, on integer and
     # rational instances with non-monic generators.
     rng = random.Random(10)
-    fields = [GF(10007), GF(2**61 - 1)]
+    moduli = [10007, 2**61 - 1]
     cases = []
     for _ in range(60):
         inp, ideal, alpha = random_lowrank_instance(rng)
@@ -95,12 +97,12 @@ def test_oracle_equivalence_random():
     for inp, ideal, alpha in cases:
         want = divide(expand(inline_forms(inp)), ideal).evaluate(alpha)
         assert rem_eval(inp, ideal, alpha) == want
-        for g in fields:
-            ev = RemEvaluator(inp, ideal, g)
-            assert all(type(c) is int and 0 < c < g.p for c in ev._base.terms.values())
+        for p in moduli:
+            ev = RemEvaluator(inp, ideal, p)
+            assert all(type(c) is int and 0 < c < p for c in ev._base.terms.values())
             got = ev.eval(alpha)
-            assert isinstance(got, Mod) and got.p == g.p
-            assert got == g(want)
+            assert type(got) is int and 0 <= got < p
+            assert got == residue(want, p)
             depths.add(ev.depth)
     assert max(depths) >= 2
     assert any(p.lc() != 1 for _, ideal, _ in cases for _, p in ideal.generators)
@@ -109,21 +111,21 @@ def test_oracle_equivalence_random():
 
 def test_oracle_equivalence_prime_field():
     rng = random.Random(11)
-    g = GF(10007)
+    p = 10007
     for _ in range(25):
         inp, ideal, alpha = random_lowrank_instance(rng, n_max=4)
-        inp_p = LowRankInput(map_scalars(inp.outer, g), lift_forms(inp.forms, g))
-        ideal_p = lift_ideal(ideal, g)
-        alpha_p = [g(a) for a in alpha]
-        want = divide(SparsePoly(inp.n, expand(inline_forms(inp)).terms, g.p), ideal).evaluate(alpha)
-        ev = RemEvaluator(inp_p, ideal_p, g)
+        inp_p = LowRankInput(mod_p(inp.outer, p), lift_forms(inp.forms, p))
+        ideal_p = lift_ideal(ideal, p)
+        alpha_p = mod_p(alpha, p)
+        want = divide(SparsePoly(inp.n, expand(inline_forms(inp)).terms, p), ideal).evaluate(alpha)
+        ev = RemEvaluator(inp_p, ideal_p, p)
         # Over GF(p) the evaluator walks on the residue kernel.
-        assert ev.field == g and ev._base.p == g.p
+        assert ev.p == p and ev._base.p == p
         got = ev.eval(alpha_p)
         assert got == want
         # cross-field consistency with the rational pipeline
-        assert g(rem_eval(inp, ideal, alpha)) == got
-        assert RemEvaluator(inp, ideal, g).eval(alpha) == got
+        assert residue(rem_eval(inp, ideal, alpha), p) == got
+        assert RemEvaluator(inp, ideal, p).eval(alpha) == rem_eval(inp, ideal, alpha, p) == got
 
 
 def test_residue_evaluator_field_mismatch():
@@ -135,48 +137,35 @@ def test_residue_evaluator_field_mismatch():
     alpha = [F(1), F(2), F(3)]
     # A form coefficient 1/7 has no image in GF(7), but one in GF(11).
     with pytest.raises(FieldMismatch):
-        RemEvaluator(inp, ideal, GF(7))
-    assert RemEvaluator(inp, ideal, GF(11)).eval(alpha) == GF(11)(rem_eval(inp, ideal, alpha))
+        RemEvaluator(inp, ideal, 7)
+    assert RemEvaluator(inp, ideal, 11).eval(alpha) == residue(rem_eval(inp, ideal, alpha), 11)
     # A generator whose leading coefficient is a multiple of p loses its degree mod p.
     gens = {v: UnivariatePoly([F(0), F(1), F(7)]) for v in range(3)}
     integral = LowRankInput(outer, (forms[1], forms[1]))
-    assert RemEvaluator(integral, square_ideal(3), GF(7)).eval(alpha) == GF(7)(rem_eval(integral, square_ideal(3), alpha))
+    assert RemEvaluator(integral, square_ideal(3), 7).eval(alpha) == residue(rem_eval(integral, square_ideal(3), alpha), 7)
     with pytest.raises(FieldMismatch):
-        RemEvaluator(integral, UnivariateIdeal(tuple(sorted(gens.items()))), GF(7))
-    # Scalars of one field cannot be evaluated over another.
-    g = GF(10007)
-    lifted = LowRankInput(map_scalars(outer, g), lift_forms(forms, g))
-    with pytest.raises(FieldMismatch):
-        RemEvaluator(lifted, ideal, QQ)
-    with pytest.raises(FieldMismatch):
-        RemEvaluator(lifted, ideal, GF(11))
-    with pytest.raises(FieldMismatch):
-        RemEvaluator(lifted, lift_ideal(ideal, GF(11)))
+        RemEvaluator(integral, UnivariateIdeal(tuple(sorted(gens.items()))), 7)
 
 
-def test_default_field_rejects_mod_scalars():
-    # The field is stated, never inferred from the scalars: under the default
-    # QQ a `Mod` in the outer circuit, the forms or the ideal raises.
-    g = GF(10007)
+def test_default_field_is_never_inferred():
+    # The field is stated, never inferred from the scalars: an input whose
+    # scalars are residues mod p is, under the default p = None, the integer
+    # instance it spells, and its exact value maps to the GF(p) value.
+    p = 10007
     b = CircuitBuilder(2)
-    outer = b.build(b.mul(b.input(0), b.linear(LinearForm((F(1), F(2)), F(1))), b.const(F(3))))
-    forms = (LinearForm((F(1), F(2), F(0))), LinearForm((F(0), F(1), F(2)), F(1)))
+    outer = b.build(b.mul(b.input(0), b.linear(LinearForm((F(1), F(-2)), F(1, 3))), b.const(F(-3, 2))))
+    forms = (LinearForm((F(1), F(2), F(-1, 5))), LinearForm((F(0), F(1), F(2)), F(1)))
     inp = LowRankInput(outer, forms)
-    ideal = square_ideal(3)
-    alpha = [F(1), F(2), F(3)]
-    assert RemEvaluator(inp, ideal).field == QQ
-    for lifted in (
-        LowRankInput(map_scalars(outer, g), forms),
-        LowRankInput(outer, lift_forms(forms, g)),
-        LowRankInput(map_scalars(outer, g), lift_forms(forms, g)),
-    ):
-        with pytest.raises(FieldMismatch):
-            RemEvaluator(lifted, ideal)
-        with pytest.raises(FieldMismatch):
-            rem_eval(lifted, ideal, alpha)
-        assert rem_eval(lifted, ideal, alpha, g) == g(rem_eval(inp, ideal, alpha))
-    with pytest.raises(FieldMismatch):
-        RemEvaluator(inp, lift_ideal(ideal, g))
+    ideal = UnivariateIdeal(tuple((v, UnivariatePoly([F(-1, 2), F(3), F(2)])) for v in range(3)))
+    lifted = LowRankInput(mod_p(outer, p), lift_forms(forms, p))
+    lifted_ideal = lift_ideal(ideal, p)
+    alpha = [F(1, 2), F(2), F(-3)]
+    ev = RemEvaluator(lifted, lifted_ideal)
+    assert ev.p is None
+    exact = ev.eval(alpha)
+    assert type(exact) is F and exact == divide(expand(inline_forms(lifted)), lifted_ideal).evaluate(alpha)
+    want = rem_eval(inp, ideal, alpha, p)
+    assert exact != want and residue(exact, p) == want == rem_eval(lifted, lifted_ideal, alpha, p)
 
 
 def ideal_of_degrees(rng, n, lo, hi):
@@ -214,7 +203,7 @@ def test_transform_soundness_random():
     assert max(depths) >= 2
 
 
-def structured_forms(rng, r, n, field):
+def structured_forms(rng, r, n, p):
     """Forms with zero columns, repeated and dependent rows, constants, and
     supports that end early, so tails lose rank partway down the recursion."""
     zero_cols = set(rng.sample(range(n), rng.randint(0, n // 2)))
@@ -230,7 +219,7 @@ def structured_forms(rng, r, n, field):
             end = rng.randint(0, n)
             row = [0 if j >= end or j in zero_cols else rng.randint(-2, 2) for j in range(n)]
         rows.append(row)
-    return tuple(LinearForm(tuple(map(field, row)), field(rng.choice([0, 0, 1, -3]))) for row in rows)
+    return tuple(LinearForm(tuple(in_field(c, p) for c in row), in_field(rng.choice([0, 0, 1, -3]), p)) for row in rows)
 
 
 def reference_levels(inp, p):
@@ -266,14 +255,14 @@ def test_prepared_levels_match_full_tail_elimination():
     # down to the order of the hats' terms.
     rng = random.Random(18)
     drops = 0
-    for field in (QQ, GF(7), GF(10007)):
+    for p in (None, 7, 10007):
         for _ in range(60):
             n = rng.randint(1, 12)
             r = rng.randint(1, 4)
             b = CircuitBuilder(r)
             outer = b.build(b.mul(*[b.input(i) for i in range(r)]))
-            inp = LowRankInput(outer, structured_forms(rng, r, n, field))
-            ev = RemEvaluator(inp, lift_ideal(ideal_of_degrees(rng, n, 1, 3), field), field)
+            inp = LowRankInput(outer, structured_forms(rng, r, n, p))
+            ev = RemEvaluator(inp, lift_ideal(ideal_of_degrees(rng, n, 1, 3), p), p)
             want = reference_levels(inp, ev.p)
             assert len(ev.levels) == len(want)
             incoming = r
@@ -480,13 +469,13 @@ def test_integral_input_walks_on_ints(monkeypatch):
             assert rows and all(type(c) is int for c in rows)
         for offset, s, consumed, rows, ntails, scale in ev._compile():
             assert scale == 1 and all(type(c) is int for row in rows for c in row[3])
-        g = GF(10007)
+        p = 10007
         split_types.clear()
         split_moduli.clear()
-        ev = RemEvaluator(*case, g)
-        assert split_types == {int} and split_moduli == {g.p}
+        ev = RemEvaluator(*case, p)
+        assert split_types == {int} and split_moduli == {p}
         assert all(type(c) is int for lvl in ev.levels for hat in lvl.hats for c in hat.terms.values())
-        assert ev.eval(alpha) == g(remainder.evaluate(alpha))
+        assert ev.eval(alpha) == residue(remainder.evaluate(alpha), p)
     # A fractional input (forms, constants, non-monic generators) still
     # equals expand-and-divide.
     frac, frac_ideal = rational_instance(random.Random(18), inp, ideal)
@@ -557,7 +546,7 @@ def test_schedule_matches_walk_and_oracle():
     fractional = 0
     for inp, ideal in cases:
         remainder = divide(expand(inline_forms(inp)), ideal)
-        evs = [RemEvaluator(inp, ideal)] + [RemEvaluator(inp, ideal, GF(p)) for p in (10007, 2**61 - 1)]
+        evs = [RemEvaluator(inp, ideal, p) for p in (None, 10007, 2**61 - 1)]
         runs = [ev.schedule() for ev in evs]
         for t in range(4):
             alpha = [F(rng.choice([0, 0, rng.randint(-4, 4), F(rng.randint(-4, 4), 3)])) for _ in range(inp.n)]
@@ -565,8 +554,8 @@ def test_schedule_matches_walk_and_oracle():
             assert t or want == oracle_rem_eval(inp, ideal, alpha)
             for ev, run in zip(evs, runs):
                 got = run(alpha)
-                assert got == ev.eval(alpha) == walk_eval(ev, alpha) == ev.field(want)
-                assert type(got) is (F if ev.field == QQ else Mod)
+                assert got == ev.eval(alpha) == walk_eval(ev, alpha) == in_field(want, ev.p)
+                assert type(got) is F if ev.p is None else type(got) is int and 0 <= got < ev.p
         fractional += any(c.denominator > 1 for lvl in evs[0].levels[1:] for h in lvl.hats for c in h.terms.values())
     assert fractional > 0
     assert any(p.lc() != 1 for _, ideal in cases for _, p in ideal.generators)
@@ -578,30 +567,30 @@ def test_schedule_edge_cases():
     b = CircuitBuilder(2)
     outer = b.build(b.add(b.mul(b.input(0), b.input(1), b.const(F(2, 3))), b.const(F(1))))
     inp = LowRankInput(outer, (LinearForm((), F(3)), LinearForm((), F(5, 2))))
-    for field in (QQ, GF(10007)):
-        ev = RemEvaluator(inp, square_ideal(0), field)
-        assert ev.depth == 0 and ev.schedule()([]) == ev.eval([]) == walk_eval(ev, []) == field(6)
+    for p in (None, 10007):
+        ev = RemEvaluator(inp, square_ideal(0), p)
+        assert ev.depth == 0 and ev.schedule()([]) == ev.eval([]) == walk_eval(ev, []) == in_field(6, p)
     b = CircuitBuilder(2)
     zero = LowRankInput(b.build(b.const(F(0))), (LinearForm((F(1), F(0))), LinearForm((F(1), F(1)))))
     b = CircuitBuilder(2)
     member = LowRankInput(b.build(b.mul(b.input(0), b.input(0), b.input(1))), zero.forms)
     for inp in (zero, member):
-        for field in (QQ, GF(7)):
-            ev = RemEvaluator(inp, square_ideal(2), field)
+        for p in (None, 7):
+            ev = RemEvaluator(inp, square_ideal(2), p)
             run = ev.schedule()
             for alpha in ([0, 0], [3, 0], [F(1, 2), 5]):
-                assert run(alpha) == ev.eval(alpha) == walk_eval(ev, alpha) == field(0)
+                assert run(alpha) == ev.eval(alpha) == walk_eval(ev, alpha) == in_field(0, p)
     b = CircuitBuilder(1)
     z = b.input(0)
     outer = b.build(b.add(b.mul(z, z, z), b.mul(b.const(F(-1, 2)), z)))
     inp = LowRankInput(outer, (LinearForm((F(2, 3),), F(1)),))
     ideal = UnivariateIdeal(((0, UnivariatePoly([F(1), F(0), F(3)])),))
     remainder = divide(expand(inline_forms(inp)), ideal)
-    for field in (QQ, GF(10007)):
-        ev = RemEvaluator(inp, ideal, field)
+    for p in (None, 10007):
+        ev = RemEvaluator(inp, ideal, p)
         run = ev.schedule()
         for x in (0, 1, F(-7, 5), 12):
-            assert run([x]) == ev.eval([x]) == walk_eval(ev, [x]) == field(remainder.evaluate([F(x)]))
+            assert run([x]) == ev.eval([x]) == walk_eval(ev, [x]) == in_field(remainder.evaluate([F(x)]), p)
         for wrong_length in (run, ev.eval):
             with pytest.raises(ValueError):
                 wrong_length([1, 2])
