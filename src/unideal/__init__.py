@@ -10,7 +10,7 @@ matrices and vertex cover on low-rank graphs.
 
 from .fields import FieldMismatch, is_probable_prime, random_prime
 from .linalg import LinearForm, Matrix, rank_and_row_basis
-from .poly import CapExceeded, SparsePoly, UnivariatePoly, poly_gcd
+from .poly import CapExceeded, SparsePoly, UnivariatePoly
 from .circuits import (
     Add,
     Circuit,

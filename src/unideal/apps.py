@@ -201,6 +201,8 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False, p: int | None = Non
         raise ValueError("need 0 <= k <= n")
     s_range, deg_bound = vc_degrees(g, k, tight)
     kernel_map(p)  # a composite p raises ValueError
+    if n * n > VC_ADJACENCY_GUARD:
+        raise ValueError(f"a graph on {n} vertices exceeds the {VC_ADJACENCY_GUARD}-entry adjacency guard")
     adj = g.adjacency()  # 0/1 ints: kernel scalars of every field
     r, basis, coords = rank_and_row_basis(adj, p)
     forms = [LinearForm(col) for col in zip(*coords.rows)]
@@ -218,6 +220,9 @@ def build_vc_instance(g: Graph, k: int, tight: bool = False, p: int | None = Non
 
 
 VC_PRIME = 2**61 - 1
+# The most entries of the dense n x n adjacency matrix `build_vc_instance`
+# builds: n <= 1000.
+VC_ADJACENCY_GUARD = 10**6
 
 
 def vertex_cover_lowrank(

@@ -29,7 +29,10 @@ power sums are the traces P_k = tr(R^k) = sum_e [R^k mod I]_e prod_i s_i(e_i),
 where s_i(j) is the j-th power sum of the roots of p_i, so each costs one
 multiply-and-reduce, and Newton's identities turn P_1..P_N into chi (N the
 grid size).  Both bounds are exact rationals; magnitudes are compared
-squared so the arithmetic never leaves Q.
+squared so the arithmetic never leaves Q.  The same charpoly tests that the
+roots are distinct: over the one generator p_v with R = p_v', its constant
+term is, up to sign, the norm prod p_v'(a) over the roots a of p_v, which
+vanishes exactly when p_v has a repeated root.
 
 Root approximation is Durand-Kerner on fixed-point Gaussian integers, ints
 standing for multiples of 2^-prec at escalating prec, so no floating point
@@ -56,7 +59,7 @@ from fractions import Fraction
 from .circuits import Circuit, expand
 from .division import UnivariateIdeal, _Reducer
 from .fields import rational
-from .poly import SparsePoly, UnivariatePoly, poly_gcd
+from .poly import SparsePoly, UnivariatePoly
 
 __all__ = [
     "NotSquarefree",
@@ -130,7 +133,20 @@ def root_bound(p: UnivariatePoly) -> Fraction:
 
 
 def _is_squarefree(p: UnivariatePoly) -> bool:
-    return p.degree() >= 1 and poly_gcd(p, p.derivative()).degree() == 0
+    """Whether p is nonconstant with distinct roots.
+
+    The constant term of the characteristic polynomial of multiplication by
+    p' on Q[x]/<p> is, up to sign, the norm prod p'(a) over the roots a of p
+    (`_grid_charpoly`), and p'(a) = 0 exactly at a repeated root a.
+    """
+    d = p.degree()
+    if d < 1:
+        return False
+    return _grid_charpoly(_sparse(p.derivative()), _Reducer(UnivariateIdeal(((0, p),))), [d], d)[0] != 0
+
+
+def _sparse(p: UnivariatePoly) -> SparsePoly:
+    return SparsePoly(1, {(j,): c for j, c in enumerate(p.coeffs)})
 
 
 def _bit_bound(values) -> int:
@@ -220,7 +236,7 @@ def _needed_bits(thr_sq: Fraction) -> int:
 
 def _poly_abs2(p: UnivariatePoly, z) -> Fraction:
     """|p(z)|^2 for an (re, im) pair z."""
-    return next(_grid_abs2(SparsePoly(1, {(j,): c for j, c in enumerate(p.coeffs)}), [[z]]))
+    return next(_grid_abs2(_sparse(p), [[z]]))
 
 
 def _grid_abs2(fp: SparsePoly, per_var):
@@ -359,21 +375,24 @@ def compute_threshold(f: Circuit, ideal: UnivariateIdeal) -> PrecisionBudget:
     lower-bounds the nonzero grid values of the remainder R through the
     characteristic polynomial of multiplication by R on the quotient
     algebra, built from the power sums tr(R^k) by Newton's identities.
-    Sets M = B3/3 and eps = min(1, M/lip).  The ideal is checked (one
-    squarefree generator per variable, a root grid within CHARPOLY_GUARD)
-    before f is expanded.
+    Sets M = B3/3 and eps = min(1, M/lip).  The ideal is checked before f
+    is expanded: one generator per variable, then a root grid within
+    CHARPOLY_GUARD, then each generator squarefree.
     """
     n = f.n
     gens = {v: p for v, p in ideal.generators}
     for v in range(n):
         if v not in gens:
             raise ValueError(f"no generator for variable {v}")
-        if not _is_squarefree(gens[v]):
-            raise NotSquarefree(f"generator for variable {v} has a repeated root")
     degs = [gens[v].degree() for v in range(n)]
     grid = math.prod(degs)
     if grid > CHARPOLY_GUARD:
         raise ValueError(f"root grid of size {grid} exceeds the threshold guard {CHARPOLY_GUARD}")
+    # Each squarefree test costs a charpoly of size deg p_v <= grid, so it
+    # runs only once the guard has bounded that cost.
+    for v in range(n):
+        if not _is_squarefree(gens[v]):
+            raise NotSquarefree(f"generator for variable {v} has a repeated root")
     fp = expand(f, EXPAND_CAP)
     boxes = [root_bound(gens[v]) + 1 for v in range(n)]
     # sum_i sup |df/dx_i| <= sum over terms c x^e of |c| prod(box^e) * sum_i e_i / box_i

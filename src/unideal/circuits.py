@@ -211,9 +211,12 @@ def expand(c: Circuit, monomial_cap: int | None = 10**6, images=None, reducer=No
     Those products take no cap, and `monomial_cap` (None for none) then
     bounds only the Add gates: a reduced product of degree D over w
     variables has at most C(D + w, w) terms.  Only the gates the output
-    reaches are expanded.
+    reaches are expanded, and none when n exceeds `monomial_cap`: one
+    exponent vector would then be longer than the whole term budget.
     """
     n = c.n if images is None else (images[0].n if images else 0)
+    if monomial_cap is not None and n > monomial_cap:
+        raise CapExceeded(f"{n} variables exceed the term cap {monomial_cap}")
     p = images[0].p if images else None
     reduce = (lambda f: f) if reducer is None else reducer.reduce
     live = {c.out}

@@ -200,7 +200,7 @@ def parse_graph(text: str) -> Graph:
         raise ValueError('graph file must start with "n m"')
     n, m = (int(t) for t in lines[0].split())
     edges = []
-    for line in lines[1 : m + 1]:
+    for line in lines[1:]:
         u, v = (int(t) for t in line.split())
         edges.append((u, v))
     if len(edges) != m:
@@ -258,7 +258,7 @@ def parse_klineq(text: str) -> KLinEqInstance:
         raise ValueError('k-lin-eq file must start with "k n" and the line of b')
     k, n = (int(t) for t in lines[0].split())
     b = tuple(int(t) for t in lines[1].split())
-    rows = tuple(tuple(int(t) for t in line.split()) for line in lines[2 : 2 + k])
+    rows = tuple(tuple(int(t) for t in line.split()) for line in lines[2:])
     if len(b) != k or len(rows) != k or any(len(r) != n for r in rows):
         raise ValueError("inconsistent k-lin-eq file")
     return KLinEqInstance(rows, b)
@@ -275,7 +275,7 @@ def parse_one_in_three(text: str) -> OneInThreeInstance:
     if not lines:
         raise ValueError('one-in-three file must start with "v c"')
     v, c = (int(t) for t in lines[0].split())
-    clauses = tuple(tuple(int(t) for t in line.split()) for line in lines[1 : c + 1])
+    clauses = tuple(tuple(int(t) for t in line.split()) for line in lines[1:])
     if len(clauses) != c:
         raise ValueError("clause count mismatch")
     return OneInThreeInstance(v, clauses)

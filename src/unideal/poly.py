@@ -1,4 +1,5 @@
-"""Sparse multivariate and dense univariate polynomials over an exact field.
+"""Sparse multivariate polynomials over an exact field, and the coefficients
+of a univariate generator.
 
 SparsePoly maps exponent vectors (tuples of length n) to nonzero coefficients.
 Its modulus `p` says which field they live in: with p = None they are
@@ -16,7 +17,10 @@ CapExceeded, which `circuits.expand`, its one user, passes on; the CLI
 reports it as an instance too large for its budget (exit 3), not a crash.
 
 UnivariatePoly stores coefficients low-to-high with the trailing zeros
-stripped.
+stripped.  It holds coefficients and has no arithmetic: only
+`division._Reducer` divides by a generator, and the certifier tests one for
+squarefreeness by the norm of its derivative modulo it, through the same
+characteristic polynomial that gives its threshold.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .fields import FieldMismatch, _inverse, rational, residue
+from .fields import FieldMismatch, rational, residue
 
 __all__ = [
     "CapExceeded",
     "SparsePoly",
     "UnivariatePoly",
-    "poly_gcd",
 ]
 
 
@@ -241,10 +244,12 @@ class UnivariatePoly:
 
     @classmethod
     def from_roots(cls, roots) -> "UnivariatePoly":
-        p = cls([Fraction(1)])
+        """prod (x - r) over `roots`, with Fraction coefficients."""
+        cs = [Fraction(1)]
         for r in roots:
-            p = p * cls([-r, Fraction(1)])
-        return p
+            # times (x - r): c'_i = c_(i-1) - r c_i
+            cs = [-r * cs[0]] + [a - r * b for a, b in zip(cs, cs[1:])] + [cs[-1]]
+        return cls(cs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -263,83 +268,12 @@ class UnivariatePoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UnivariatePoly(out)
-
-    def __neg__(self):
-        return UnivariatePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UnivariatePoly):
-            if not self.coeffs or not other.coeffs:
-                return UnivariatePoly([])
-            out = [self.coeffs[0] - self.coeffs[0]] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] = out[i + j] + a * b
-            return UnivariatePoly(out)
-        return self.scale(other)
-
-    def scale(self, c) -> "UnivariatePoly":
-        return UnivariatePoly([c * a for a in self.coeffs])
-
-    def divmod(self, other: "UnivariatePoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UnivariatePoly([]), UnivariatePoly(rem)
-        quo = [rem[0] - rem[0]] * (dq + 1)
-        inv = _inverse(other.lc())
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree()] * inv
-            if c:
-                quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return UnivariatePoly(quo), UnivariatePoly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def evaluate(self, x):
-        if not self.coeffs:
-            return x - x if not isinstance(x, (int,)) else 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "UnivariatePoly":
         return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "UnivariatePoly":
-        if self.is_zero():
-            return self
-        inv = _inverse(self.lc())
-        return UnivariatePoly([c * inv for c in self.coeffs])
 
     def __repr__(self):
         if not self.coeffs:
             return "UnivariatePoly(0)"
         bits = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
         return "UnivariatePoly(" + " + ".join(bits) + ")"
-
-
-def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
 

@@ -367,11 +367,9 @@ def det(m: Matrix):
     return det
 
 
-def charpoly(m: Matrix) -> UnivariatePoly:
-    """det(w*I - M), monic, by exact Hessenberg reduction plus the minor recurrence.
-
-    M holds ints and Fractions.  The leading coefficient is Fraction(1), so
-    `monic` and `divmod` never divide by an int.
+def charpoly(m: Matrix) -> SparsePoly:
+    """det(w*I - M), a monic SparsePoly in the one variable w, by exact
+    Hessenberg reduction plus the minor recurrence.  M holds ints and Fractions.
     """
     n = m.nrows
     if n != m.ncols:
@@ -393,9 +391,10 @@ def charpoly(m: Matrix) -> UnivariatePoly:
                 for t in range(n):
                     h[t][col + 1] = h[t][col + 1] + f * h[t][r]
     # p_m(w) = (w - h[m][m]) p_{m-1} - sum_i h[i][m] (prod subdiag) p_{i-1}
-    ps = [UnivariatePoly([Fraction(1)])]
+    w = SparsePoly.variable(1, 0)
+    ps = [SparsePoly.const(1, 1)]
     for mm in range(n):
-        p = UnivariatePoly((0,) + ps[mm].coeffs) - ps[mm].scale(h[mm][mm])
+        p = ps[mm].mul(w) - ps[mm].scale(h[mm][mm])
         prod = 1
         for i in range(mm - 1, -1, -1):
             prod = prod * h[i + 1][i]

@@ -28,6 +28,7 @@ from unideal.certifier import (
     _poly_abs2,
     _residual_threshold_sq,
     _separated,
+    _sparse,
 )
 from unideal.circuits import CircuitBuilder, expand
 from unideal.cli import main
@@ -40,6 +41,14 @@ F = Fraction
 
 def upoly(*coeffs):
     return UnivariatePoly([F(c) for c in coeffs])
+
+
+def times(*ps):
+    """The product of UnivariatePolys, formed as SparsePolys."""
+    prod = SparsePoly.const(1, 1)
+    for p in ps:
+        prod = prod.mul(_sparse(p))
+    return UnivariatePoly([F(prod.terms.get((j,), 0)) for j in range(prod.degree() + 1)])
 
 
 def horner_circuit(b, p, x_id):
@@ -71,6 +80,65 @@ def test_root_bounds_contain_true_roots():
 def test_approximate_roots_rejects_repeated_roots():
     with pytest.raises(NotSquarefree):
         approximate_roots(upoly(1, -2, 1), F(1, 2**30))  # (x - 1)^2
+    # (x^2 - 2)^2 (x + 1): the repeated roots are irrational.
+    p = times(upoly(-2, 0, 1), upoly(-2, 0, 1), upoly(1, 1))
+    with pytest.raises(NotSquarefree):
+        approximate_roots(p, F(1, 2**30))
+    b = CircuitBuilder(1)
+    with pytest.raises(NotSquarefree):
+        compute_threshold(b.build(b.input(0)), UnivariateIdeal(((0, p),)))
+
+
+def squarefree_cases():
+    """240 seeded polynomials of degree 1 to 10, nearly half of them with a repeated root."""
+    rng = random.Random(28)
+    kinds = ["int", "fraction", "monic", "repeated rational", "repeated irrational", "distinct roots"]
+    out = []
+    for t in range(240):
+        kind = kinds[t % len(kinds)]
+        d = rng.randint(1, 10)
+        lc = rng.choice([1, -1, 2, 3, F(2, 3), F(-5, 2)])
+        if kind == "int":  # Python ints throughout
+            coeffs = [rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(d)]
+            p = UnivariatePoly(coeffs + [rng.choice([1, -1, 2, 3])])
+        elif kind in ("fraction", "monic"):
+            den = [1, 2, 3, 7] if kind == "fraction" else [1]
+            # Sparse coefficients give repeated roots at 0 often enough.
+            coeffs = [F(rng.randint(-4, 4), rng.choice(den)) if rng.random() < 0.6 else F(0) for _ in range(d)]
+            p = UnivariatePoly(coeffs + [F(1) if kind == "monic" else lc])
+        elif kind == "repeated rational":
+            a = F(rng.randint(-3, 3), rng.choice([1, 2]))
+            rest = [F(rng.randint(-5, 5)) for _ in range(rng.randint(0, 6))]
+            p = times(UnivariatePoly.from_roots([a, a] + rest), UnivariatePoly([lc]))
+        elif kind == "repeated irrational":  # q^2 times a random cofactor, q an irreducible quadratic
+            c = rng.choice([2, 3, 5, -1, -2])
+            q = upoly(-c, 0, 1) if rng.random() < 0.5 else upoly(1, rng.choice([-1, 1]), 1)
+            cofactor = UnivariatePoly([F(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))] + [lc])
+            p = times(q, q, cofactor)
+        else:
+            den = rng.choice([1, 3])
+            p = times(UnivariatePoly.from_roots([F(a, den) for a in rng.sample(range(-9, 10), d)]), UnivariatePoly([lc]))
+        out.append((kind, p))
+    return out
+
+
+def test_is_squarefree_matches_sympy_discriminant():
+    # An oracle that shares no code with the charpoly norm: a polynomial of
+    # degree >= 1 is squarefree exactly when its discriminant is nonzero.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    q = lambda c: sympy.Rational(F(c).numerator, F(c).denominator)
+    cases = squarefree_cases() + [("(x^2 - 2)^2 (x + 1)", times(upoly(-2, 0, 1), upoly(-2, 0, 1), upoly(1, 1)))]
+    seen = {}
+    for kind, p in cases:
+        assert 1 <= p.degree() <= 10
+        want = sympy.discriminant(sympy.Poly([q(c) for c in reversed(p.coeffs)], x)) != 0
+        assert _is_squarefree(p) == want, (kind, p)
+        seen[kind, want] = seen.get((kind, want), 0) + 1
+    assert sum(n for (kind, want), n in seen.items() if not want) >= 100, seen
+    for kind in ("int", "fraction", "monic"):
+        assert seen.get((kind, True), 0) >= 10 and seen.get((kind, False), 0) >= 3, seen
+    assert not _is_squarefree(upoly(5)) and not _is_squarefree(UnivariatePoly([]))
 
 
 def test_separation_needs_more_than_2r():
@@ -132,12 +200,12 @@ def oracle_polys():
                 p = UnivariatePoly.from_roots([F(rng.randint(-4, 4))] * (d % 2))
                 for _ in range(d // 2):
                     a, b = rng.randint(-4, 4), rng.choice([-3, -2, -1, 1, 2, 3])
-                    p = p * upoly(a * a + b * b, -2 * a, 1)
+                    p = times(p, upoly(a * a + b * b, -2 * a, 1))
             elif kind == "rational lc":
                 p = UnivariatePoly([F(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in range(d)]
                                    + [rng.choice([F(3, 2), F(-2, 7), F(5, 3)])])
             elif kind == "root at 0":
-                p = upoly(0, 1) * UnivariatePoly([F(rng.randint(-6, 6)) for _ in range(d - 1)] + [F(1)])
+                p = times(upoly(0, 1), UnivariatePoly([F(rng.randint(-6, 6)) for _ in range(d - 1)] + [F(1)]))
             elif kind == "close pair":  # two roots 2^-40 apart
                 a = F(rng.randint(-3, 3))
                 p = UnivariatePoly.from_roots([a, a + F(1, 2**40)]
@@ -296,10 +364,11 @@ def test_grid_charpoly_matches_hessenberg_oracle():
         r = SparsePoly(n, terms)
         if kind == "vanishing":  # times x_v - a for a root a of p_v: R(a) = 0 on a slice of the grid
             v = rng.randrange(n)
-            a = F(rng.choice([x for x in range(-4, 5) if not gens[v][1].evaluate(F(x))]))
+            a = F(rng.choice([x for x in range(-4, 5) if not _sparse(gens[v][1]).evaluate([x])]))
             r = divide(r * SparsePoly(n, {tuple(int(i == v) for i in range(n)): F(1), (0,) * n: -a}), ideal)
         reducer = _Reducer(ideal)
-        want = charpoly(multiplication_matrix(r, ideal, degs)).coeffs
+        chi = charpoly(multiplication_matrix(r, ideal, degs))
+        want = [F(chi.terms.get((j,), 0)) for j in range(grid + 1)]
         got = _grid_charpoly(r, reducer, degs, grid)
         assert list(want) == got
         tail = list(want[next(i for i, c in enumerate(want) if c):])
@@ -355,6 +424,42 @@ def test_certify_checks_the_ideal_before_expanding(monkeypatch, tmp_path, capsys
         for mode in (["--search"], ["--verify", str(tmp_path / "cert.txt")]):
             assert main(["certify", *files, *mode]) == 2
             assert message in capsys.readouterr().err
+
+
+def test_certify_checks_the_grid_guard_before_squarefreeness(monkeypatch, tmp_path, capsys):
+    # A squarefree test costs a charpoly of the generator's degree, so a grid
+    # past CHARPOLY_GUARD exits 2 before any runs: one generator of degree
+    # 2049, and 12 quadratics (grid 4096).
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the grid guard")
+
+    monkeypatch.setattr(certifier, "expand", refuse)
+    monkeypatch.setattr(certifier, "_is_squarefree", refuse)
+    cases = [
+        ("vars 1\nin 0\nout 0\n", "var 0 : -1" + " 0" * 2048 + " 1\n"),
+        ("vars 12\nin 0\nout 0\n", "".join(f"var {v} : -1 0 1\n" for v in range(12))),
+    ]
+    for circuit, ideal in cases:
+        (tmp_path / "f.txt").write_text(circuit)
+        (tmp_path / "i.txt").write_text(ideal)
+        files = ["--circuit", str(tmp_path / "f.txt"), "--ideal", str(tmp_path / "i.txt")]
+        for mode in (["--search"], ["--verify", str(tmp_path / "cert.txt")]):
+            assert main(["certify", *files, *mode]) == 2
+            assert "exceeds the threshold guard 2048" in capsys.readouterr().err
+
+
+def test_search_checks_its_grid_guard_before_the_roots(monkeypatch):
+    # The CLI cannot reach GRID_GUARD (CHARPOLY_GUARD is smaller), so the
+    # budget is built by hand: 17 quadratics make a grid of 131072 > 10^5.
+    def refuse(*args, **kwargs):
+        raise AssertionError("approximated roots past the search guard")
+
+    monkeypatch.setattr(certifier, "approximate_roots", refuse)
+    ideal = UnivariateIdeal(tuple((v, upoly(-1, 0, 1)) for v in range(17)))
+    b = CircuitBuilder(17)
+    budget = certifier.PrecisionBudget(L=0, d=2, n=17, eps=F(1), M=F(1))
+    with pytest.raises(ValueError, match="exceeds the search guard 100000"):
+        search_nonmembership(b.build(b.input(0)), ideal, budget)
 
 
 # Unit directions with rational components, for complex offsets from a root.

@@ -209,10 +209,6 @@ def test_int_leading_coefficients_divide_exactly():
     for e in range(6):
         r = divide(SparsePoly(1, {(e,): 1}), monic)
         assert all(type(c) is int for c in r.terms.values())
-    assert UnivariatePoly([1, 2, 4]).monic().coeffs == (F(1, 4), F(1, 2), 1)
-    assert UnivariatePoly([3, -1]).monic().coeffs == (-3, 1)
-    q, rem = UnivariatePoly([1, 0, 0, 1]).divmod(UnivariatePoly([1, 2]))
-    assert q.coeffs == (F(1, 8), F(-1, 4), F(1, 2)) and rem.coeffs == (F(7, 8),)
 
 
 def test_divide_matches_sympy_reduced():

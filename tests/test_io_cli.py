@@ -13,7 +13,7 @@ from unideal.cli import main
 from unideal.division import UnivariateIdeal, divide
 from unideal.linalg import LinearForm
 from unideal.lowrank import LowRankInput, inline_forms
-from unideal.poly import UnivariatePoly
+from unideal.poly import SparsePoly, UnivariatePoly
 
 F = Fraction
 
@@ -301,6 +301,27 @@ def test_cli_cap_exceeded_exit_code(workdir, capsys):
         "--ideal", str(workdir / "sq.txt"), "--mode", "brute", "--cap", "1",
     )
     assert code == 3
+
+
+def test_cli_oversized_declared_sizes_exit_without_allocating(tmp_path, capsys, monkeypatch):
+    # A circuit on 10^9 variables, or a graph on 10^9 vertices, used to end
+    # in a MemoryError: `expand` built an exponent tuple of length n for an
+    # input, and `vc` a dense n x n adjacency.  Both now stop before either.
+    def refuse(*args):
+        raise AssertionError("built an object of the declared size")
+
+    monkeypatch.setattr(SparsePoly, "variable", refuse)
+    monkeypatch.setattr(Graph, "adjacency", refuse)
+    (tmp_path / "f.txt").write_text("vars 1000000000\nin 0\nout 0\n")
+    (tmp_path / "i.txt").write_text("var 0 : -1 0 1\n")
+    (tmp_path / "sq.txt").write_text("var 0 : 0 0 1\n")  # a power ideal, so auto checks its variables first
+    for ideal, mode in (("i.txt", "brute"), ("i.txt", "auto"), ("sq.txt", "auto")):
+        code, out, err = run_cli_err(capsys, "member", "--circuit", str(tmp_path / "f.txt"),
+                                     "--ideal", str(tmp_path / ideal), "--mode", mode)
+        assert code == 3 and out == "" and "1000000000 variables exceed the term cap" in err
+    (tmp_path / "g.txt").write_text("1000000000 0\n")
+    code, out, err = run_cli_err(capsys, "vc", "--graph", str(tmp_path / "g.txt"), "--k", "1", "--tight")
+    assert code == 2 and out == "" and "adjacency guard" in err
 
 
 def test_cli_usage_error_exit_code(workdir, capsys):

@@ -263,3 +263,23 @@ def test_valid_files_parse():
     assert inp.n == 3 and len(inp.forms) == 2
     assert [g.degree() for _, g in uio.parse_ideal(VALID_IDEAL).generators] == [2, 3, 1]
     assert uio.parse_point(VALID_POINT) == [1, -2, Fraction(3, 4)]
+
+
+def test_count_prefixed_parsers_reject_extra_lines(tmp_path, capsys):
+    # A header declaring fewer lines than the file holds used to drop the
+    # rest: the triangle below parsed as its first edge, and `vc --k 1`
+    # answered HAS-VC, though the triangle needs two vertices.
+    triangle = "3 1\n0 1\n1 2\n0 2\n"
+    cases = [
+        (uio.parse_graph, triangle, "edge count mismatch"),
+        (uio.parse_klineq, "1 2\n1\n1 1\n0 1\n", "inconsistent k-lin-eq file"),
+        (uio.parse_one_in_three, "4 1\n0 1 2\n1 2 3\n", "clause count mismatch"),
+    ]
+    for parse, text, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse(text)
+    from unideal.cli import main
+
+    (tmp_path / "g.txt").write_text(triangle)
+    assert main(["vc", "--graph", str(tmp_path / "g.txt"), "--k", "1", "--tight"]) == 2
+    assert "edge count mismatch" in capsys.readouterr().err
